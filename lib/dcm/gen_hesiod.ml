@@ -255,11 +255,12 @@ let sloc_file mdb =
 
 let with_mdb f glue = f (Moira.Glue.mdb glue)
 
-(* ---- keyed incremental specs for the user-driven files ------------ *)
-(* passwd/pobox/grplist scale with the user population, so they get
-   row-grain incremental builders: the per-row renderers below must
-   byte-match the bulk builds above, line for line.  The remaining parts
-   are small (clusters, printers, services) and stay full-build. *)
+(* ---- keyed incremental specs for the population-sized files ------- *)
+(* passwd/pobox/grplist scale with the user population and group.db with
+   the lists, so they get row-grain incremental builders: the per-row
+   renderers below must byte-match the bulk builds above, line for line.
+   The remaining parts are small (clusters, printers, services) and stay
+   full-build. *)
 
 let passwd_user_lines ~rowid row ~login ~uidv ~fullname ~shell emit =
   let pline =
@@ -308,6 +309,7 @@ let passwd_spec =
               List.rev !acc
             end);
     sk_deps = (fun _ -> "");
+    sk_aux = None;
   }
 
 let pobox_user_line mdb row ~status ~potype ~login ~pop_id =
@@ -355,6 +357,7 @@ let pobox_spec =
               ~pop_id:(Value.int (Table.field utbl row "pop_id")));
     sk_deps =
       (fun mdb -> fingerprint mdb [ ("machine", [ "mach_id"; "name" ]) ]);
+    sk_aux = None;
   }
 
 let grplist_render ~login ~own ~frags =
@@ -402,13 +405,60 @@ let grplist_spec =
               let own, frags = group_fragments mdb ~users_id ~login in
               if own = "" && frags = [] then []
               else [ (0, login, grplist_render ~login ~own ~frags) ]);
-    sk_deps =
-      (fun mdb ->
-        fingerprint mdb
-          [
-            ("list", [ "gid"; "list_id"; "name"; "grouplist"; "active" ]);
-            ("members", []);
-          ]);
+    (* a USER-member edit reaches grplist.db through the closure's
+       delta as the users it touched; only a change to the active group
+       lists themselves (or a LIST-member edit, which makes the closure
+       rebuild and its delta unknown) falls back *)
+    sk_deps = (fun mdb -> string_of_int (grouplists_version mdb));
+    sk_aux =
+      Some
+        {
+          Keyed.ax_cursor = Moira.Closure.change_cursor;
+          ax_rows =
+            (fun mdb ~cursor ->
+              Moira.Closure.users_changed_since mdb ~cursor
+              |> Option.map
+                   (List.concat_map (fun users_id ->
+                        List.map fst
+                          (Plan.select (users_table mdb)
+                             (Pred.eq_int "users_id" users_id)))));
+        };
+  }
+
+(* group.db/gid.db, one row-grain line pair per active group list: a
+   membership edit stamps its list row, which re-renders to the same two
+   lines and leaves both files physically unchanged. *)
+let group_row_lines tbl row =
+  if
+    Value.bool (Table.field tbl row "grouplist")
+    && Value.bool (Table.field tbl row "active")
+  then
+    let name = Value.str (Table.field tbl row "name") in
+    let g = Value.int (Table.field tbl row "gid") in
+    let gline = u (name ^ ".group") (Printf.sprintf "%s:*:%d:" name g) in
+    let dline = c (string_of_int g ^ ".gid") (name ^ ".group") in
+    [ (0, gline, gline ^ "\n"); (1, dline, dline ^ "\n") ]
+  else []
+
+let group_spec =
+  {
+    Keyed.sk_table = "list";
+    sk_files = [| "group.db"; "gid.db" |];
+    sk_full =
+      (fun mdb ~emit ->
+        let tbl = Moira.Mdb.table mdb "list" in
+        Table.iter tbl (fun rowid row ->
+            List.iter
+              (fun (fi, key, line) -> emit ~rowid fi key line)
+              (group_row_lines tbl row)));
+    sk_row =
+      (fun mdb ~rowid ->
+        let tbl = Moira.Mdb.table mdb "list" in
+        match Table.get tbl rowid with
+        | None -> []
+        | Some row -> group_row_lines tbl row);
+    sk_deps = (fun _ -> "");
+    sk_aux = None;
   }
 
 (* One part per independently-watched slice of the eleven files; the
@@ -432,6 +482,7 @@ let parts =
       (with_mdb (fun mdb -> common [ pobox_file mdb ]));
     Gen.part ~name:"group"
       ~watches:[ Gen.watch "list" ]
+      ~incr:(Keyed.incr group_spec)
       (with_mdb (fun mdb ->
            let group, gid = group_files mdb in
            common [ group; gid ]));

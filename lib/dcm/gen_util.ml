@@ -44,23 +44,12 @@ let memo_key tbl cols =
 
 (* Render memo keys into a composable fingerprint string, for callers
    (the keyed incremental builder) that need one equality-comparable
-   digest over several tables' relevant columns.  An empty column list
-   digests the table's coarse stats — for relations like members whose
-   consumers (the closure memo) key on exactly those. *)
+   digest over several tables' relevant columns. *)
 let fingerprint mdb specs =
   String.concat ";"
     (List.map
        (fun (tname, cols) ->
-         let tbl = Moira.Mdb.table mdb tname in
-         let key =
-           if cols = [] then
-             let s = Table.stats tbl in
-             Coarse
-               ( s.Table.appends, s.Table.updates, s.Table.deletes,
-                 s.Table.modtime, s.Table.del_time )
-           else memo_key tbl cols
-         in
-         match key with
+         match memo_key (Moira.Mdb.table mdb tname) cols with
          | Cols vs ->
              tname ^ ":c" ^ String.concat "," (List.map string_of_int vs)
          | Coarse (a, b, c, d, e) ->
@@ -123,39 +112,76 @@ let sorted_active_users mdb =
       Hashtbl.replace actives_memo uid (key, a);
       a
 
-(* Active group lists as (gid, list_id, name) sorted by (gid, list_id),
-   memoized on the list table's stats: a membership or user edit leaves
-   the projection valid, so the per-generation cost collapses to a
-   hashtable probe. *)
-let grouplists_memo :
-    (int, memo_key * (int * int * string) list) Hashtbl.t =
-  Hashtbl.create 8
+(* Active group lists as (gid, list_id, name) sorted by (gid, list_id).
+   The list columns it reads are not all indexed, so the memo key is the
+   table's coarse stats, which every membership edit moves (it stamps
+   the list row's modtime).  A moved key therefore re-scans the table in
+   rowid order and compares against the previous scan: only a real
+   change of the projection re-sorts it and takes a new [version], the
+   digest grplist.db's keyed builder fingerprints. *)
+type grouplists = {
+  gl_key : memo_key;
+  gl_raw : (int * int * string) list;  (* rowid order *)
+  gl_sorted : (int * int * string) list;
+  gl_version : int;
+}
 
-let active_grouplists mdb =
+let grouplists_memo : (int, grouplists) Hashtbl.t = Hashtbl.create 8
+let grouplists_versions = ref 0
+
+let grouplists mdb =
   let tbl = Moira.Mdb.table mdb "list" in
   let key = memo_key tbl [ "gid"; "list_id"; "name"; "grouplist"; "active" ] in
   let uid = Table.uid tbl in
-  match Hashtbl.find_opt grouplists_memo uid with
-  | Some (k, cands) when k = key -> cands
+  let prev = Hashtbl.find_opt grouplists_memo uid in
+  match prev with
+  | Some g when g.gl_key = key -> g
   | _ ->
       let gidc = col tbl "gid" and idc = col tbl "list_id" in
       let namec = col tbl "name" in
       let grouplistc = col tbl "grouplist" and activec = col tbl "active" in
-      let cands = ref [] in
-      Table.iter tbl (fun _ row ->
-          if Value.bool (grouplistc row) && Value.bool (activec row) then
-            cands :=
-              (Value.int (gidc row), Value.int (idc row),
-               Value.str (namec row))
-              :: !cands);
-      let cands =
-        List.sort
-          (fun (g1, l1, _) (g2, l2, _) ->
-            match Int.compare g1 g2 with 0 -> Int.compare l1 l2 | c -> c)
-          !cands
+      let scan f =
+        Table.iter tbl (fun _ row ->
+            if Value.bool (grouplistc row) && Value.bool (activec row) then
+              f (Value.int (gidc row)) (Value.int (idc row))
+                (Value.str (namec row)))
       in
-      Hashtbl.replace grouplists_memo uid (key, cands);
-      cands
+      (* compare in place first: a stamp-only change allocates nothing *)
+      let unchanged p =
+        let rest = ref p.gl_raw and same = ref true in
+        scan (fun gid id name ->
+            match !rest with
+            | (g, l, n) :: tl when !same && g = gid && l = id && n = name ->
+                rest := tl
+            | _ -> same := false);
+        !same && !rest = []
+      in
+      let g =
+        match prev with
+        | Some p when unchanged p -> { p with gl_key = key }
+        | _ ->
+            let raw = ref [] in
+            scan (fun gid id name -> raw := (gid, id, name) :: !raw);
+            let raw = List.rev !raw in
+            incr grouplists_versions;
+            {
+              gl_key = key;
+              gl_raw = raw;
+              gl_sorted =
+                List.sort
+                  (fun (g1, l1, _) (g2, l2, _) ->
+                    match Int.compare g1 g2 with
+                    | 0 -> Int.compare l1 l2
+                    | c -> c)
+                  raw;
+              gl_version = !grouplists_versions;
+            }
+      in
+      Hashtbl.replace grouplists_memo uid g;
+      g
+
+let active_grouplists mdb = (grouplists mdb).gl_sorted
+let grouplists_version mdb = (grouplists mdb).gl_version
 
 (* Group resolution for grplist/credentials lines.  One closure (shared
    via the memo in [Closure.get]) answers every user's containing lists;

@@ -20,10 +20,16 @@ val active_users :
 
 val fingerprint : Moira.Mdb.t -> (string * string list) list -> string
 (** [fingerprint mdb [(table, cols); ...]] digests the named columns'
-    change counters (or, for an empty column list, the table's coarse
-    stats) into one equality-comparable string.  The keyed incremental
+    change counters (or the table's coarse stats, when a column is not
+    indexed) into one equality-comparable string.  The keyed incremental
     builder uses it to detect that a part's auxiliary inputs moved and a
     row-grain splice would be unsound. *)
+
+val grouplists_version : Moira.Mdb.t -> int
+(** A version of the active unix groups' (gid, list_id, name)
+    projection: it changes exactly when that projection's contents do
+    (a list turning into or out of an active group list, or an active
+    group list's gid or name changing), not on membership stamps. *)
 
 type groups
 (** Per-generation group-resolution context: the memoized membership

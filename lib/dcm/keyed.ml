@@ -11,11 +11,16 @@
    bytes didn't change keep their previous doc *physically*, so the
    push layer's member checksums and the spool's write-skip all hit.
 
+   A line may also depend on an auxiliary relation that keeps its own
+   delta (grplist.db on the membership closure): the spec then names the
+   source rows that auxiliary delta touched, and they are re-rendered
+   beside the rows from the change log.
+
    Correctness contract: the spliced file must be byte-identical to the
    full build.  Whenever the delta can't be applied faithfully — change
-   log wrapped, auxiliary inputs changed, a recorded line is missing —
-   the engine falls back to the full build.  A fallback is never wrong,
-   only slower. *)
+   log wrapped, auxiliary delta unknown, auxiliary fingerprint moved, a
+   recorded line is missing — the engine falls back to the full build.
+   A fallback is never wrong, only slower. *)
 
 open Relation
 
@@ -36,8 +41,16 @@ type spec = {
          [sk_full] would emit for it, in the same relative order *)
   sk_deps : Moira.Mdb.t -> string;
       (* fingerprint of every input OTHER than the source table's own
-         rows (auxiliary tables, memo versions); a change forces a full
-         rebuild *)
+         rows and [sk_aux] (auxiliary tables, memo versions); a change
+         forces a full rebuild *)
+  sk_aux : aux option;
+}
+
+and aux = {
+  ax_cursor : Moira.Mdb.t -> int;  (* the auxiliary delta's position now *)
+  ax_rows : Moira.Mdb.t -> cursor:int -> int list option;
+      (* source rowids whose lines the auxiliary changes since [cursor]
+         may have moved; None when unknown *)
 }
 
 exception Fallback
@@ -62,6 +75,7 @@ type state = {
   spec : spec;
   table_uid : int;
   mutable cursor : int;  (* change-log position already folded in *)
+  mutable aux_cursor : int;  (* auxiliary delta position folded in *)
   mutable deps_fp : string;
   by_row : (int, (int * string * string) list) Hashtbl.t;
       (* what each source row currently contributes *)
@@ -195,6 +209,9 @@ let full_build spec mdb tbl =
   Obs.Counter.incr c_full;
   let cursor = Table.change_cursor tbl in
   let deps_fp = spec.sk_deps mdb in
+  let aux_cursor =
+    match spec.sk_aux with Some ax -> ax.ax_cursor mdb | None -> 0
+  in
   let nf = Array.length spec.sk_files in
   let per_file = Array.make nf [] in
   let by_row = Hashtbl.create 4096 in
@@ -218,16 +235,23 @@ let full_build spec mdb tbl =
         fs)
       per_file
   in
-  { spec; table_uid = Table.uid tbl; cursor; deps_fp; by_row; files }
+  { spec; table_uid = Table.uid tbl; cursor; aux_cursor; deps_fp; by_row;
+    files }
 
 (* ---- splice ------------------------------------------------------- *)
 
 let splice st mdb tbl =
   let fp = st.spec.sk_deps mdb in
   if fp <> st.deps_fp then raise Fallback;
-  match Table.changes_since tbl ~cursor:st.cursor with
-  | None -> raise Fallback
-  | Some rowids ->
+  let aux_rows =
+    match st.spec.sk_aux with
+    | None -> Some []
+    | Some ax -> ax.ax_rows mdb ~cursor:st.aux_cursor
+  in
+  match (Table.changes_since tbl ~cursor:st.cursor, aux_rows) with
+  | None, _ | _, None -> raise Fallback
+  | Some rowids, Some extra ->
+      let rowids = List.sort_uniq Int.compare (List.rev_append extra rowids) in
       let dirty = Array.make (Array.length st.files) false in
       List.iter
         (fun rowid ->
@@ -251,6 +275,7 @@ let splice st mdb tbl =
           end)
         rowids;
       st.cursor <- Table.change_cursor tbl;
+      Option.iter (fun ax -> st.aux_cursor <- ax.ax_cursor mdb) st.spec.sk_aux;
       Array.iteri (fun i d -> if d then refresh_file st.files.(i)) dirty
 
 (* ---- entry point -------------------------------------------------- *)

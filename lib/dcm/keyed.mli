@@ -11,10 +11,17 @@
     change keeps its previous {!Sink.doc} physically, which the push
     manifest and the spool writer both exploit.
 
+    A spec whose lines also depend on an auxiliary relation with its own
+    delta names, through {!aux}, the source rows that delta touched;
+    they are re-rendered beside the rows the change log reports.
+
     The output is always byte-identical to the full build: any delta the
-    engine cannot apply faithfully (change log wrapped, auxiliary-input
-    fingerprint moved, recorded line missing) triggers an internal full
-    rebuild instead. *)
+    engine cannot apply faithfully triggers an internal full rebuild
+    instead (counted in [dcm.keyed.fallback]).  That happens when:
+    - the source table's change log wrapped or was cleared;
+    - the {!aux} delta is unknown ([ax_rows] answers [None]);
+    - the [sk_deps] fingerprint moved;
+    - a line recorded for a row is missing from the file. *)
 
 type spec = {
   sk_table : string;
@@ -34,12 +41,24 @@ type spec = {
           for deleted or filtered rows.  Must byte-match [sk_full]. *)
   sk_deps : Moira.Mdb.t -> string;
       (** Fingerprint of every input other than the source table's own
-          rows; any change forces a full rebuild. *)
+          rows and [sk_aux]; any change forces a full rebuild. *)
+  sk_aux : aux option;
+      (** An auxiliary delta whose touched rows are spliced too. *)
+}
+
+and aux = {
+  ax_cursor : Moira.Mdb.t -> int;
+      (** The auxiliary delta's current position. *)
+  ax_rows : Moira.Mdb.t -> cursor:int -> int list option;
+      (** Source-table rowids whose lines may have changed since
+          [cursor] because of the auxiliary relation; [None] when that is
+          unknown, which forces a full rebuild. *)
 }
 
 type state
 (** The engine's persistent state: bucketed entries, per-row
-    contributions, the change-log cursor, the deps fingerprint. *)
+    contributions, the change-log and auxiliary cursors, the deps
+    fingerprint. *)
 
 type Gen.pstate += Keyed_state of state
 

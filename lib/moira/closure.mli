@@ -8,17 +8,36 @@
     then answer from the closure in O(answer) instead of one BFS with one
     select per visited list, per query.
 
-    {!get} memoizes the closure per members table, keyed on the table's
-    stats counters, so back-to-back DCM extractions over an unchanged
-    database build it once. *)
+    {!get} memoizes the closure per members table and keeps it current
+    from the table's change log, so back-to-back DCM extractions build it
+    once and a USER-member edit costs O(affected components), not a
+    rebuild. *)
 
 type t
 
 val get : Mdb.t -> t
-(** The closure for [mdb]'s members table, rebuilt only if the table's
-    stats (appends/updates/deletes/modtime/del_time) changed since the
-    closure was last built.  Two calls with no intervening mutation
-    return the physically same value. *)
+(** The closure for [mdb]'s members table as of now.  Rows touched since
+    the last call are applied as deltas when none of them is a LIST
+    member (or a row rewritten in place): the direct and reverse edges
+    change, and the user is added to, or re-derived for, the edited
+    list's component and every component above it.  A LIST-member edit,
+    a wrapped change log or a duplicated row rebuilds in full.  The
+    counters [closure.build.full] and [closure.build.delta] on
+    {!Obs.default} record which path each refresh took.
+
+    A delta updates the previous value in place, so a closure must not
+    be held across mutations of the table: call [get] again. *)
+
+val change_cursor : Mdb.t -> int
+(** The members change-log position {!get}'s closure reflects (after
+    bringing it up to date).  Pass it to {!users_changed_since} later. *)
+
+val users_changed_since : Mdb.t -> cursor:int -> int list option
+(** [Some ids]: the users_id, ascending, of every USER whose containing
+    lists may have changed since [cursor] — exactly the USER members of
+    the rows the deltas touched.  [None] when the change is unknown (a
+    full rebuild happened since, or the bounded log was trimmed past
+    [cursor]); the caller must then assume every user changed. *)
 
 val build : Mdb.t -> t
 (** Always rebuild, bypassing the memo (for tests and benchmarks). *)
