@@ -399,6 +399,7 @@ let bench_robust () =
      of the update protocol";
   Printf.printf "%-16s %-34s %s\n" "crash point" "first attempt"
     "after reboot+retry";
+  let failures = ref [] in
   List.iter
     (fun point ->
       let tb = Testbed.create () in
@@ -424,7 +425,11 @@ let bench_robust () =
         | _ -> "NOT recovered"
       in
       let trunc s n = if String.length s > n then String.sub s 0 n else s in
-      Printf.printf "%-16s %-34s %s\n" point (trunc outcome1 34) outcome2)
+      Printf.printf "%-16s %-34s %s\n" point (trunc outcome1 34) outcome2;
+      if
+        String.starts_with ~prefix:"HARD" outcome1
+        || outcome2 = "NOT recovered"
+      then failures := (point ^ ": " ^ outcome1 ^ ", " ^ outcome2) :: !failures)
     [ "xfer"; "before_exec"; "mid_install"; "before_restart"; "after_exec" ];
   Printf.printf
     "\nlossy network, 26 simulated hours (propagations vs soft failures):\n";
@@ -460,7 +465,12 @@ let bench_robust () =
   Printf.printf
     "(soft failures are retried on later DCM passes; every host still\n\
     \ converges -- \"completely automatic update for normal cases and\n\
-    \ expected kinds of failures\")\n"
+    \ expected kinds of failures\")\n";
+  match List.rev !failures with
+  | [] -> ()
+  | fs ->
+      List.iter (fun f -> Printf.eprintf "ROBUST FAILURE: %s\n" f) fs;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* E8: the Access-then-Query double check (section 5.5).               *)

@@ -347,9 +347,6 @@ let reports t = List.rev t.history
 let spool_dir service = "/u1/sms/dcm/" ^ service ^ ".d"
 let spool_index service = spool_dir service ^ "/_index"
 
-(* Pre-member-grain spools were one packed archive; still readable. *)
-let spool_path service = "/u1/sms/dcm/" ^ service ^ ".data"
-
 let members_of (out : Gen.output) =
   List.map (fun (n, c) -> ("common/" ^ n, c)) out.Gen.common
   @ List.concat_map
@@ -381,14 +378,6 @@ let output_of_members members =
         per_host []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }
-
-let decode_output archive =
-  match Tarlike.unpack archive with
-  | Error _ -> None
-  | Ok members ->
-      Some
-        (output_of_members
-           (List.map (fun (p, c) -> (p, Sink.of_string c)) members))
 
 let moira_fs t = Netsim.Host.fs (Netsim.Net.host t.net t.moira_host)
 
@@ -430,31 +419,20 @@ let store_output t ~service output =
   Netsim.Vfs.flush fs
 
 let read_spool fs ~service =
-  let from_dir =
-    match Netsim.Vfs.read fs ~path:(spool_index service) with
-    | None -> None
-    | Some idx ->
-        let names =
-          List.filter (fun s -> s <> "") (String.split_on_char '\n' idx)
-        in
-        let rec collect acc = function
-          | [] -> Some (List.rev acc)
-          | n :: rest -> (
-              match
-                Netsim.Vfs.read fs ~path:(spool_dir service ^ "/" ^ n)
-              with
-              | Some c -> collect ((n, Sink.of_string c) :: acc) rest
-              | None -> None)
-        in
-        Option.map output_of_members (collect [] names)
-  in
-  match from_dir with
-  | Some _ as r -> r
-  | None -> (
-      (* no (or torn) directory spool: a pre-member-grain archive? *)
-      match Netsim.Vfs.read fs ~path:(spool_path service) with
-      | Some archive -> decode_output archive
-      | None -> None)
+  match Netsim.Vfs.read fs ~path:(spool_index service) with
+  | None -> None
+  | Some idx ->
+      let names =
+        List.filter (fun s -> s <> "") (String.split_on_char '\n' idx)
+      in
+      let rec collect acc = function
+        | [] -> Some (List.rev acc)
+        | n :: rest -> (
+            match Netsim.Vfs.read fs ~path:(spool_dir service ^ "/" ^ n) with
+            | Some c -> collect ((n, Sink.of_string c) :: acc) rest
+            | None -> None)
+      in
+      Option.map output_of_members (collect [] names)
 
 let last_output t ~service =
   match Hashtbl.find_opt t.outputs service with

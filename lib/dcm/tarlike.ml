@@ -51,8 +51,9 @@ let checksum members =
 
 (* Doc-member variants: the generators hand the DCM (name, Sink.doc)
    file sets, and everything short of the wire streams over the chunks.
-   [pack_docs] materializes exactly once, into a buffer pre-sized from
-   [packed_size_docs]. *)
+   [pack_docs] materializes exactly once, into bytes sized exactly by
+   [packed_size_docs] — a [Buffer] would copy the archive again on the
+   way out. *)
 
 let packed_size_docs members =
   List.fold_left
@@ -65,17 +66,23 @@ let packed_size_docs members =
     0 members
 
 let pack_docs members =
-  let buf = Buffer.create (max 4096 (packed_size_docs members)) in
+  let out = Bytes.create (packed_size_docs members) in
+  let pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 out !pos (String.length s);
+    pos := !pos + String.length s
+  in
   List.iter
     (fun (name, doc) ->
-      Buffer.add_string buf (string_of_int (String.length name));
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int (Sink.length doc));
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf name;
-      Sink.iter doc (Buffer.add_string buf))
+      put (string_of_int (String.length name));
+      put " ";
+      put (string_of_int (Sink.length doc));
+      put "\n";
+      put name;
+      Sink.iter doc put)
     members;
-  Buffer.contents buf
+  (* [out] is complete and never escapes as bytes *)
+  Bytes.unsafe_to_string out
 
 let checksum_docs members =
   let st = Checksum.stream_start () in
@@ -94,7 +101,10 @@ let checksum_docs members =
     members;
   Checksum.stream_value st
 
-let unpack archive =
+(* The members as (name, offset, length) spans of their contents in
+   [archive]: a consumer that slices the contents itself pays no copy
+   here. *)
+let spans archive =
   let n = String.length archive in
   let rec go pos acc =
     if pos >= n then Ok (List.rev acc)
@@ -109,44 +119,19 @@ let unpack archive =
               | Some nlen, Some clen ->
                   if nlen < 0 || clen < 0 || nl + 1 + nlen + clen > n then
                     Error "tar: member overruns archive"
-                  else begin
-                    let name = String.sub archive (nl + 1) nlen in
-                    let contents = String.sub archive (nl + 1 + nlen) clen in
-                    go (nl + 1 + nlen + clen) ((name, contents) :: acc)
-                  end
+                  else
+                    go (nl + 1 + nlen + clen)
+                      ((String.sub archive (nl + 1) nlen, nl + 1 + nlen, clen)
+                      :: acc)
               | _ -> Error "tar: bad header numbers")
           | _ -> Error "tar: bad header")
   in
   go 0 []
 
-(* Unpack memo keyed on the archive string's physical identity.  The
-   spool and the update protocol pass whole archive strings around by
-   reference (Vfs stores them unflattened), so the same heap string is
-   unpacked repeatedly — once to serve the manifest, once to verify the
-   delta, once to install.  A tiny MRU of recent archives makes the
-   repeats O(1); a copy of the bytes simply misses and pays the scan. *)
-let unpack_memo : (string * (string * string) list) list ref = ref []
-let unpack_memo_cap = 8
-
-let rec memo_take n = function
-  | x :: tl when n > 0 -> x :: memo_take (n - 1) tl
-  | _ -> []
-
-let prime_unpack archive members =
-  unpack_memo :=
-    (archive, members)
-    :: memo_take (unpack_memo_cap - 1)
-         (List.filter (fun (a, _) -> a != archive) !unpack_memo)
-
-let unpack_cached archive =
-  match List.find_opt (fun (a, _) -> a == archive) !unpack_memo with
-  | Some (_, members) -> Ok members
-  | None -> (
-      match unpack archive with
-      | Error _ as e -> e
-      | Ok members ->
-          prime_unpack archive members;
-          Ok members)
+let unpack archive =
+  Result.map
+    (List.map (fun (name, off, len) -> (name, String.sub archive off len)))
+    (spans archive)
 
 let member archive name =
   match unpack archive with

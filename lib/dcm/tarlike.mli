@@ -29,18 +29,9 @@ val checksum_docs : (string * Sink.doc) list -> int
 val unpack : string -> ((string * string) list, string) result
 (** Recover the members; [Error] describes the corruption. *)
 
-val unpack_cached : string -> ((string * string) list, string) result
-(** As {!unpack}, memoized on the archive string's physical identity
-    (a small MRU).  The update protocol and the spool hand the same
-    heap string to several consumers per cycle; this makes every
-    unpack after the first O(1).  Callers must not mutate the returned
-    member list's strings (they are shared). *)
-
-val prime_unpack : string -> (string * string) list -> unit
-(** Seed the {!unpack_cached} memo: a producer that just packed
-    [members] into [archive] records the association so consumers never
-    pay the first scan.  [members] must be exactly what {!unpack} would
-    return. *)
+val spans : string -> ((string * int * int) list, string) result
+(** As {!unpack}, but each member's contents as an (offset, length)
+    span of the archive instead of a copy. *)
 
 val member : string -> string -> string option
 (** [member archive name] extracts one member without unpacking the rest

@@ -1,6 +1,5 @@
 (* Ops ride on the GDB wire framing with conn 0; each request's first
    argument is the auth token. *)
-let op_xfer = 32
 let op_script = 33
 let op_flush = 34
 let op_exec = 35
@@ -8,8 +7,7 @@ let op_manifest = 36
 let op_delta = 37
 
 let op_slug op =
-  if op = op_xfer then "xfer"
-  else if op = op_script then "script"
+  if op = op_script then "script"
   else if op = op_flush then "flush"
   else if op = op_exec then "exec"
   else if op = op_manifest then "manifest"
@@ -18,56 +16,52 @@ let op_slug op =
 
 let service_name = "moira_update"
 let staged_suffix = ".moira_update"
-let last_suffix = ".last"
-let last_dir_suffix = ".last.d"
+let base_suffix = ".last.d"
 let script_staging = "/tmp/moira_inst"
 
-(* A delta push stages the (small) delta blob itself rather than the
-   reconstructed archive: materializing the full archive string was the
-   one remaining O(archive) step on the delta path.  The marker keeps
-   the staged file self-describing for the exec/install side. *)
-let delta_marker = "MOIRA-DELTA1\n"
+(* A resolved member: kept from the durable base ([bytes = None]) or
+   new contents.  Its Adler-32 and length are always known, so the
+   whole-archive checksum never needs the kept bytes. *)
+type member = { name : string; adler : int; len : int; bytes : string option }
 
-let is_delta_staged data =
-  String.length data >= String.length delta_marker
-  && String.sub data 0 (String.length delta_marker) = delta_marker
+(* The staged file as EXEC decoded it.  The script and the base advance
+   share this one decode, so an installed file and its base copy are the
+   same string. *)
+type staged = { path : string; target : string; members : member list }
 
-let delta_blob data =
-  String.sub data
-    (String.length delta_marker)
-    (String.length data - String.length delta_marker)
-
-type script = staged:string -> (unit, string) result
-
-(* Per-target digest of the last installed members.  [be_token] is the
-   physical string the durable base was read from — the legacy
-   [target ^ ".last"] archive, the [_index] of the member-grain
-   [target ^ ".last.d"] directory, or a just-transferred archive: Vfs
-   hands stored strings back by reference, so pointer comparisons tell
-   us the cached member list and per-member checksums are current, and
-   the manifest / delta-verify ops run in O(members + changed bytes)
-   instead of re-scanning every member every cycle. *)
-type base_entry = {
-  be_token : string;
-  be_members : (string * string * int) list;  (* name, contents, adler *)
-}
+type script = staged:staged -> (unit, string) result
 
 type server = {
   host : Netsim.Host.t;
   token : string;
   obs : Obs.t;  (* span lane for this serving host *)
   scripts : (string, script) Hashtbl.t;
-  base_cache : (string, base_entry) Hashtbl.t;  (* keyed by target *)
-  (* delta reconstructions awaiting exec, keyed by target; validated
-     against the staged string by pointer *)
-  delta_cache : (string, string * (string * string * int) list) Hashtbl.t;
+  (* The one memo: the Adler-32 of each durable base member, keyed by
+     its path and valid while the contents are equal.  Without it every
+     manifest re-scans every member — all of HESIOD's maps, every cycle.
+     Vfs hands stored strings back by reference, so the check is O(1)
+     in the steady state. *)
+  adlers : (string, string * int) Hashtbl.t;
+  scanned : Obs.Counter.counter;  (* update.server.scanned_bytes *)
 }
+
+let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
+
+(* [List.map] for a fallible [f], left to right, stopping at the first
+   error. *)
+let map_result f l =
+  List.fold_left
+    (fun acc x ->
+      let* ys = acc in
+      let* y = f x in
+      Ok (y :: ys))
+    (Ok []) l
+  |> Result.map List.rev
 
 let reply code tuples =
   Gdb.Wire.encode_reply
     { Gdb.Wire.rversion = Gdb.Wire.protocol_version; code; tuples }
 
-let member_cksum contents = Checksum.to_hex (Checksum.adler32 contents)
 let doc_cksum contents = Checksum.to_hex (Checksum.adler32_doc contents)
 
 (* A member delta: 'K' keep the base member verbatim, 'F' full new
@@ -82,187 +76,183 @@ let patch_encode ~base contents =
   Printf.sprintf "P%d %d %s\n%s" p s (doc_cksum base)
     (Sink.sub contents p (lc - p - s))
 
-let patch_apply ~base enc =
+(* [base_adler] is the base member's known checksum: the patch is
+   checked against it, never by re-scanning the base.  The result is
+   assembled with one copy. *)
+let patch_apply ~base ~base_adler enc =
   match String.index_opt enc '\n' with
   | None -> Error "malformed patch"
   | Some nl -> (
-      let header = String.sub enc 1 (nl - 1) in
-      let middle = String.sub enc (nl + 1) (String.length enc - nl - 1) in
-      match String.split_on_char ' ' header with
+      match String.split_on_char ' ' (String.sub enc 1 (nl - 1)) with
       | [ p; s; bck ] -> (
           match (int_of_string_opt p, int_of_string_opt s) with
           | Some p, Some s
             when p >= 0 && s >= 0
                  && p + s <= String.length base
-                 && member_cksum base = bck ->
-              Ok
-                (String.sub base 0 p ^ middle
-                ^ String.sub base (String.length base - s) s)
+                 && String.equal (Checksum.to_hex base_adler) bck ->
+              let m = String.length enc - nl - 1 in
+              let out = Bytes.create (p + m + s) in
+              Bytes.blit_string base 0 out 0 p;
+              Bytes.blit_string enc (nl + 1) out p m;
+              Bytes.blit_string base (String.length base - s) out (p + m) s;
+              Ok (Bytes.unsafe_to_string out)
           | _ -> Error "patch base mismatch")
       | _ -> Error "malformed patch")
 
-let decode_delta ~base entries =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (name, enc) :: rest -> (
-        if String.length enc = 0 then Error ("empty delta entry " ^ name)
-        else
-          let base_member () =
-            match List.assoc_opt name base with
-            | Some c -> Ok c
-            | None -> Error ("no base member " ^ name)
-          in
-          match enc.[0] with
-          | 'K' -> (
-              match base_member () with
-              | Ok c -> go ((name, c) :: acc) rest
-              | Error e -> Error e)
-          | 'F' ->
-              go ((name, String.sub enc 1 (String.length enc - 1)) :: acc)
-                rest
-          | 'P' -> (
-              match base_member () with
-              | Error e -> Error e
-              | Ok b -> (
-                  match patch_apply ~base:b enc with
-                  | Ok c -> go ((name, c) :: acc) rest
-                  | Error e -> Error (e ^ " for " ^ name)))
-          | _ -> Error ("bad delta entry " ^ name))
-  in
-  go [] entries
-
-(* The durable base members, without checksums.  A legacy single-file
-   [.last] archive (also how a corrupt operator-written base surfaces)
-   takes precedence; the steady state is the member-grain [.last.d]
-   directory, whose [_index] names the members. *)
-let read_base_plain fs target =
-  match Netsim.Vfs.read fs ~path:(target ^ last_suffix) with
-  | Some archive -> (
-      match Tarlike.unpack_cached archive with
-      | Error _ -> None
-      | Ok members -> Some (archive, members))
-  | None -> (
-      let dir = target ^ last_dir_suffix in
-      match Netsim.Vfs.read fs ~path:(dir ^ "/_index") with
-      | None -> None
-      | Some index ->
-          let names =
-            List.filter (fun s -> s <> "") (String.split_on_char '\n' index)
-          in
-          let rec read_all acc = function
-            | [] -> Some (index, List.rev acc)
-            | n :: rest -> (
-                match Netsim.Vfs.read fs ~path:(dir ^ "/" ^ n) with
-                | None -> None (* torn base: treat as absent *)
-                | Some c -> read_all ((n, c) :: acc) rest)
-          in
-          read_all [] names)
-
-let read_last_entry t fs target =
-  match read_base_plain fs target with
-  | None -> None
-  | Some (token, members) -> (
-      match Hashtbl.find_opt t.base_cache target with
-      | Some e
-        when e.be_token == token
-             && List.compare_lengths e.be_members members = 0
-             && List.for_all2
-                  (fun (n, c, _) (n', c') -> n = n' && c == c')
-                  e.be_members members ->
-          Some e
-      | _ ->
-          let e =
-            {
-              be_token = token;
-              be_members =
-                List.map (fun (n, c) -> (n, c, Checksum.adler32 c)) members;
-            }
-          in
-          Hashtbl.replace t.base_cache target e;
-          Some e)
-
 (* The adler of the archive [Tarlike.pack] would produce for these
    members, streamed from the per-member checksums — the wire checksum
-   the DCM confirms on exec, computed in O(members). *)
-let stream_cksum member_adlers =
+   the DCM sends with DELTA and EXEC, computed in O(members). *)
+let archive_cksum members =
   let st = Checksum.stream_start () in
   List.iter
-    (fun (name, contents, ck) ->
-      Checksum.stream_feed st (string_of_int (String.length name));
+    (fun m ->
+      Checksum.stream_feed st (string_of_int (String.length m.name));
       Checksum.stream_feed st " ";
-      Checksum.stream_feed st (string_of_int (String.length contents));
+      Checksum.stream_feed st (string_of_int m.len);
       Checksum.stream_feed st "\n";
-      Checksum.stream_feed st name;
-      Checksum.stream_absorb st ck ~len:(String.length contents))
-    member_adlers;
+      Checksum.stream_feed st m.name;
+      Checksum.stream_absorb st m.adler ~len:m.len)
+    members;
   Checksum.to_hex (Checksum.stream_value st)
 
-(* Rebuild the member list a delta blob describes, against the durable
-   base.  Kept members share the base member's string physically, so
-   only changed members' bytes are materialized or scanned. *)
-let reconstruct t fs target blob =
-  match Tarlike.unpack blob with
-  | Error e -> Error e
-  | Ok entries -> (
-      let base_entry = read_last_entry t fs target in
-      let base =
-        match base_entry with
-        | None -> []
-        | Some e -> List.map (fun (n, c, _) -> (n, c)) e.be_members
-      in
-      let base_find name =
-        match base_entry with
-        | None -> None
-        | Some e ->
-            List.find_map
-              (fun (n, c, ck) -> if n = name then Some (c, ck) else None)
-              e.be_members
-      in
-      match decode_delta ~base entries with
-      | Error e -> Error e
-      | Ok members ->
-          Ok
-            (List.map
-               (fun (name, contents) ->
-                 let ck =
-                   match base_find name with
-                   | Some (bc, ck) when bc == contents -> ck
-                   | _ -> Checksum.adler32 contents
-                 in
-                 (name, contents, ck))
-               members))
-
-(* Advance the durable base to [member_adlers]: write only members whose
-   contents are not already the physically-identical string, drop
-   members that disappeared, refresh [_index], and retire any legacy
-   single-file archive.  O(changed members + member count). *)
-let write_base t fs target member_adlers =
-  let dir = target ^ last_dir_suffix in
-  let old_names =
-    match Netsim.Vfs.read fs ~path:(dir ^ "/_index") with
-    | None -> []
-    | Some index ->
-        List.filter (fun s -> s <> "") (String.split_on_char '\n' index)
+(* The staged file is self-contained: a [Tarlike] archive whose first
+   entry lists every member in order, one "<K|F> <adler> <len> <name>"
+   line each, followed by the full bytes of each [F] member — every
+   member not kept from the base — in list order.  EXEC decodes it once
+   for the install script and the base advance. *)
+let encode_staged members =
+  let line m =
+    Printf.sprintf "%c %08x %d %s\n"
+      (if Option.is_some m.bytes then 'F' else 'K')
+      m.adler m.len m.name
   in
-  let names = List.map (fun (n, _, _) -> n) member_adlers in
+  Tarlike.pack_docs
+    (("", Sink.of_string (String.concat "" (List.map line members)))
+    :: List.filter_map
+         (fun m -> Option.map (fun c -> (m.name, Sink.of_string c)) m.bytes)
+         members)
+
+let decode_staged data =
+  let rec go acc bodies lines =
+    match (lines, bodies) with
+    | [], [] -> Ok (List.rev acc)
+    | [], _ :: _ -> Error "staged: member bytes left over"
+    | line :: lines, _ -> (
+        let bad = Error ("bad staged entry " ^ line) in
+        match String.split_on_char ' ' line with
+        | tag :: hex :: len :: name -> (
+            let name = String.concat " " name in
+            let adler = int_of_string_opt ("0x" ^ hex) in
+            match (tag, adler, int_of_string_opt len, bodies) with
+            | "K", Some adler, Some len, _ ->
+                go ({ name; adler; len; bytes = None } :: acc) bodies lines
+            | "F", Some adler, Some len, (n, c) :: bodies
+              when n = name && String.length c = len ->
+                go ({ name; adler; len; bytes = Some c } :: acc) bodies lines
+            | _ -> bad)
+        | _ -> bad)
+  in
+  match Tarlike.unpack data with
+  | Ok (("", index) :: bodies) ->
+      go [] bodies
+        (List.filter (fun l -> l <> "") (String.split_on_char '\n' index))
+  | Ok _ -> Error "staged: no member list"
+  | Error e -> Error e
+
+(* The durable base: [<target>.last.d/] holds one file per installed
+   member plus an [_index] naming them in order. *)
+let base_dir target = target ^ base_suffix
+
+let index_names fs dir =
+  match Netsim.Vfs.read fs ~path:(dir ^ "/_index") with
+  | None -> None
+  | Some index ->
+      Some (List.filter (fun s -> s <> "") (String.split_on_char '\n' index))
+
+(* Every byte the server checksums goes through here. *)
+let scan t contents =
+  Obs.Counter.add t.scanned (String.length contents);
+  Checksum.adler32 contents
+
+let base_adler t path contents =
+  match Hashtbl.find_opt t.adlers path with
+  | Some (c, ck) when String.equal c contents -> ck
+  | _ ->
+      let ck = scan t contents in
+      Hashtbl.replace t.adlers path (contents, ck);
+      ck
+
+(* The base as (name, contents, adler), read from disk each time so the
+   manifest reports what is actually there; [None] when absent or torn
+   (a name in [_index] with no file). *)
+let read_base t fs target =
+  let dir = base_dir target in
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | n :: rest -> (
+        let path = dir ^ "/" ^ n in
+        match Netsim.Vfs.read fs ~path with
+        | None -> None
+        | Some c -> go ((n, c, base_adler t path c) :: acc) rest)
+  in
+  Option.bind (index_names fs dir) (go [])
+
+(* Resolve every delta entry once against the base: kept members take
+   the base's known checksum, and each new member — full or patched —
+   is scanned exactly once. *)
+let resolve t fs target blob =
+  let* entries = Tarlike.spans blob in
+  let base = Option.value (read_base t fs target) ~default:[] in
+  let from_base name =
+    match List.find_opt (fun (n, _, _) -> String.equal n name) base with
+    | Some (_, c, ck) -> Ok (c, ck)
+    | None -> Error ("no base member " ^ name)
+  in
+  let fresh name c =
+    Ok { name; adler = scan t c; len = String.length c; bytes = Some c }
+  in
+  let entry (name, off, len) =
+    if len = 0 then Error ("empty delta entry " ^ name)
+    else
+      match blob.[off] with
+      | 'K' ->
+          let* c, ck = from_base name in
+          Ok { name; adler = ck; len = String.length c; bytes = None }
+      | 'F' -> fresh name (String.sub blob (off + 1) (len - 1))
+      | 'P' -> (
+          let* b, ck = from_base name in
+          let enc = String.sub blob off len in
+          match patch_apply ~base:b ~base_adler:ck enc with
+          | Ok c -> fresh name c
+          | Error e -> Error (e ^ " for " ^ name))
+      | _ -> Error ("bad delta entry " ^ name)
+  in
+  map_result entry entries
+
+(* Advance the durable base to the staged members: write the new ones
+   (recording their known checksums), drop members that disappeared,
+   refresh [_index].  Kept members are already on disk. *)
+let advance_base t fs target members =
+  let dir = base_dir target in
   List.iter
-    (fun (n, c, _) ->
-      let path = dir ^ "/" ^ n in
-      match Netsim.Vfs.read fs ~path with
-      | Some existing when existing == c -> ()
-      | _ -> Netsim.Vfs.write fs ~path c)
-    member_adlers;
+    (fun m ->
+      match m.bytes with
+      | None -> ()
+      | Some c ->
+          let path = dir ^ "/" ^ m.name in
+          Netsim.Vfs.write fs ~path c;
+          Hashtbl.replace t.adlers path (c, m.adler))
+    members;
+  let names = List.map (fun m -> m.name) members in
   List.iter
     (fun n ->
-      if not (List.mem n names) then
-        Netsim.Vfs.remove fs ~path:(dir ^ "/" ^ n))
-    old_names;
-  let index = String.concat "\n" names in
-  Netsim.Vfs.write fs ~path:(dir ^ "/_index") index;
-  if Netsim.Vfs.exists fs ~path:(target ^ last_suffix) then
-    Netsim.Vfs.remove fs ~path:(target ^ last_suffix);
-  Hashtbl.replace t.base_cache target
-    { be_token = index; be_members = member_adlers }
+      if not (List.mem n names) then begin
+        let path = dir ^ "/" ^ n in
+        Netsim.Vfs.remove fs ~path;
+        Hashtbl.remove t.adlers path
+      end)
+    (Option.value (index_names fs dir) ~default:[]);
+  Netsim.Vfs.write fs ~path:(dir ^ "/_index") (String.concat "\n" names)
 
 let handle t payload =
   match Gdb.Wire.decode_request payload with
@@ -279,71 +269,31 @@ let handle t payload =
             ("update." ^ op_slug req.Gdb.Wire.op)
           @@ fun () ->
           let fs = Netsim.Host.fs t.host in
-          if req.op = op_xfer then begin
-            match args with
-            | [ target; data; cksum ] ->
-                if not (Checksum.verify ~data ~checksum:cksum) then
-                  reply Moira.Mr_err.update_checksum []
-                else begin
-                  Netsim.Vfs.write fs ~path:(target ^ staged_suffix) data;
-                  (* digest the archive now, while the full transfer is
-                     already paying O(archive): the first manifest or
-                     delta after the install then validates the cache by
-                     pointer instead of re-scanning the archive inside
-                     an incremental cycle *)
-                  (match Tarlike.unpack data with
-                  | Error _ -> ()
-                  | Ok members ->
-                      Tarlike.prime_unpack data members;
-                      Hashtbl.replace t.base_cache target
-                        {
-                          be_token = data;
-                          be_members =
-                            List.map
-                              (fun (n, c) -> (n, c, Checksum.adler32 c))
-                              members;
-                        });
-                  Netsim.Host.maybe_crash t.host ~point:"xfer";
-                  reply 0 []
-                end
-            | _ -> reply Moira.Mr_err.args []
-          end
-          else if req.op = op_manifest then begin
-            (* per-member checksums of the last installed archive, so the
-               DCM can send only what changed *)
+          if req.op = op_manifest then begin
+            (* per-member checksums of the durable base, so the DCM can
+               send only what changed *)
             match args with
             | [ target ] ->
-                let members =
-                  match read_last_entry t fs target with
-                  | None -> []
-                  | Some e -> e.be_members
-                in
                 reply 0
                   (List.map
                      (fun (name, _, ck) -> [ name; Checksum.to_hex ck ])
-                     members)
+                     (Option.value (read_base t fs target) ~default:[]))
             | _ -> reply Moira.Mr_err.args []
           end
           else if req.op = op_delta then begin
-            (* verify the member delta against the durable base, then
-               stage the blob itself: the full archive is never
-               materialized on the delta path — the reconstruction is
-               a member list whose kept entries share the base's
-               strings *)
+            (* resolve the entries against the base, verify the
+               whole-archive checksum, and stage the resolved members *)
             match args with
             | [ target; blob; cksum ] -> (
-                match reconstruct t fs target blob with
+                match resolve t fs target blob with
                 | Error e -> reply Moira.Mr_err.update_checksum [ [ e ] ]
-                | Ok member_adlers ->
-                    if stream_cksum member_adlers <> cksum then
+                | Ok members ->
+                    if archive_cksum members <> cksum then
                       reply Moira.Mr_err.update_checksum []
                     else begin
-                      let sdata = delta_marker ^ blob in
-                      Hashtbl.replace t.delta_cache target
-                        (sdata, member_adlers);
                       Netsim.Vfs.write fs
                         ~path:(target ^ staged_suffix)
-                        sdata;
+                        (encode_staged members);
                       Netsim.Host.maybe_crash t.host ~point:"xfer";
                       reply 0 []
                     end)
@@ -368,23 +318,21 @@ let handle t payload =
                   (Netsim.Vfs.read fs ~path:script_staging)
                   ~default:""
               in
-              (* read before the script runs: install_files removes the
-                 staged archive *)
-              let staged =
-                Netsim.Vfs.read fs ~path:(target ^ staged_suffix)
-              in
+              let path = target ^ staged_suffix in
+              let staged = Netsim.Vfs.read fs ~path in
               let already_installed =
                 (* A repeated exec whose predecessor ran but whose reply
-                   was lost: the staged data is gone and the durable
+                   was lost: the staged file is gone and the durable
                    base already matches the archive checksum the DCM is
                    confirming — acknowledge instead of re-running. *)
-                staged = None
-                && (match expected with
-                   | None -> false
-                   | Some cksum -> (
-                       match read_last_entry t fs target with
-                       | Some e -> stream_cksum e.be_members = cksum
-                       | None -> false))
+                Option.is_none staged
+                && (match (expected, read_base t fs target) with
+                   | Some cksum, Some base ->
+                       let kept (name, c, adler) =
+                         { name; adler; len = String.length c; bytes = None }
+                       in
+                       archive_cksum (List.map kept base) = cksum
+                   | _ -> false)
               in
               if already_installed then reply 0 []
               else
@@ -393,48 +341,21 @@ let handle t payload =
                     reply Moira.Mr_err.update_script
                       [ [ "unknown script " ^ script_name ] ]
                 | Some script -> (
-                    match script ~staged:(target ^ staged_suffix) with
-                    | Ok () ->
+                    let result =
+                      let* members =
+                        match staged with
+                        | None -> Error ("no staged archive at " ^ path)
+                        | Some data -> decode_staged data
+                      in
+                      let* () = script ~staged:{ path; target; members } in
+                      Ok members
+                    in
+                    match result with
+                    | Ok members ->
                         (* record what is now installed, durably, as the
                            base for future manifest/delta exchanges *)
-                        (match staged with
-                        | Some sdata ->
-                            let member_adlers =
-                              if is_delta_staged sdata then
-                                match
-                                  Hashtbl.find_opt t.delta_cache target
-                                with
-                                | Some (s, m) when s == sdata -> Some m
-                                | _ -> (
-                                    match
-                                      reconstruct t fs target
-                                        (delta_blob sdata)
-                                    with
-                                    | Ok m -> Some m
-                                    | Error _ -> None)
-                              else
-                                (* full transfer: the xfer op primed the
-                                   cache for this archive string *)
-                                match
-                                  Hashtbl.find_opt t.base_cache target
-                                with
-                                | Some e when e.be_token == sdata ->
-                                    Some e.be_members
-                                | _ -> (
-                                    match Tarlike.unpack_cached sdata with
-                                    | Error _ -> None
-                                    | Ok members ->
-                                        Some
-                                          (List.map
-                                             (fun (n, c) ->
-                                               (n, c, Checksum.adler32 c))
-                                             members))
-                            in
-                            (match member_adlers with
-                            | Some m -> write_base t fs target m
-                            | None -> ());
-                            Netsim.Vfs.flush fs
-                        | None -> ());
+                        advance_base t fs target members;
+                        Netsim.Vfs.flush fs;
                         Netsim.Host.maybe_crash t.host ~point:"after_exec";
                         reply 0 []
                     | Error msg ->
@@ -456,8 +377,8 @@ let serve ?(token = "krb") ?(obs = Obs.default) host =
       token;
       obs;
       scripts = Hashtbl.create 7;
-      base_cache = Hashtbl.create 4;
-      delta_cache = Hashtbl.create 4;
+      adlers = Hashtbl.create 16;
+      scanned = Obs.Counter.make obs "update.server.scanned_bytes";
     }
   in
   let register h =
@@ -472,78 +393,52 @@ let serve ?(token = "krb") ?(obs = Obs.default) host =
 
 let register_script t ~name script = Hashtbl.replace t.scripts name script
 
-(* The member list a staged file describes: a full archive unpacks
-   directly; a delta blob is decoded against the durable base of the
-   target the staged path names. *)
-let members_of_staged fs ~staged data =
-  if is_delta_staged data then
-    match Filename.chop_suffix_opt ~suffix:staged_suffix staged with
-    | None -> Error ("bad staged path " ^ staged)
-    | Some target -> (
-        let base =
-          match read_base_plain fs target with
-          | None -> []
-          | Some (_, members) -> members
-        in
-        match Tarlike.unpack (delta_blob data) with
-        | Error e -> Error e
-        | Ok entries -> decode_delta ~base entries)
-  else Tarlike.unpack_cached data
-
 let install_files host ~dir ?(after = fun () -> ()) () ~staged =
   let fs = Netsim.Host.fs host in
-  match Netsim.Vfs.read fs ~path:staged with
-  | None -> Error ("no staged archive at " ^ staged)
-  | Some data -> (
-      match members_of_staged fs ~staged data with
-      | Error e -> Error e
-      | Ok members ->
-          (* Extract and swap one member at a time; renames are atomic
-             and same-partition, per the execution-phase rules.  A
-             member whose live file already holds the physically
-             identical string — a kept entry of a delta push — is left
-             alone, so the install is O(changed members). *)
-          List.iter
-            (fun (name, contents) ->
-              let live = dir ^ "/" ^ name in
-              match Netsim.Vfs.read fs ~path:live with
-              | Some old when old == contents -> ()
-              | old ->
-                  (* keep the previous version for the revert
-                     instruction *)
-                  (match old with
-                  | Some old ->
-                      Netsim.Vfs.write fs ~path:(live ^ ".moira_old") old
-                  | None -> ());
-                  let tmp = live ^ staged_suffix in
-                  Netsim.Vfs.write fs ~path:tmp contents;
-                  Netsim.Vfs.flush fs;
-                  ignore (Netsim.Vfs.rename fs ~src:tmp ~dst:live);
-                  Netsim.Host.maybe_crash host ~point:"mid_install")
-            members;
-          Netsim.Vfs.remove fs ~path:staged;
+  (* Extract and swap one member at a time; renames are atomic and
+     same-partition, per the execution-phase rules.  A kept member's
+     bytes are the base's; a member whose live file already holds its
+     bytes is left alone, so the install is O(changed members). *)
+  List.iter
+    (fun m ->
+      let live = dir ^ "/" ^ m.name in
+      let old = Netsim.Vfs.read fs ~path:live in
+      let contents =
+        match m.bytes with
+        | Some c -> Some c
+        | None ->
+            Netsim.Vfs.read fs ~path:(base_dir staged.target ^ "/" ^ m.name)
+      in
+      match (contents, old) with
+      | None, _ -> () (* a kept member with no base copy: nothing to install *)
+      | Some c, Some o when String.equal c o -> ()
+      | Some c, old ->
+          (* keep the previous version for the revert instruction *)
+          (match old with
+          | Some old -> Netsim.Vfs.write fs ~path:(live ^ ".moira_old") old
+          | None -> ());
+          let tmp = live ^ staged_suffix in
+          Netsim.Vfs.write fs ~path:tmp c;
           Netsim.Vfs.flush fs;
-          Netsim.Host.maybe_crash host ~point:"before_restart";
-          after ();
-          Ok ())
+          ignore (Netsim.Vfs.rename fs ~src:tmp ~dst:live);
+          Netsim.Host.maybe_crash host ~point:"mid_install")
+    staged.members;
+  Netsim.Vfs.remove fs ~path:staged.path;
+  Netsim.Vfs.flush fs;
+  Netsim.Host.maybe_crash host ~point:"before_restart";
+  after ();
+  Ok ()
 
 let revert_files host ~dir ?(after = fun () -> ()) () ~staged =
   let fs = Netsim.Host.fs host in
-  match Netsim.Vfs.read fs ~path:staged with
-  | None -> Error ("no staged archive at " ^ staged)
-  | Some data -> (
-      match members_of_staged fs ~staged data with
-      | Error e -> Error e
-      | Ok members ->
-          List.iter
-            (fun (name, _) ->
-              let live = dir ^ "/" ^ name in
-              ignore
-                (Netsim.Vfs.rename fs ~src:(live ^ ".moira_old") ~dst:live))
-            members;
-          Netsim.Vfs.flush fs;
-          after ();
-          Ok ())
+  List.iter
+    (fun m ->
+      let live = dir ^ "/" ^ m.name in
+      ignore (Netsim.Vfs.rename fs ~src:(live ^ ".moira_old") ~dst:live))
+    staged.members;
+  Netsim.Vfs.flush fs;
+  after ();
+  Ok ()
 
 type failure =
   | Soft of int * string
@@ -591,7 +486,7 @@ let push net ~src ~dst ?(token = "krb") ?(base = []) ?(attempts = 1)
             | None -> "");
         }
     in
-    (* Every op is safe to re-send: xfer/delta/script overwrite their
+    (* Every op is safe to re-send: delta/script overwrite their
        staging files, manifest and flush are read-only/idempotent, and
        exec carries the archive checksum so a re-sent confirm of an
        already-applied install is acknowledged without re-running.
@@ -664,77 +559,63 @@ let push net ~src ~dst ?(token = "krb") ?(base = []) ?(attempts = 1)
     in
     go 1
   in
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
   Obs.with_span obs ?parent_ctx "dcm.push"
     ~attrs:[ ("host", dst); ("target", target) ]
   @@ fun () ->
-  (* The checksum and size stream over the member docs, so the delta
-     path — the common case once a host has a base — never allocates the
-     multi-megabyte archive OR any whole member string; the archive is
-     packed lazily, only when a full transfer actually ships it.
-     [update.client.full_packs] counts the materializations (the old
-     code's "5 full passes" ROADMAP item). *)
+  (* The checksum and size stream over the member docs, so a push never
+     allocates the multi-megabyte archive; only the entries' bytes are
+     packed.  [update.client.full_packs] counts the packs whose entries
+     are all F — every member's bytes materialized. *)
   let cksum = Checksum.to_hex (Tarlike.checksum_docs files) in
   let archive_bytes = Tarlike.packed_size_docs files in
   let c_full_packs = Obs.Counter.make obs "update.client.full_packs" in
-  let archive =
-    lazy
-      (Obs.Counter.incr c_full_packs;
-       Tarlike.pack_docs files)
+  let nfiles = List.length files in
+  (* One data op.  [manifest] is the host's base, member name to
+     checksum; an empty one — first push, unreadable base, or the
+     fallback after a checksum mismatch — makes every entry F. *)
+  let rec send manifest =
+    let nfull = ref 0 and npatch = ref 0 and nkeep = ref 0 in
+    let full_entry contents =
+      (* shares the doc's chunks behind a one-byte tag *)
+      incr nfull;
+      Sink.concat [ Sink.of_string "F"; contents ]
+    in
+    let entries =
+      List.map
+        (fun (name, contents) ->
+          match List.assoc_opt name manifest with
+          | Some m when m = doc_cksum contents ->
+              incr nkeep;
+              (name, Sink.of_string "K")
+          | Some m -> (
+              match List.assoc_opt name base with
+              | Some b when doc_cksum b = m ->
+                  incr npatch;
+                  (name, Sink.of_string (patch_encode ~base:b contents))
+              | _ -> (name, full_entry contents))
+          | None -> (name, full_entry contents))
+        files
+    in
+    if !nfull = nfiles then Obs.Counter.incr c_full_packs;
+    match call op_delta [ target; Tarlike.pack_docs entries; cksum ] with
+    | Ok _ -> Ok (!nfull, !npatch, !nkeep)
+    | Error (Soft (code, _))
+      when code = Moira.Mr_err.update_checksum && !nfull < nfiles ->
+        (* the host's base disagrees with its manifest (or a patch did
+           not apply): ship every member in full *)
+        send []
+    | Error e -> Error e
   in
-  let full () =
-    let* _ = call op_xfer [ target; Lazy.force archive; cksum ] in
-    Ok (List.length files, 0, 0, false)
-  in
-  let* full_members, patched, kept, delta =
-    (* A manifest failure is never final: the authoritative outcome comes
-       from the full transfer it falls back to (old servers answer
-       MR_NO_HANDLE; an unreachable host fails the op_xfer the same
-       way). *)
+  (* A manifest failure is never final: the authoritative outcome comes
+     from the all-F transfer it falls back to (an unreachable host fails
+     that op the same way). *)
+  let manifest =
     match call op_manifest [ target ] with
-    | Error _ -> full ()
-    | Ok tuples -> (
-        let manifest =
-          List.filter_map
-            (function [ n; c ] -> Some (n, c) | _ -> None)
-            tuples
-        in
-        if manifest = [] then full ()
-        else
-          let nfull = ref 0 and npatch = ref 0 and nkeep = ref 0 in
-          let full_entry contents =
-            (* shares the doc's chunks behind a one-byte tag *)
-            Sink.concat [ Sink.of_string "F"; contents ]
-          in
-          let entries =
-            List.map
-              (fun (name, contents) ->
-                match List.assoc_opt name manifest with
-                | Some m when m = doc_cksum contents ->
-                    incr nkeep;
-                    (name, Sink.of_string "K")
-                | Some m -> (
-                    match List.assoc_opt name base with
-                    | Some b when doc_cksum b = m ->
-                        incr npatch;
-                        (name, Sink.of_string (patch_encode ~base:b contents))
-                    | _ ->
-                        incr nfull;
-                        (name, full_entry contents))
-                | None ->
-                    incr nfull;
-                    (name, full_entry contents))
-              files
-          in
-          match call op_delta [ target; Tarlike.pack_docs entries; cksum ] with
-          | Ok _ -> Ok (!nfull, !npatch, !nkeep, true)
-          | Error (Soft (code, _)) when code = Moira.Mr_err.update_checksum
-            ->
-              (* the host's base disagrees with its manifest (or the
-                 reconstruction failed): ship the whole archive *)
-              full ()
-          | Error e -> Error e)
+    | Error _ -> []
+    | Ok tuples ->
+        List.filter_map (function [ n; c ] -> Some (n, c) | _ -> None) tuples
   in
+  let* full_members, patched, kept = send manifest in
   let* _ = call op_script [ script ] in
   let* _ = call op_flush [] in
   let* _ = call op_exec [ target; cksum ] in
@@ -742,11 +623,11 @@ let push net ~src ~dst ?(token = "krb") ?(base = []) ?(attempts = 1)
     {
       wire_bytes = !wire;
       archive_bytes;
-      members_total = List.length files;
+      members_total = nfiles;
       members_full = full_members;
       members_patched = patched;
       members_kept = kept;
-      delta;
+      delta = kept + patched > 0;
       op_retries = !retries;
       wasted_bytes = !wasted;
     }

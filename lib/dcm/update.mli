@@ -15,18 +15,23 @@
     ([xfer], [before_exec], [mid_install], [after_exec]) via
     {!Netsim.Host.arm_crash}.
 
-    {b Delta pushes.}  After each successful execution the server keeps a
-    durable copy of the installed archive at [target^".last"].  A pushing
-    DCM first asks for a manifest of per-member Adler-32 checksums of
-    that copy; members whose checksum already matches are not resent, and
-    changed members are sent as prefix/suffix-trimmed patches against the
-    base when the DCM still holds it.  The server reconstructs the {e
-    full} archive from its base plus the deltas, verifies the whole-
-    archive checksum, and stages it — so the execution phase, and all of
-    section 5.9's atomicity analysis, are identical to a full transfer.
-    Any disagreement (missing base, stale patch base, checksum mismatch)
-    makes the server answer MR_UPDATE_CHECKSUM and the DCM falls back to
-    a full transfer within the same push. *)
+    {b One transfer path.}  The data op is DELTA: one entry per member,
+    [K] (the host already has it), [P] (a prefix/suffix patch against
+    the host's member, carrying that member's checksum) or [F] (full
+    contents).  A pushing DCM first asks for a MANIFEST of per-member
+    Adler-32 checksums of the host's durable base,
+    [target^".last.d/"]; a first push, or the fallback after a checksum
+    mismatch, is simply a DELTA whose entries are all [F].  The server
+    resolves each entry once — a kept member takes the base's known
+    checksum, a new member is scanned once — verifies the whole-archive
+    checksum, and stages a self-contained file: every member's checksum
+    and length, plus the full bytes of every member not kept from the
+    base.  Execution decodes that file once and hands it to the install
+    script and the base advance; nothing after staging looks at a patch
+    again, and section 5.9's atomicity analysis is unchanged.  Any
+    disagreement (missing base, stale patch base, checksum mismatch)
+    makes the server answer MR_UPDATE_CHECKSUM and the DCM resends every
+    member in full within the same push. *)
 
 (** {1 Server side} *)
 
@@ -36,7 +41,6 @@
     documents each, and [moira_lint --deep] checks both stay in sync
     with the dispatch below. *)
 
-val op_xfer : int
 val op_script : int
 val op_flush : int
 val op_exec : int
@@ -45,9 +49,14 @@ val op_delta : int
 
 type server
 
-type script = staged:string -> (unit, string) result
-(** An installation instruction sequence: receives the staged archive
-    path on the local filesystem; performs the installs. *)
+type staged
+(** The staged file as the execution phase read and decoded it: its
+    path, and every member's name, checksum and length with the bytes
+    of each member not kept from the base. *)
+
+type script = staged:staged -> (unit, string) result
+(** An installation instruction sequence: receives the staged file;
+    performs the installs. *)
 
 val serve : ?token:string -> ?obs:Obs.t -> Netsim.Host.t -> server
 (** Install the update service on a host.  [token] (default ["krb"])
@@ -55,25 +64,30 @@ val serve : ?token:string -> ?obs:Obs.t -> Netsim.Host.t -> server
     requests bearing a different token are rejected.  [obs] (default
     {!Obs.default}) is the registry on which the server records its
     per-op install spans; giving each serving host its own registry
-    puts it in its own lane of a merged cluster trace. *)
+    puts it in its own lane of a merged cluster trace.  The server
+    counts every byte it checksums in [update.server.scanned_bytes] on
+    that registry. *)
 
 val register_script : server -> name:string -> script -> unit
 (** Make a named script available for execution on this host. *)
 
 val install_files :
   Netsim.Host.t -> dir:string -> ?after:(unit -> unit) -> unit -> script
-(** The standard install script: unpack the staged archive, save each
-    existing member aside as [dir/<name>.moira_old], write the new
-    contents to [dir/<name>.moira_update], flush, atomically rename over
-    [dir/<name>], remove the staged file, then run [after] (e.g. restart
-    the server to reload its files).  Calls the [mid_install] crash
-    point between member installs and [before_restart] before [after]. *)
+(** The standard install script: one member at a time, save the
+    existing [dir/<name>] as [dir/<name>.moira_old], write the new
+    contents (a kept member's come from the durable base) to
+    [dir/<name>.moira_update], flush, and atomically rename it over
+    [dir/<name>]; a member whose live file already holds its bytes is
+    left alone.  Then remove the staged file and run [after] (e.g.
+    restart the server to reload its files).  Calls the [mid_install]
+    crash point after each member it swaps and [before_restart] before
+    [after]. *)
 
 val revert_files :
   Netsim.Host.t -> dir:string -> ?after:(unit -> unit) -> unit -> script
 (** Execution-phase instruction 3 of section 5.9: "revert the file —
     identical to swapping in the new data file, but instead puts the old
-    file back".  For every member named in the staged archive whose
+    file back".  For every member named in the staged file whose
     [.moira_old] copy exists, atomically rename it back over the live
     file.  "May be useful in the case of an erroneous installation." *)
 
@@ -93,7 +107,9 @@ type push_stats = {
   members_full : int;  (** Members shipped with full contents. *)
   members_patched : int;  (** Members shipped as patches. *)
   members_kept : int;  (** Members the host already had (not resent). *)
-  delta : bool;  (** Whether the delta path carried the transfer. *)
+  delta : bool;
+      (** Whether any member was kept or patched against the host's
+          base ([false] for an all-[F] transfer). *)
   op_retries : int;  (** Transport-level retries spent during the push. *)
   wasted_bytes : int;
       (** Request bytes of attempts that timed out and were re-sent. *)
@@ -106,13 +122,12 @@ val push :
   target:string -> files:(string * Sink.doc) list -> script:string ->
   unit -> (push_stats, failure) result
 (** Run the full protocol against host [dst]: transfer [files] to
-    [target^".moira_update"] — by member deltas against the host's last
-    installed archive when it has one, else as one full archive — stage
-    [script], flush, execute, confirm.  [base] is the previous
-    generation's files (if the caller kept them), used only to compute
-    patches; correctness never depends on it, since every patch carries
-    its base checksum and the server verifies the reconstructed
-    archive.
+    [target^".moira_update"] as member deltas against the host's
+    durable base (all [F] when it has none), stage [script], flush,
+    execute, confirm.  [base] is the previous generation's files (if
+    the caller kept them), used only to compute patches; correctness
+    never depends on it, since every patch carries its base checksum
+    and the server verifies the whole-archive checksum.
 
     [attempts] (default 1) is the number of transport attempts per
     protocol operation: a call that fails at the network layer (timeout,

@@ -5,18 +5,19 @@ let db_files =
     "uid.db";
   ]
 
-(* A restart snapshots the file contents (cheap: the simulated
+(* A restart snapshots each file's contents (cheap: the simulated
    filesystem hands strings back by reference) and defers parsing to
-   the first lookup, per file.  Files whose contents are physically the
-   string parsed last time keep their parsed form, so the steady-state
-   cost of Moira's install-script restart is parsing only the data
-   files that actually changed — the daemon's answer to the DCM's
-   member-grain delta pushes. *)
+   the first lookup.  A file keeps its parsed form while its contents
+   equal what it held when parsed, so the steady-state cost of Moira's
+   install-script restart is parsing only the data files that actually
+   changed — the daemon's answer to the DCM's member-grain delta
+   pushes. *)
 type t = {
   host : Netsim.Host.t;
   dir : string;
-  mutable pending : string list;  (* file contents awaiting (re)parse *)
-  mutable parts : (string * Hes_db.t) list;  (* contents -> parsed db *)
+  mutable pending : (string * string) list;  (* file, contents to serve *)
+  mutable parts : (string * string * Hes_db.t) list;
+      (* file, the contents parsed, parsed db *)
   mutable fresh : bool;  (* [parts] reflects [pending] *)
   mutable generation : int;
 }
@@ -25,7 +26,9 @@ let load t =
   let fs = Netsim.Host.fs t.host in
   t.pending <-
     List.filter_map
-      (fun f -> Netsim.Vfs.read fs ~path:(t.dir ^ "/" ^ f))
+      (fun f ->
+        Netsim.Vfs.read fs ~path:(t.dir ^ "/" ^ f)
+        |> Option.map (fun c -> (f, c)))
       db_files;
   t.fresh <- false;
   t.generation <- t.generation + 1
@@ -35,10 +38,10 @@ let force t =
     let old = t.parts in
     t.parts <-
       List.map
-        (fun c ->
-          match List.find_opt (fun (c', _) -> c' == c) old with
-          | Some p -> p
-          | None -> (c, Hes_db.parse c))
+        (fun (f, c) ->
+          match List.find_opt (fun (f', _, _) -> String.equal f f') old with
+          | Some (_, c', db) when String.equal c c' -> (f, c, db)
+          | _ -> (f, c, Hes_db.parse c))
         t.pending;
     t.fresh <- true
   end
@@ -47,11 +50,11 @@ let restart t = load t
 
 let resolve_local t ~name ~ty =
   force t;
-  Hes_db.resolve_stacked (List.map snd t.parts) ~name ~ty
+  Hes_db.resolve_stacked (List.map (fun (_, _, db) -> db) t.parts) ~name ~ty
 
 let loaded_keys t =
   force t;
-  List.fold_left (fun n (_, db) -> n + Hes_db.size db) 0 t.parts
+  List.fold_left (fun n (_, _, db) -> n + Hes_db.size db) 0 t.parts
 
 let generation t = t.generation
 

@@ -40,7 +40,6 @@ let ops () =
     ("Moira.Protocol.op_access", Moira.Protocol.op_access);
     ("Moira.Protocol.op_trigger_dcm", Moira.Protocol.op_trigger_dcm);
     ("Moira.Protocol.op_query2", Moira.Protocol.op_query2);
-    ("Dcm.Update.op_xfer", Dcm.Update.op_xfer);
     ("Dcm.Update.op_script", Dcm.Update.op_script);
     ("Dcm.Update.op_flush", Dcm.Update.op_flush);
     ("Dcm.Update.op_exec", Dcm.Update.op_exec);

@@ -158,16 +158,16 @@ let test_crash_after_exec_repeat_harmless () =
 let test_checksum_detects_corruption () =
   (* Corrupt data with a valid-looking frame: serve a hostile
      man-in-the-middle by calling the update service directly with a
-     wrong checksum. *)
+     DELTA whose whole-archive checksum is wrong. *)
   let _, net, _, _ = setup () in
-  let archive = Dcm.Tarlike.pack [ ("a", "data") ] in
+  let blob = Dcm.Tarlike.pack [ ("a", "Fdata") ] in
   let payload =
     Gdb.Wire.encode_request
       {
         Gdb.Wire.version = Gdb.Wire.protocol_version;
         conn = 0;
-        op = 32 (* op_xfer *);
-        args = [ "krb"; "/tmp/out"; archive; "00000000" ];
+        op = Dcm.Update.op_delta;
+        args = [ "krb"; "/tmp/out"; blob; "00000000" ];
         ctx = "";
       }
   in
@@ -224,7 +224,7 @@ let test_checksum_function () =
     (Dcm.Checksum.verify ~data:"hellp"
        ~checksum:(Dcm.Checksum.to_hex (Dcm.Checksum.adler32 "hello")))
 
-(* Delta pushes (against [target^".last"]).  The first push of a target
+(* Delta pushes (against [target^".last.d/"]).  The first push of a target
    must go full; a repeat with mostly-unchanged members must ride the
    manifest exchange, keeping unchanged members off the wire. *)
 
@@ -274,8 +274,8 @@ let test_second_push_is_delta () =
     (Netsim.Vfs.read fs ~path:"/etc/data/m07.db")
 
 let test_delta_push_crash_mid_install () =
-  (* The delta path reconstructs and stages the full archive before
-     execution, so section 5.9's mid-install analysis is unchanged: a
+  (* The delta path stages a self-contained file before execution, so
+     section 5.9's mid-install analysis is unchanged: a
      crash between member swaps leaves every file fully old or fully
      new, and the retry completes. *)
   let _, net, srv, _ = setup () in
@@ -304,14 +304,13 @@ let test_delta_push_crash_mid_install () =
   Alcotest.(check (option string)) "b v2 after retry" (Some "b-v2")
     (Netsim.Vfs.read fs ~path:"/etc/data/b.db")
 
-let test_garbage_last_falls_back_to_full () =
-  (* A corrupt server-side base must not poison the push: the manifest /
-     reconstruction disagreement turns into a full transfer in the same
-     push, and the install is correct. *)
+(* A corrupt server-side base must not poison the push: the push still
+   installs exactly the pushed bytes. *)
+let test_garbage_base_index_falls_back () =
   let _, net, srv, _ = setup () in
   ignore (push ~files:[ ("a.db", "a-v1") ] net);
   let fs = Netsim.Host.fs srv in
-  Netsim.Vfs.write fs ~path:"/tmp/out.last" "garbage, not an archive";
+  Netsim.Vfs.write fs ~path:"/tmp/out.last.d/_index" "garbage, not a member";
   let s =
     match
       Dcm.Update.push net ~src:"MOIRA" ~dst:"SRV"
@@ -325,6 +324,30 @@ let test_garbage_last_falls_back_to_full () =
   Alcotest.(check (option string)) "installed despite garbage base"
     (Some "a-v2")
     (Netsim.Vfs.read fs ~path:"/etc/data/a.db")
+
+let test_tampered_base_member_falls_back () =
+  (* Same length, different bytes: the manifest must report what is on
+     disk, not a remembered checksum — else the unchanged member would be
+     "kept" and the tampered base bytes installed. *)
+  let _, net, srv, _ = setup () in
+  let v1 = [ ("a.db", "a-v1\n"); ("b.db", "b-v1\n") ] in
+  ignore (push ~files:v1 net);
+  let fs = Netsim.Host.fs srv in
+  Netsim.Vfs.write fs ~path:"/tmp/out.last.d/a.db" "a-XX\n";
+  (match
+     Dcm.Update.push net ~src:"MOIRA" ~dst:"SRV" ~base:(docs v1)
+       ~target:"/tmp/out"
+       ~files:(docs [ ("a.db", "a-v1\n"); ("b.db", "b-v2\n") ])
+       ~script:"install.sh" ()
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "push with tampered base failed");
+  Alcotest.(check (option string)) "a installed as pushed" (Some "a-v1\n")
+    (Netsim.Vfs.read fs ~path:"/etc/data/a.db");
+  Alcotest.(check (option string)) "b installed as pushed" (Some "b-v2\n")
+    (Netsim.Vfs.read fs ~path:"/etc/data/b.db");
+  Alcotest.(check (option string)) "base repaired" (Some "a-v1\n")
+    (Netsim.Vfs.read fs ~path:"/tmp/out.last.d/a.db")
 
 let test_stale_base_on_client_still_correct () =
   (* The DCM's kept base can be wrong (e.g. after a restart it guesses):
@@ -360,7 +383,7 @@ let state_of srv =
    operation, but the DCM saw Timeout and re-sends it.  Drop the reply
    of each operation of the protocol in turn and check the retried push
    converges to exactly the clean-push state. *)
-let full_push_ops = [ "manifest"; "xfer"; "script"; "flush"; "exec" ]
+let full_push_ops = [ "manifest"; "delta"; "script"; "flush"; "exec" ]
 let delta_push_ops = [ "manifest"; "delta"; "script"; "flush"; "exec" ]
 
 let test_reply_loss_idempotent_full_push () =
@@ -447,6 +470,45 @@ let test_reply_loss_exec_runs_script_once () =
   Alcotest.(check (option string)) "file installed" (Some "alpha\n")
     (Netsim.Vfs.read (Netsim.Host.fs srv) ~path:"/etc/data/a.db")
 
+(* Each entry is resolved once: the server checksums a new member's
+   bytes exactly once and never re-scans kept or patched-against base
+   members. *)
+let test_scanned_bytes () =
+  let engine = Sim.Engine.create () in
+  let net = Netsim.Net.create engine in
+  let srv = Netsim.Net.add_host net "SRV" in
+  ignore (Netsim.Net.add_host net "MOIRA");
+  let obs = Obs.create () in
+  let up = Dcm.Update.serve ~obs srv in
+  Dcm.Update.register_script up ~name:"install.sh"
+    (Dcm.Update.install_files srv ~dir:"/etc/data" ());
+  let scanned () =
+    Option.value ~default:0 (Obs.find_counter obs "update.server.scanned_bytes")
+  in
+  let push_scan ?base files =
+    let before = scanned () in
+    (match
+       Dcm.Update.push net ~src:"MOIRA" ~dst:"SRV" ?base ~target:"/tmp/out"
+         ~files:(docs files) ~script:"install.sh" ()
+     with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "push failed");
+    scanned () - before
+  in
+  let v1 = big_files ~version:"v1" in
+  let total = List.fold_left (fun n (_, c) -> n + String.length c) 0 v1 in
+  Alcotest.(check int) "first push scans every member once" total
+    (push_scan v1);
+  let m03 = List.assoc "m03.db" v1 ^ "edit\n" in
+  let v2 = List.map (fun (n, c) -> (n, if n = "m03.db" then m03 else c)) v1 in
+  Alcotest.(check int) "patched push scans the new member once"
+    (String.length m03)
+    (push_scan ~base:(docs v1) v2);
+  Alcotest.(check int) "identical push scans nothing" 0
+    (push_scan ~base:(docs v2) v2);
+  Alcotest.(check (option string)) "patched member installed" (Some m03)
+    (Netsim.Vfs.read (Netsim.Host.fs srv) ~path:"/etc/data/m03.db")
+
 let prop_tarlike_roundtrip =
   QCheck.Test.make ~name:"tarlike: pack/unpack roundtrip" ~count:200
     QCheck.(
@@ -477,8 +539,10 @@ let suite =
     Alcotest.test_case "second push is delta" `Quick test_second_push_is_delta;
     Alcotest.test_case "delta push crash mid-install" `Quick
       test_delta_push_crash_mid_install;
-    Alcotest.test_case "garbage .last falls back to full" `Quick
-      test_garbage_last_falls_back_to_full;
+    Alcotest.test_case "garbage base _index falls back" `Quick
+      test_garbage_base_index_falls_back;
+    Alcotest.test_case "tampered base member falls back" `Quick
+      test_tampered_base_member_falls_back;
     Alcotest.test_case "stale client base still correct" `Quick
       test_stale_base_on_client_still_correct;
     Alcotest.test_case "reply loss idempotent (full push, every op)" `Quick
@@ -487,6 +551,8 @@ let suite =
       test_reply_loss_idempotent_delta_push;
     Alcotest.test_case "reply loss: exec runs script once" `Quick
       test_reply_loss_exec_runs_script_once;
+    Alcotest.test_case "scanned bytes: one pass per entry" `Quick
+      test_scanned_bytes;
     Alcotest.test_case "tarlike roundtrip" `Quick test_tarlike_roundtrip;
     Alcotest.test_case "checksum function" `Quick test_checksum_function;
     QCheck_alcotest.to_alcotest prop_tarlike_roundtrip;
