@@ -8,12 +8,29 @@ type stream = { mutable a : int; mutable b : int }
 
 let stream_start () = { a = 1; b = 0 }
 
+(* The sums are reduced once per [block] bytes, not once per byte.  With
+   a, b < 65521 going into a block of at most 2^20 bytes (each <= 255),
+   after k bytes a < 65521 + 255k < 2^29, and b, which gains a at every
+   step, stays below 65521 + 2^20 * 65521 + 255 * 2^20 * (2^20 + 1) / 2
+   < 2^48: far inside a 63-bit int.  Reducing at the end of the block
+   leaves the same residues as reducing every step. *)
+let block = 1 lsl 20
+
 let stream_feed st s =
-  String.iter
-    (fun c ->
-      st.a <- (st.a + Char.code c) mod modulus;
-      st.b <- (st.b + st.a) mod modulus)
-    s
+  let len = String.length s in
+  let a = ref st.a and b = ref st.b and i = ref 0 in
+  while !i < len do
+    let stop = min len (!i + block) in
+    for j = !i to stop - 1 do
+      a := !a + Char.code (String.unsafe_get s j);
+      b := !b + !a
+    done;
+    a := !a mod modulus;
+    b := !b mod modulus;
+    i := stop
+  done;
+  st.a <- !a;
+  st.b <- !b
 
 let stream_feed_doc st d = Sink.iter d (stream_feed st)
 

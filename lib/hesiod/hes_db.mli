@@ -25,25 +25,24 @@ val empty : t
 val parse : string -> t
 (** Parse one file's contents.  Lines starting with [;] and blank lines
     are ignored; malformed lines are skipped (BIND is similarly
-    forgiving). *)
+    forgiving).  [parse c = update empty ~old:"" c]. *)
 
-val merge : t -> t -> t
-(** Union of two databases (later entries append). *)
-
-val load_files : string list -> t
-(** Parse and merge several file contents. *)
+val update : ?parsed:int ref -> t -> old:string -> string -> t
+(** [update db ~old contents] equals [parse contents] when
+    [db = parse old], parsing only the lines that differ (the common
+    prefix and suffix are compared 8 bytes at a time, not parsed): it
+    drops the keys named by [old]'s changed lines and adds the records
+    of [contents]'s.  It parses the whole of [contents] instead when a
+    touched key also has records outside the changed lines, or when the
+    changed lines of both files together outweigh [contents].  Adds to
+    [parsed] the bytes handed to the line parser. *)
 
 val lookup : t -> string -> record list
 (** Raw records for a key ([] if absent). *)
 
-val lookup_stacked : t list -> string -> record list
-(** Raw records for a key across a stack of databases in order: equal
-    to [lookup (load_files ...)] over the same files, without the
-    merge. *)
-
 val resolve_stacked : t list -> name:string -> ty:string -> string list
-(** {!resolve} over a stack of per-file databases (see
-    {!lookup_stacked}). *)
+(** {!resolve} over a stack of per-file databases, in order: a key's
+    records are the concatenation of its records in each. *)
 
 val resolve : t -> name:string -> ty:string -> string list
 (** Hesiod resolution of [name.ty]: follow CNAME chains (bounded, cycle

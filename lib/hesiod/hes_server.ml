@@ -7,11 +7,12 @@ let db_files =
 
 (* A restart snapshots each file's contents (cheap: the simulated
    filesystem hands strings back by reference) and defers parsing to
-   the first lookup.  A file keeps its parsed form while its contents
-   equal what it held when parsed, so the steady-state cost of Moira's
-   install-script restart is parsing only the data files that actually
-   changed — the daemon's answer to the DCM's member-grain delta
-   pushes. *)
+   the first lookup.  That lookup brings each file's parsed form up to
+   date from the contents it last parsed with [Hes_db.update], which
+   parses only the lines that differ: the steady-state cost of Moira's
+   install-script restart is proportional to the changed lines, not to
+   the changed files.  One edited passwd.db line re-parses that line's
+   old and new bytes, not the whole file ([parsed_bytes] counts them). *)
 type t = {
   host : Netsim.Host.t;
   dir : string;
@@ -20,6 +21,7 @@ type t = {
       (* file, the contents parsed, parsed db *)
   mutable fresh : bool;  (* [parts] reflects [pending] *)
   mutable generation : int;
+  parsed : int ref;  (* bytes handed to the line parser since start *)
 }
 
 let load t =
@@ -39,9 +41,12 @@ let force t =
     t.parts <-
       List.map
         (fun (f, c) ->
-          match List.find_opt (fun (f', _, _) -> String.equal f f') old with
-          | Some (_, c', db) when String.equal c c' -> (f, c, db)
-          | _ -> (f, c, Hes_db.parse c))
+          let c', db =
+            match List.find_opt (fun (f', _, _) -> String.equal f f') old with
+            | Some (_, c', db) -> (c', db)
+            | None -> ("", Hes_db.empty)
+          in
+          (f, c, Hes_db.update ~parsed:t.parsed db ~old:c' c))
         t.pending;
     t.fresh <- true
   end
@@ -58,9 +63,21 @@ let loaded_keys t =
 
 let generation t = t.generation
 
+let parsed_bytes t =
+  force t;
+  !(t.parsed)
+
 let start ~dir host =
   let t =
-    { host; dir; pending = []; parts = []; fresh = true; generation = 0 }
+    {
+      host;
+      dir;
+      pending = [];
+      parts = [];
+      fresh = true;
+      generation = 0;
+      parsed = ref 0;
+    }
   in
   load t;
   Netsim.Host.register host ~service:"hesiod" (fun ~src:_ payload ->

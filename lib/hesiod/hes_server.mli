@@ -32,6 +32,13 @@ val loaded_keys : t -> int
 val generation : t -> int
 (** How many times the server has (re)loaded its files. *)
 
+val parsed_bytes : t -> int
+(** Bytes of file contents handed to the line parser since start, the
+    loaded data brought up to date first.  A restart re-parses only the
+    lines that changed since the last parse (old and new, with their
+    line ends), or, when the changes are spread across a file, that
+    file whole; an unchanged restart parses nothing. *)
+
 (** {1 Client side} *)
 
 val resolve :

@@ -37,8 +37,9 @@ let test_resolve_cname () =
 
 let test_resolve_multiple () =
   let db = Hesiod.Hes_db.parse sample in
-  Alcotest.(check int) "two sloc records" 2
-    (List.length (Hesiod.Hes_db.resolve db ~name:"HESIOD" ~ty:"sloc"))
+  Alcotest.(check (list string)) "two sloc records, in file order"
+    [ "KIWI.MIT.EDU"; "SUOMI.MIT.EDU" ]
+    (Hesiod.Hes_db.resolve db ~name:"HESIOD" ~ty:"sloc")
 
 let test_resolve_missing () =
   let db = Hesiod.Hes_db.parse sample in
@@ -119,6 +120,182 @@ let prop_parse_never_raises =
       ignore (Hesiod.Hes_db.parse s);
       true)
 
+(* Line-grain reload: [update (parse old) ~old new] must answer every
+   lookup as [parse new] does.  Files draw from a small key pool so keys
+   repeat (sloc-like multi-record keys, CNAME chains) among comments,
+   blank and malformed lines, tabs, carriage returns and an optional
+   final newline. *)
+let line_gen =
+  let open QCheck.Gen in
+  let key = map2 (Printf.sprintf "k%d.%s") (int_range 0 5) (oneofl [ "passwd"; "sloc" ]) in
+  frequency
+    [
+      (6, map2 (fun k d -> Hesiod.Hes_db.format_unspeca ~key:k d) key
+            (oneofl [ "a"; "b c"; "d:e"; "" ]));
+      (3, map2 (fun k t -> Printf.sprintf "%s HS UNSPECA %s" k t) key
+            (oneofl [ "KIWI.MIT.EDU"; "SUOMI.MIT.EDU" ]));
+      (3, map2 (fun k t -> Hesiod.Hes_db.format_cname ~key:k t) key key);
+      (1, map (fun k -> Printf.sprintf "%s\tHS\tUNSPECA\t\"tab\"" k) key);
+      (1, map (fun k -> Hesiod.Hes_db.format_unspeca ~key:k "cr" ^ "\r") key);
+      (1, oneofl [ "; comment"; ""; "   "; "malformed line here"; "x HS" ]);
+    ]
+
+let file_gen =
+  QCheck.Gen.(pair (list_size (int_range 0 30) line_gen) bool)
+
+let render (lines, final_nl) =
+  String.concat "\n" lines ^ if final_nl && lines <> [] then "\n" else ""
+
+(* One edit, from file to file: lines [i, j) give way to [ins] (insert,
+   delete, replace, prepend or append anywhere), the file empties, lines
+   are prepended, or a new file replaces it.  The property may also
+   overwrite one byte of the last file, which moves line boundaries. *)
+let edit_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun a b (ins, nl) (lines, final_nl) ->
+            let n = List.length lines in
+            let a = a mod (n + 1) and b = b mod (n + 1) in
+            let i = min a b and j = max a b in
+            ( List.filteri (fun k _ -> k < i) lines
+              @ ins
+              @ List.filteri (fun k _ -> k >= j) lines,
+              if j = n then nl else final_nl ))
+          nat nat
+          (pair (list_size (int_range 0 4) line_gen) bool) );
+      (1, return (fun (_, final_nl) -> ([], final_nl)));
+      ( 1,
+        map2
+          (fun ins nl (lines, _) -> (ins @ lines, nl))
+          (list_size (int_range 1 3) line_gen) bool );
+      ( 1,
+        map (fun f _ -> f) file_gen );
+    ]
+
+let poke_gen =
+  QCheck.Gen.(pair nat (oneofl [ '\n'; ' '; '"'; 'x'; '\t'; ';' ]))
+
+let poke (pos, c) s =
+  if s = "" then s
+  else String.mapi (fun i x -> if i = pos mod String.length s then c else x) s
+
+let words s =
+  String.split_on_char '\n' s
+  |> List.concat_map (String.split_on_char ' ')
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.map String.trim
+
+let same_db ~files a b =
+  Hesiod.Hes_db.size a = Hesiod.Hes_db.size b
+  && List.for_all
+       (fun k -> Hesiod.Hes_db.lookup a k = Hesiod.Hes_db.lookup b k)
+       (List.concat_map words files)
+
+let prop_update_equals_parse =
+  QCheck.Test.make ~name:"hesiod: update (parse old) ~old new = parse new"
+    ~count:1000
+    QCheck.(
+      make
+        Gen.(
+          triple file_gen
+            (list_size (int_range 1 3) edit_gen)
+            (opt poke_gen)))
+    (fun (f0, edits, poke_at) ->
+      (* a chain of edits, each reload updating the previous one's db *)
+      let files = List.rev (List.fold_left (fun acc e -> e (List.hd acc) :: acc) [ f0 ] edits) in
+      let texts = List.map render files in
+      let texts =
+        match poke_at with
+        | Some pc -> texts @ [ poke pc (List.nth texts (List.length texts - 1)) ]
+        | None -> texts
+      in
+      let rec check db old = function
+        | [] -> true
+        | c :: rest ->
+            let db' = Hesiod.Hes_db.update db ~old c in
+            same_db ~files:[ old; c ] db' (Hesiod.Hes_db.parse c)
+            && check db' c rest
+      in
+      let first = List.hd texts in
+      check (Hesiod.Hes_db.parse first) first (List.tl texts))
+
+let write_and_restart srv fs contents =
+  Netsim.Vfs.write fs ~path:"/etc/hesiod/passwd.db" contents;
+  Netsim.Vfs.flush fs;
+  Hesiod.Hes_server.restart srv
+
+let passwd_line i shell =
+  Hesiod.Hes_db.format_unspeca
+    ~key:(Printf.sprintf "user%04d.passwd" i)
+    (Printf.sprintf "user%04d:*:%d:101:User %d,,,,:/mit/user%04d:%s" i
+       (1000 + i) i i shell)
+
+let passwd_file n edit =
+  String.concat ""
+    (List.init n (fun i -> passwd_line i (edit i) ^ "\n"))
+
+(* Restart after an edit, then ask over the network: the edited key
+   answers with its new record, an untouched one with its old. *)
+let test_server_restart_after_edit () =
+  let engine = Sim.Engine.create () in
+  let net = Netsim.Net.create engine in
+  let h = Netsim.Net.add_host net "HES" in
+  ignore (Netsim.Net.add_host net "CLI");
+  let fs = Netsim.Host.fs h in
+  let srv = Hesiod.Hes_server.start ~dir:"/etc/hesiod" h in
+  write_and_restart srv fs (passwd_file 50 (fun _ -> "/bin/csh"));
+  ignore (Hesiod.Hes_server.resolve_local srv ~name:"user0007" ~ty:"passwd");
+  write_and_restart srv fs
+    (passwd_file 50 (fun i -> if i = 7 then "/bin/tcsh" else "/bin/csh"));
+  let remote name =
+    match Hesiod.Hes_server.resolve net ~src:"CLI" ~server:"HES" ~name ~ty:"passwd" with
+    | Ok [ line ] -> line
+    | _ -> Alcotest.fail ("remote resolve " ^ name)
+  in
+  Alcotest.(check string) "edited" "user0007:*:1007:101:User 7,,,,:/mit/user0007:/bin/tcsh"
+    (remote "user0007");
+  Alcotest.(check string) "untouched" "user0008:*:1008:101:User 8,,,,:/mit/user0008:/bin/csh"
+    (remote "user0008");
+  Alcotest.(check int) "keys" 50 (Hesiod.Hes_server.loaded_keys srv)
+
+(* The reload's parse cost in bytes follows the changed lines, not the
+   file. *)
+let test_parsed_bytes_follow_changed_lines () =
+  let engine = Sim.Engine.create () in
+  let net = Netsim.Net.create engine in
+  let h = Netsim.Net.add_host net "HES" in
+  let fs = Netsim.Host.fs h in
+  let srv = Hesiod.Hes_server.start ~dir:"/etc/hesiod" h in
+  let n = 5000 in
+  let base = passwd_file n (fun _ -> "/bin/csh") in
+  write_and_restart srv fs base;
+  let parsed0 = Hesiod.Hes_server.parsed_bytes srv in
+  Alcotest.(check int) "first load parses the file" (String.length base) parsed0;
+  let one = passwd_file n (fun i -> if i = 2500 then "/bin/tcsh" else "/bin/csh") in
+  write_and_restart srv fs one;
+  let parsed1 = Hesiod.Hes_server.parsed_bytes srv in
+  Alcotest.(check int) "one edited line: its old and new bytes"
+    (String.length (passwd_line 2500 "/bin/csh") + 1
+    + String.length (passwd_line 2500 "/bin/tcsh") + 1)
+    (parsed1 - parsed0);
+  let ends =
+    passwd_file n (fun i ->
+        if i = 0 || i = n - 1 then "/bin/zsh"
+        else if i = 2500 then "/bin/tcsh"
+        else "/bin/csh")
+  in
+  write_and_restart srv fs ends;
+  let parsed2 = Hesiod.Hes_server.parsed_bytes srv in
+  Alcotest.(check bool) "first and last lines: at most the file" true
+    (parsed2 - parsed1 <= String.length ends);
+  write_and_restart srv fs ends;
+  Alcotest.(check int) "unchanged restart parses nothing" parsed2
+    (Hesiod.Hes_server.parsed_bytes srv);
+  Alcotest.(check int) "keys" n (Hesiod.Hes_server.loaded_keys srv)
+
 let suite =
   [
     Alcotest.test_case "parse" `Quick test_parse;
@@ -133,4 +310,9 @@ let suite =
     Alcotest.test_case "server reload on boot" `Quick
       test_server_reload_on_boot;
     QCheck_alcotest.to_alcotest prop_parse_never_raises;
+    QCheck_alcotest.to_alcotest prop_update_equals_parse;
+    Alcotest.test_case "server restart after edit" `Quick
+      test_server_restart_after_edit;
+    Alcotest.test_case "parsed bytes follow changed lines" `Quick
+      test_parsed_bytes_follow_changed_lines;
   ]

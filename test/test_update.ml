@@ -224,6 +224,55 @@ let test_checksum_function () =
     (Dcm.Checksum.verify ~data:"hellp"
        ~checksum:(Dcm.Checksum.to_hex (Dcm.Checksum.adler32 "hello")))
 
+(* The checksum by its definition, one byte and two reductions at a
+   time: the reference the block kernel must agree with. *)
+let adler32_bytewise s =
+  let a = ref 1 and b = ref 0 in
+  String.iter
+    (fun c ->
+      a := (!a + Char.code c) mod 65521;
+      b := (!b + !a) mod 65521)
+    s;
+  (!b lsl 16) lor !a
+
+let prop_checksum_block_kernel =
+  let block = 1 lsl 20 in
+  QCheck.Test.make ~name:"checksum: block kernel = bytewise reference"
+    ~count:120
+    QCheck.(
+      string_gen_of_size
+        Gen.(
+          frequency
+            [ (20, int_range 0 300); (1, oneofl [ block - 1; block; block + 1 ]) ])
+        Gen.char)
+    (fun s -> Dcm.Checksum.adler32 s = adler32_bytewise s)
+
+(* 3 MB of the largest byte: every block runs its sums to their highest
+   before the reduction, the kernel's overflow worst case. *)
+let test_checksum_block_worst_case () =
+  let s = String.make (3 * 1024 * 1024) '\255' in
+  Alcotest.(check int) "all 0xff" (adler32_bytewise s) (Dcm.Checksum.adler32 s)
+
+let prop_checksum_stream_split =
+  QCheck.Test.make ~name:"checksum: stream over a random split = one pass"
+    ~count:300
+    QCheck.(pair (string_of_size (Gen.int_range 0 400)) (small_list small_nat))
+    (fun (s, cuts) ->
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> c mod (String.length s + 1)) cuts)
+      in
+      let st = Dcm.Checksum.stream_start () in
+      let last =
+        List.fold_left
+          (fun from cut ->
+            Dcm.Checksum.stream_feed st (String.sub s from (cut - from));
+            cut)
+          0 cuts
+      in
+      Dcm.Checksum.stream_feed st
+        (String.sub s last (String.length s - last));
+      Dcm.Checksum.stream_value st = Dcm.Checksum.adler32 s)
+
 (* Delta pushes (against [target^".last.d/"]).  The first push of a target
    must go full; a repeat with mostly-unchanged members must ride the
    manifest exchange, keeping unchanged members off the wire. *)
@@ -555,5 +604,9 @@ let suite =
       test_scanned_bytes;
     Alcotest.test_case "tarlike roundtrip" `Quick test_tarlike_roundtrip;
     Alcotest.test_case "checksum function" `Quick test_checksum_function;
+    QCheck_alcotest.to_alcotest prop_checksum_block_kernel;
+    Alcotest.test_case "checksum block worst case" `Quick
+      test_checksum_block_worst_case;
+    QCheck_alcotest.to_alcotest prop_checksum_stream_split;
     QCheck_alcotest.to_alcotest prop_tarlike_roundtrip;
   ]
