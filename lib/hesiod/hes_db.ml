@@ -57,87 +57,111 @@ let fold_records ?parsed s ~pos ~len f init =
 
 let add t key r = Smap.add key (lookup t key @ [ r ]) t
 
-(* Unboxed 8-byte loads, so the scans below allocate nothing. *)
+(* Unboxed 8-byte loads, so the walk below allocates nothing while
+   lines match. *)
 external get64 : string -> int -> int64 = "%caml_string_get64"
 
-let common_prefix a b =
-  let n = min (String.length a) (String.length b) in
-  let i = ref 0 in
-  while !i + 8 <= n && (get64 a !i : int64) = get64 b !i do
-    i := !i + 8
+(* The lines of [old] and [contents] that the other file lacks, as
+   [(pos, len)] spans of whole lines in file order, adjacent changed
+   lines merged into one span; [None] once the changed bytes of both
+   sides exceed [limit].  A merge walk: matching bytes are skipped 8 at
+   a time, and where two lines differ the one that sorts first at the
+   first differing byte (a line end sorts before any byte) is changed
+   and only its side advances, so two sorted files cost one compare
+   plus their changed lines.  In any order the lines left unchanged
+   are common to both files, in order; only the spans' size depends on
+   the order.  Two lines tie only when one ends the file without its
+   newline, and then both are changed. *)
+let changed_lines old contents ~limit =
+  let ol = String.length old and nl = String.length contents in
+  let olds = ref [] and news = ref [] and changed = ref 0 in
+  let take spans a b =
+    changed := !changed + b - a;
+    match !spans with
+    | (p, e) :: rest when e = a -> spans := (p, b) :: rest
+    | l -> spans := (a, b) :: l
+  in
+  let line_end s n i =
+    match String.index_from_opt s i '\n' with Some e -> e + 1 | None -> n
+  in
+  (* the byte at [p] of a line, line ends (and the end of the file) as -1 *)
+  let byte s n p = if p < n && s.[p] <> '\n' then Char.code s.[p] else -1 in
+  let i = ref 0 and j = ref 0 in
+  while (!i < ol || !j < nl) && !changed <= limit do
+    if !i = ol then (take news !j nl; j := nl)
+    else if !j = nl then (take olds !i ol; i := ol)
+    else
+      let n = min (ol - !i) (nl - !j) in
+      let k = ref 0 in
+      while !k + 8 <= n && (get64 old (!i + !k) : int64) = get64 contents (!j + !k) do
+        k := !k + 8
+      done;
+      while !k < n && old.[!i + !k] = contents.[!j + !k] do
+        incr k
+      done;
+      if !k = n && ol - !i = nl - !j then (i := ol; j := nl)
+      else
+        let a = byte old ol (!i + !k) and b = byte contents nl (!j + !k) in
+        (* step over the whole lines that match *)
+        let d =
+          match String.rindex_from_opt old (!i + !k - 1) '\n' with
+          | Some e when e >= !i -> e + 1 - !i
+          | _ -> 0
+        in
+        i := !i + d;
+        j := !j + d;
+        if a <= b then (
+          let e = line_end old ol !i in
+          take olds !i e;
+          i := e);
+        if b <= a then (
+          let e = line_end contents nl !j in
+          take news !j e;
+          j := e)
   done;
-  while !i < n && a.[!i] = b.[!i] do
-    incr i
-  done;
-  !i
+  let spans l = List.rev_map (fun (a, b) -> (a, b - a)) !l in
+  if !changed > limit then None else Some (spans olds, spans news)
 
-(* The longest common suffix of [a] and [b], at most [limit] bytes. *)
-let common_suffix a b ~limit =
-  let la = String.length a and lb = String.length b in
-  let i = ref 0 in
-  while
-    !i + 8 <= limit && (get64 a (la - !i - 8) : int64) = get64 b (lb - !i - 8)
-  do
-    i := !i + 8
-  done;
-  while !i < limit && a.[la - !i - 1] = b.[lb - !i - 1] do
-    incr i
-  done;
-  !i
-
-let starts_line s i = i = 0 || s.[i - 1] = '\n'
-
-(* [old] and [contents] split into a common prefix and suffix, both on
-   line boundaries, around one changed range each.  Only the changed
-   lines are parsed: the old ones name the keys to drop, the new ones
-   carry the records to add.  A key's records keep file order, so the
-   splice holds only while no touched key has records outside the
-   changed range; otherwise, or when the changed ranges together
-   outweigh the new file (edits spread across it), the whole file is
-   parsed - which is this same function from the empty file. *)
+(* Only the changed lines are parsed: the old ones name the keys to
+   drop, the new ones carry the records to add.  A key's records keep
+   file order, so the splice holds only while no touched key has records
+   in the unchanged lines; otherwise, or when the changed lines of both
+   files outweigh the new file, the whole file is parsed - which is this
+   same function from the empty file, one span and one fold. *)
 let rec update ?parsed db ~old contents =
   if String.equal old contents then db
   else
-    let ol = String.length old and nl = String.length contents in
-    let p =
-      let i = common_prefix old contents in
-      match String.rindex_from_opt old (i - 1) '\n' with
-      | Some j -> j + 1
-      | None -> 0
-    in
-    let q =
-      let q0 = ol - common_suffix old contents ~limit:(min ol nl - p) in
-      if starts_line old q0 && starts_line contents (q0 + nl - ol) then q0
-      else
-        match String.index_from_opt old q0 '\n' with
-        | Some j -> j + 1
-        | None -> ol
-    in
-    let old_len = q - p and new_len = q + nl - ol - p in
     let full () = update ?parsed empty ~old:"" contents in
-    if old_len + new_len > nl then full ()
-    else
-      (* each old changed key, with its record count in the range *)
-      let gone =
-        fold_records ?parsed old ~pos:p ~len:old_len
-          (fun m key _ ->
-            Smap.add key (1 + Option.value (Smap.find_opt key m) ~default:0) m)
-          Smap.empty
-      in
-      if Smap.exists (fun key n -> List.length (lookup db key) <> n) gone then
-        full ()
-      else
-        let kept = Smap.fold (fun key _ t -> Smap.remove key t) gone db in
-        match
-          fold_records ?parsed contents ~pos:p ~len:new_len
-            (fun acc key r ->
-              match acc with
-              | Some t when not (Smap.mem key kept) -> Some (add t key r)
-              | _ -> None)
-            (Some kept)
-        with
-        | Some t -> t
-        | None -> full ()
+    match changed_lines old contents ~limit:(String.length contents) with
+    | None -> full ()
+    | Some (olds, news) ->
+        (* each old changed key, with its record count in the spans *)
+        let gone =
+          List.fold_left
+            (fun m (pos, len) ->
+              fold_records ?parsed old ~pos ~len
+                (fun m key _ ->
+                  Smap.add key (1 + Option.value (Smap.find_opt key m) ~default:0) m)
+                m)
+            Smap.empty olds
+        in
+        if Smap.exists (fun key n -> List.length (lookup db key) <> n) gone then
+          full ()
+        else
+          let kept = Smap.fold (fun key _ t -> Smap.remove key t) gone db in
+          match
+            List.fold_left
+              (fun acc (pos, len) ->
+                fold_records ?parsed contents ~pos ~len
+                  (fun acc key r ->
+                    match acc with
+                    | Some t when not (Smap.mem key kept) -> Some (add t key r)
+                    | _ -> None)
+                  acc)
+              (Some kept) news
+          with
+          | Some t -> t
+          | None -> full ()
 
 let parse contents = update empty ~old:"" contents
 

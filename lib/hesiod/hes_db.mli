@@ -29,13 +29,18 @@ val parse : string -> t
 
 val update : ?parsed:int ref -> t -> old:string -> string -> t
 (** [update db ~old contents] equals [parse contents] when
-    [db = parse old], parsing only the lines that differ (the common
-    prefix and suffix are compared 8 bytes at a time, not parsed): it
-    drops the keys named by [old]'s changed lines and adds the records
-    of [contents]'s.  It parses the whole of [contents] instead when a
-    touched key also has records outside the changed lines, or when the
-    changed lines of both files together outweigh [contents].  Adds to
-    [parsed] the bytes handed to the line parser. *)
+    [db = parse old], parsing only the lines that differ, wherever they
+    lie.  A merge walk pairs the two files' lines (matching bytes are
+    compared 8 at a time, not parsed; of two differing lines the one
+    that sorts first is changed), so for sorted files, as Moira's
+    generators emit, the changed lines are exactly the edited ones; any
+    order gives the same result, only more changed lines.  It drops the
+    keys named by [old]'s changed lines and adds the records of
+    [contents]'s, one fold per run of adjacent changed lines.  It
+    parses the whole of [contents] instead when a touched key also has
+    records outside the changed lines, or when the changed lines of
+    both files together outweigh [contents] (the walk stops there).
+    Adds to [parsed] the bytes handed to the line parser. *)
 
 val lookup : t -> string -> record list
 (** Raw records for a key ([] if absent). *)

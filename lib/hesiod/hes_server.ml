@@ -12,7 +12,8 @@ let db_files =
    parses only the lines that differ: the steady-state cost of Moira's
    install-script restart is proportional to the changed lines, not to
    the changed files.  One edited passwd.db line re-parses that line's
-   old and new bytes, not the whole file ([parsed_bytes] counts them). *)
+   old and new bytes, not the whole file, and a cycle's scattered edits
+   re-parse just their lines ([parsed_bytes] counts them). *)
 type t = {
   host : Netsim.Host.t;
   dir : string;

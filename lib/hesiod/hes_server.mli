@@ -36,8 +36,9 @@ val parsed_bytes : t -> int
 (** Bytes of file contents handed to the line parser since start, the
     loaded data brought up to date first.  A restart re-parses only the
     lines that changed since the last parse (old and new, with their
-    line ends), or, when the changes are spread across a file, that
-    file whole; an unchanged restart parses nothing. *)
+    line ends), however far apart they lie; a file whose changed lines
+    outweigh it (a shuffled rewrite) is parsed whole, and an unchanged
+    restart parses nothing. *)
 
 (** {1 Client side} *)
 

@@ -150,22 +150,25 @@ let render (lines, final_nl) =
    delete, replace, prepend or append anywhere), the file empties, lines
    are prepended, or a new file replaces it.  The property may also
    overwrite one byte of the last file, which moves line boundaries. *)
+let range_edit_gen =
+  let open QCheck.Gen in
+  map3
+    (fun a b (ins, nl) (lines, final_nl) ->
+      let n = List.length lines in
+      let a = a mod (n + 1) and b = b mod (n + 1) in
+      let i = min a b and j = max a b in
+      ( List.filteri (fun k _ -> k < i) lines
+        @ ins
+        @ List.filteri (fun k _ -> k >= j) lines,
+        if j = n then nl else final_nl ))
+    nat nat
+    (pair (list_size (int_range 0 4) line_gen) bool)
+
 let edit_gen =
   let open QCheck.Gen in
   frequency
     [
-      ( 4,
-        map3
-          (fun a b (ins, nl) (lines, final_nl) ->
-            let n = List.length lines in
-            let a = a mod (n + 1) and b = b mod (n + 1) in
-            let i = min a b and j = max a b in
-            ( List.filteri (fun k _ -> k < i) lines
-              @ ins
-              @ List.filteri (fun k _ -> k >= j) lines,
-              if j = n then nl else final_nl ))
-          nat nat
-          (pair (list_size (int_range 0 4) line_gen) bool) );
+      (4, range_edit_gen);
       (1, return (fun (_, final_nl) -> ([], final_nl)));
       ( 1,
         map2
@@ -174,6 +177,18 @@ let edit_gen =
       ( 1,
         map (fun f _ -> f) file_gen );
     ]
+
+(* One reload's worth of edits: a single edit, or 2-6 independent range
+   edits to one file (scattered, as a cron interval's are). *)
+let step_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun e -> [ e ]) edit_gen);
+      (2, list_size (int_range 2 6) range_edit_gen);
+    ]
+
+let apply_step f step = List.fold_left (fun f e -> e f) f step
 
 let poke_gen =
   QCheck.Gen.(pair nat (oneofl [ '\n'; ' '; '"'; 'x'; '\t'; ';' ]))
@@ -194,6 +209,19 @@ let same_db ~files a b =
        (fun k -> Hesiod.Hes_db.lookup a k = Hesiod.Hes_db.lookup b k)
        (List.concat_map words files)
 
+(* Each text reloaded from the previous one's db must answer as a parse
+   of it does. *)
+let reloads_equal_parse texts =
+  let rec check db old = function
+    | [] -> true
+    | c :: rest ->
+        let db' = Hesiod.Hes_db.update db ~old c in
+        same_db ~files:[ old; c ] db' (Hesiod.Hes_db.parse c)
+        && check db' c rest
+  in
+  let first = List.hd texts in
+  check (Hesiod.Hes_db.parse first) first (List.tl texts)
+
 let prop_update_equals_parse =
   QCheck.Test.make ~name:"hesiod: update (parse old) ~old new = parse new"
     ~count:1000
@@ -201,26 +229,49 @@ let prop_update_equals_parse =
       make
         Gen.(
           triple file_gen
-            (list_size (int_range 1 3) edit_gen)
+            (list_size (int_range 1 3) step_gen)
             (opt poke_gen)))
-    (fun (f0, edits, poke_at) ->
-      (* a chain of edits, each reload updating the previous one's db *)
-      let files = List.rev (List.fold_left (fun acc e -> e (List.hd acc) :: acc) [ f0 ] edits) in
+    (fun (f0, steps, poke_at) ->
+      (* a chain of steps, each reload updating the previous one's db *)
+      let files =
+        List.rev (List.fold_left (fun acc st -> apply_step (List.hd acc) st :: acc) [ f0 ] steps)
+      in
       let texts = List.map render files in
       let texts =
         match poke_at with
         | Some pc -> texts @ [ poke pc (List.nth texts (List.length texts - 1)) ]
         | None -> texts
       in
-      let rec check db old = function
-        | [] -> true
-        | c :: rest ->
-            let db' = Hesiod.Hes_db.update db ~old c in
-            same_db ~files:[ old; c ] db' (Hesiod.Hes_db.parse c)
-            && check db' c rest
-      in
-      let first = List.hd texts in
-      check (Hesiod.Hes_db.parse first) first (List.tl texts))
+      reloads_equal_parse texts)
+
+(* Moira's generators emit sorted files, which the reload's merge walk
+   follows edit by edit; any other order must give the same answers.
+   A sorted file, 2-6 edits, then those lines shuffled and sorted
+   again: each reload runs from a sorted or a shuffled file to the
+   other order. *)
+let shuffle keys lines =
+  let n = Array.length keys in
+  List.mapi (fun i l -> (keys.(i mod n), i, l)) lines
+  |> List.sort compare
+  |> List.map (fun (_, _, l) -> l)
+
+let prop_update_equals_parse_shuffled =
+  QCheck.Test.make
+    ~name:"hesiod: shuffled files: update (parse old) ~old new = parse new"
+    ~count:500
+    QCheck.(
+      make
+        Gen.(
+          quad file_gen
+            (list_size (int_range 2 6) range_edit_gen)
+            (array_size (int_range 1 8) nat)
+            bool))
+    (fun (f0, edits, keys, final_nl) ->
+      let sorted (lines, _) = (List.sort compare lines, final_nl) in
+      let f0 = sorted f0 in
+      let f1 = sorted (apply_step f0 edits) in
+      let mixed = (shuffle keys (fst f1), final_nl) in
+      reloads_equal_parse (List.map render [ f0; f1; mixed; f1 ]))
 
 let write_and_restart srv fs contents =
   Netsim.Vfs.write fs ~path:"/etc/hesiod/passwd.db" contents;
@@ -261,8 +312,8 @@ let test_server_restart_after_edit () =
     (remote "user0008");
   Alcotest.(check int) "keys" 50 (Hesiod.Hes_server.loaded_keys srv)
 
-(* The reload's parse cost in bytes follows the changed lines, not the
-   file. *)
+(* The reload's parse cost in bytes follows the changed lines, wherever
+   they lie, not the file. *)
 let test_parsed_bytes_follow_changed_lines () =
   let engine = Sim.Engine.create () in
   let net = Netsim.Net.create engine in
@@ -274,27 +325,60 @@ let test_parsed_bytes_follow_changed_lines () =
   write_and_restart srv fs base;
   let parsed0 = Hesiod.Hes_server.parsed_bytes srv in
   Alcotest.(check int) "first load parses the file" (String.length base) parsed0;
+  let line_bytes i shells =
+    List.fold_left (fun acc sh -> acc + String.length (passwd_line i sh) + 1) 0 shells
+  in
   let one = passwd_file n (fun i -> if i = 2500 then "/bin/tcsh" else "/bin/csh") in
   write_and_restart srv fs one;
   let parsed1 = Hesiod.Hes_server.parsed_bytes srv in
   Alcotest.(check int) "one edited line: its old and new bytes"
-    (String.length (passwd_line 2500 "/bin/csh") + 1
-    + String.length (passwd_line 2500 "/bin/tcsh") + 1)
+    (line_bytes 2500 [ "/bin/csh"; "/bin/tcsh" ])
     (parsed1 - parsed0);
   let ends =
-    passwd_file n (fun i ->
-        if i = 0 || i = n - 1 then "/bin/zsh"
-        else if i = 2500 then "/bin/tcsh"
-        else "/bin/csh")
+    passwd_file n (fun i -> if i = 0 || i = 2500 || i = n - 1 then "/bin/zsh" else "/bin/csh")
   in
   write_and_restart srv fs ends;
   let parsed2 = Hesiod.Hes_server.parsed_bytes srv in
-  Alcotest.(check bool) "first and last lines: at most the file" true
-    (parsed2 - parsed1 <= String.length ends);
+  Alcotest.(check int) "first, middle and last lines: their old and new bytes"
+    (line_bytes 0 [ "/bin/csh"; "/bin/zsh" ]
+    + line_bytes 2500 [ "/bin/tcsh"; "/bin/zsh" ]
+    + line_bytes (n - 1) [ "/bin/csh"; "/bin/zsh" ])
+    (parsed2 - parsed1);
   write_and_restart srv fs ends;
   Alcotest.(check int) "unchanged restart parses nothing" parsed2
     (Hesiod.Hes_server.parsed_bytes srv);
-  Alcotest.(check int) "keys" n (Hesiod.Hes_server.loaded_keys srv)
+  (* a catch-up cycle: 300 edits spread across the file *)
+  let edited i = i mod 16 = 7 && i < 4800 in
+  let caught_up =
+    passwd_file n (fun i ->
+        if edited i then "/bin/bash"
+        else if i = 0 || i = 2500 || i = n - 1 then "/bin/zsh"
+        else "/bin/csh")
+  in
+  write_and_restart srv fs caught_up;
+  let parsed3 = Hesiod.Hes_server.parsed_bytes srv in
+  let edits = List.filter edited (List.init n Fun.id) in
+  Alcotest.(check int) "300 edits" 300 (List.length edits);
+  Alcotest.(check int) "scattered edits: their old and new bytes"
+    (List.fold_left (fun acc i -> acc + line_bytes i [ "/bin/csh"; "/bin/bash" ]) 0 edits)
+    (parsed3 - parsed2);
+  Alcotest.(check (list string)) "an edited line answers"
+    [ "user0007:*:1007:101:User 7,,,,:/mit/user0007:/bin/bash" ]
+    (Hesiod.Hes_server.resolve_local srv ~name:"user0007" ~ty:"passwd");
+  (* the same lines in another order: at most a compare and a parse *)
+  let lines = String.split_on_char '\n' caught_up |> List.filter (( <> ) "") in
+  let shuffled =
+    String.concat ""
+      (List.init n (fun i -> List.nth lines (i * 7919 mod n) ^ "\n"))
+  in
+  write_and_restart srv fs shuffled;
+  Alcotest.(check bool) "shuffled rewrite: at most old and new bytes" true
+    (Hesiod.Hes_server.parsed_bytes srv - parsed3
+    <= String.length caught_up + String.length shuffled);
+  Alcotest.(check int) "keys" n (Hesiod.Hes_server.loaded_keys srv);
+  Alcotest.(check (list string)) "an edited line still answers"
+    [ "user0007:*:1007:101:User 7,,,,:/mit/user0007:/bin/bash" ]
+    (Hesiod.Hes_server.resolve_local srv ~name:"user0007" ~ty:"passwd")
 
 let suite =
   [
@@ -311,6 +395,7 @@ let suite =
       test_server_reload_on_boot;
     QCheck_alcotest.to_alcotest prop_parse_never_raises;
     QCheck_alcotest.to_alcotest prop_update_equals_parse;
+    QCheck_alcotest.to_alcotest prop_update_equals_parse_shuffled;
     Alcotest.test_case "server restart after edit" `Quick
       test_server_restart_after_edit;
     Alcotest.test_case "parsed bytes follow changed lines" `Quick
