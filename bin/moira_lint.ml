@@ -1,17 +1,22 @@
 (* moira_lint — static analysis gate.
 
-   Default mode runs the syntactic [Lint] rules over the tree; exit
-   nonzero listing file:line:rule on any violation.  Usage:
-   moira_lint [path ...] (defaults to lib bin test bench, resolved
-   from the cwd).
+   Default mode runs the syntactic [Lint] rules over the tree
+   ([obj-magic], [swallow-exn], [lock-protect], [schema-ref],
+   [printf-in-lib] and allow hygiene); exit nonzero listing
+   file:line:rule on any violation.  Usage: moira_lint [path ...]
+   (defaults to lib bin test bench, resolved from the cwd).
 
-   [--deep] runs the interprocedural pass instead ([Lint.Deep_moira]):
-   whole-program effect propagation, the static lock-order graph
-   cross-checked against a simulated chaos day's runtime sanitizer,
-   and protocol exhaustiveness.  Requires [.cmt] artifacts — build
-   with [dune build @check] first.  [--json PATH] also writes the
-   machine-readable report; [--no-chaos] skips the simulated day
-   (faster, but the soundness cross-check then trivially passes). *)
+   [--deep] runs the interprocedural pass instead ([Lint.Deep_moira])
+   over the [.cmt] files of every build root (lib bin test bench
+   examples perfbench): wall-clock, global-Random and hash-ordered
+   iteration effects traced along the whole-program call graph, lib
+   definitions nothing outside lib reaches ([dead-export]), the static
+   lock-order graph cross-checked against a simulated chaos day's
+   runtime sanitizer, and protocol exhaustiveness.  Requires [.cmt]
+   artifacts — build with [dune build @check] first.  [--json PATH]
+   also writes the machine-readable report; [--no-chaos] skips the
+   simulated day (faster, but the soundness cross-check then trivially
+   passes). *)
 
 let run_syntactic roots =
   let roots =

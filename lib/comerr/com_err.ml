@@ -30,7 +30,6 @@ let base_of_name name =
   pack 0 0 lsl errcode_range
 
 let tables : (int, table) Hashtbl.t = Hashtbl.create 17
-let order : table list ref = ref []
 
 let create_table ~name messages =
   let base = base_of_name name in
@@ -42,11 +41,9 @@ let create_table ~name messages =
   | _ -> ());
   let t = { name; base; messages } in
   Hashtbl.replace tables base t;
-  order := t :: List.filter (fun t' -> t'.base <> base) !order;
   t
 
 let base t = t.base
-let table_name t = t.name
 let size t = Array.length t.messages
 
 let code t i =
@@ -91,4 +88,3 @@ let com_err ~whoami code msg =
 
 let set_com_err_hook f = hook := Some f
 let reset_com_err_hook () = hook := None
-let registered_tables () = List.rev !order

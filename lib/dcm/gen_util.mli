@@ -66,10 +66,6 @@ val group_fragments :
     {!grplist_iter} emits for that user.  The keyed incremental grplist
     builder renders single-user lines with this. *)
 
-val grplist_entries : Moira.Mdb.t -> (string * string) list
-(** {!grplist_iter} collected as (login, "name:gid[:name:gid...]")
-    pairs; the form property tests compare against {!group_pairs}. *)
-
 val id_name_map :
   Relation.Table.t -> id:string -> name:string -> string array
 (** One-scan projection of an (int id, string name) pair of columns into

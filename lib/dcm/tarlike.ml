@@ -21,17 +21,6 @@ let pack members =
     members;
   Buffer.contents buf
 
-(* The exact byte length [pack] would produce, without producing it. *)
-let packed_size members =
-  List.fold_left
-    (fun acc (name, contents) ->
-      let nlen = String.length name and clen = String.length contents in
-      acc
-      + String.length (string_of_int nlen)
-      + String.length (string_of_int clen)
-      + 2 (* ' ' and '\n' *) + nlen + clen)
-    0 members
-
 (* The Adler-32 of [pack members], streamed member by member: the
    multi-megabyte archive string is never allocated.  This is what lets
    a delta push skip the client-side full pack (the EXEC confirm only

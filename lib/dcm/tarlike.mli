@@ -6,9 +6,6 @@
 val pack : (string * string) list -> string
 (** Archive a list of (name, contents) members. *)
 
-val packed_size : (string * string) list -> int
-(** [String.length (pack members)], computed without packing. *)
-
 val checksum : (string * string) list -> int
 (** [Checksum.adler32 (pack members)], streamed member by member — the
     archive is never materialized.  Lets {!Update.push} run the whole
@@ -20,7 +17,7 @@ val pack_docs : (string * Sink.doc) list -> string
     pre-sized buffer; the members themselves are never flattened. *)
 
 val packed_size_docs : (string * Sink.doc) list -> int
-(** As {!packed_size} over chunked documents. *)
+(** [String.length (pack_docs members)], computed without packing. *)
 
 val checksum_docs : (string * Sink.doc) list -> int
 (** As {!checksum} over chunked documents: neither the members nor the

@@ -59,9 +59,6 @@ val mk_req : t -> credentials -> string
 (** The wire authenticator: the (service-key encrypted) ticket plus a
     (session-key encrypted) authenticator stamped with the current time. *)
 
-val credentials_principal : credentials -> string
-(** Whose credentials these are. *)
-
 (** {1 Server side} *)
 
 type server_ctx

@@ -6,12 +6,8 @@
 
 let rules =
   [
-    ( "wall-clock",
-      "Unix.gettimeofday/Unix.time/Sys.time/Gc stats outside allowlist" );
-    ("global-random", "global Random (use the seeded Sim.Rng)");
     ("obj-magic", "Obj.magic");
     ("swallow-exn", "try ... with _ -> discards the exception");
-    ("unsorted-fold", "Hashtbl.fold/iter feeds output without a sort");
     ("lock-protect", "Lock.acquire without Fun.protect in the definition");
     ("schema-ref", "table/column literal unknown to Schema_def");
     ("printf-in-lib", "stdout printing inside lib/ (route through Obs.log)");
@@ -28,6 +24,7 @@ let deep_rules =
     ("deep-effect", "transitive wall-clock/random/unordered-iter reach");
     ("lock-order", "static lock-order violation (cycle or opaque key)");
     ("proto-exhaustive", "opcode/error code without arm or doc row");
+    ("dead-export", "lib/ definition nothing outside lib/ reaches");
   ]
 
 let is_deep_rule r = List.mem_assoc r deep_rules
@@ -45,11 +42,16 @@ let find_sub ~start hay needle =
 let contains_sub hay needle =
   match find_sub ~start:0 hay needle with Some _ -> true | None -> false
 
-(* Per-file, per-rule allowlist for rules whose legitimate uses are
-   whole-file (real-time measurement).  Matched by path suffix so the
-   linter works from any working directory. *)
+(* Per-file allowlist, keyed on the rule id or the deep effect kind,
+   for uses that are legitimate across a whole file (real-time and
+   memory measurement).  Matched by path suffix so the linter works
+   from any working directory. *)
 let file_allowlist =
-  [ ("bench/main.ml", "wall-clock"); ("bin/athena_sim.ml", "wall-clock") ]
+  [
+    ("bench/main.ml", "wall-clock");
+    ("bin/athena_sim.ml", "wall-clock");
+    ("perfbench/bench.ml", "wall-clock");
+  ]
 
 let file_allowed ~file rule =
   List.exists

@@ -1,26 +1,28 @@
 (* Deep (interprocedural) analysis over the compiler's typed ASTs.
 
-   The syntactic pass in [Lint] sees one expression at a time, so a
-   wall-clock read or an unsorted hashtable walk wrapped in a helper
-   leaks through every caller unseen.  This module loads the [.cmt]
-   files dune leaves next to the objects ([Cmt_format]), walks them
-   with [Tast_iterator], and reduces every compilation unit to a table
-   of per-definition facts: which names it references, which string
-   constants it mentions, which effects it performs directly, which
-   lock classes it acquires.  Everything else — effect propagation
-   along the call graph, the static lock-order graph, the protocol
-   exhaustiveness checks — is plain graph algebra over those facts,
-   shared between the real tree ([Deep_moira]) and the test fixtures
-   (which typecheck snippets in-process via [Typemod]).
+   A syntactic pass sees one expression at a time, so a wall-clock read
+   or an unsorted hashtable walk wrapped in a helper leaks through every
+   caller unseen; this module is the one engine for such effects.  It
+   loads the [.cmt] files dune leaves next to the objects
+   ([Cmt_format]), walks them with [Tast_iterator], and reduces every
+   compilation unit to a table of per-definition facts: which names it
+   references, which string constants it mentions, which effects it
+   performs directly, which lock classes it acquires.  Everything else
+   — effect propagation along the call graph, dead exports, the static
+   lock-order graph, the protocol exhaustiveness checks — is plain
+   graph algebra over those facts, shared between the real tree
+   ([Deep_moira]) and the test fixtures (which typecheck snippets
+   in-process via [Typemod]).
 
    Rule ids reported here: [deep-effect] (a transitive wall-clock /
    global-random / unordered-iteration reach, with the call chain),
    [lock-order] (an acquisition-order cycle or an acquire whose key the
    analysis cannot classify), [proto-exhaustive] (an opcode, verb or
    error code without both endpoints of a dispatch or its PROTOCOL.md
-   row).  Suppression decisions are delegated to a caller-supplied
-   [suppress] callback so the driver can reuse [Lint]'s allow-comment
-   scanner and per-file allowlists. *)
+   row), [dead-export] (a library definition nothing outside the
+   library reaches).  Suppression decisions are delegated to a
+   caller-supplied [suppress] callback so the driver can reuse the
+   allow-comment scanner and per-file allowlist. *)
 
 type effect_ =
   | WallClock
@@ -69,20 +71,11 @@ let make_fn ~name ~unit_name ~file ~line =
 
 (* ---------------- name normalization ---------------- *)
 
-let find_sub ~start hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go start
-
 let replace_sub s ~sub ~by =
   let b = Buffer.create (String.length s) in
   let n = String.length sub in
   let rec go i =
-    match find_sub ~start:i s sub with
+    match Allow.find_sub ~start:i s sub with
     | None -> Buffer.add_substring b s i (String.length s - i)
     | Some j ->
         Buffer.add_substring b s i (j - i);
@@ -97,16 +90,17 @@ let strip_prefix p s =
     String.sub s (String.length p) (String.length s - String.length p)
   else s
 
-(* "Dune__exe__Moira_cli" -> "Moira_cli"; "Dcm__Manager" -> "Dcm.Manager" *)
-let norm_unit modname =
-  replace_sub (strip_prefix "Dune__exe__" modname) ~sub:"__" ~by:"."
-
-(* A referenced path as the analysis names things: the [Stdlib] prefix
-   dropped, dune's unit mangling undone. *)
+(* A unit or referenced path as the analysis names things: the
+   [Stdlib] prefix dropped, dune's unit mangling undone.
+   "Dune__exe__Moira_cli" and "Dune__exe.Moira_cli" -> "Moira_cli";
+   "Dcm__Manager" -> "Dcm.Manager"; a path through a library's alias
+   module, "Lint__.Allow.rules" -> "Lint.Allow.rules". *)
 let norm_path name =
-  replace_sub
-    (strip_prefix "Dune__exe__" (strip_prefix "Stdlib." name))
-    ~sub:"__" ~by:"."
+  let name =
+    strip_prefix "Dune__exe."
+      (strip_prefix "Dune__exe__" (strip_prefix "Stdlib." name))
+  in
+  replace_sub (replace_sub name ~sub:"__." ~by:".") ~sub:"__" ~by:"."
 
 let last_component n =
   match String.rindex_opt n '.' with
@@ -114,9 +108,7 @@ let last_component n =
   | None -> n
 
 let lowercase_contains hay needle =
-  match find_sub ~start:0 (String.lowercase_ascii hay) needle with
-  | Some _ -> true
-  | None -> false
+  Allow.contains_sub (String.lowercase_ascii hay) needle
 
 (* ---------------- direct-effect classification ---------------- *)
 
@@ -137,7 +129,13 @@ let io_sink_names =
 
 let classify_ref n =
   if List.mem n wall_clock_names then Some WallClock
-  else if String.starts_with ~prefix:"Random." n then Some GlobalRandom
+  (* [Random.State] threads an explicit seeded state, except the one
+     constructor that seeds itself from the system *)
+  else if
+    String.starts_with ~prefix:"Random." n
+    && ((not (String.starts_with ~prefix:"Random.State." n))
+       || n = "Random.State.make_self_init")
+  then Some GlobalRandom
   else if List.mem n io_sink_names || String.ends_with ~suffix:"Vfs.write" n
   then Some Io
   else None
@@ -202,8 +200,10 @@ let order_sensitive_lambda e =
   it.expr it e;
   !found
 
-(* Walk one toplevel binding's body, filling [fn]'s fact lists. *)
-let walk_binding fn body =
+(* Walk one toplevel binding's body, filling [fn]'s fact lists.
+   [name_of] names a referenced path as the facts do, or gives [None]
+   for a local variable. *)
+let walk_binding ~name_of fn body =
   (* local [let k = "service:" ^ x] string bindings, for key classing *)
   let locals : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let walk_candidates = ref [] in
@@ -225,14 +225,24 @@ let walk_binding fn body =
         (fun it e ->
           let ln = line_of e in
           (match e.exp_desc with
-          | Texp_ident (p, _, _) ->
-              let n = norm_path (Path.name p) in
-              fn.fn_refs <- (n, ln) :: fn.fn_refs;
-              (match classify_ref n with
-              | Some eff -> fn.fn_direct <- (eff, ln) :: fn.fn_direct
+          | Texp_ident (p, _, _) -> (
+              match name_of p with
+              | Some n -> (
+                  fn.fn_refs <- (n, ln) :: fn.fn_refs;
+                  match classify_ref n with
+                  | Some eff -> fn.fn_direct <- (eff, ln) :: fn.fn_direct
+                  | None -> ())
               | None -> ())
           | Texp_constant (Asttypes.Const_string (s, _, _)) ->
               fn.fn_strings <- (s, ln) :: fn.fn_strings
+          (* [let*]/[let+]: the operator is a use of its definition *)
+          | Texp_letop { let_; ands; _ } ->
+              List.iter
+                (fun bop ->
+                  match name_of bop.bop_op_path with
+                  | Some n -> fn.fn_refs <- (n, ln) :: fn.fn_refs
+                  | None -> ())
+                (let_ :: ands)
           | Texp_let (_, vbs, _) ->
               List.iter
                 (fun vb ->
@@ -246,7 +256,7 @@ let walk_binding fn body =
           | Texp_apply (f, args) -> (
               match f.exp_desc with
               | Texp_ident (p, _, _) -> (
-                  let n = norm_path (Path.name p) in
+                  let n = Option.value (name_of p) ~default:"" in
                   if String.ends_with ~suffix:"Lock.acquire" n then begin
                     let key =
                       List.find_map
@@ -317,64 +327,123 @@ let walk_binding fn body =
   fn.fn_direct <- List.rev fn.fn_direct;
   fn.fn_acquires <- List.rev fn.fn_acquires
 
-let collect_binding facts ~unit_name ~file ~prefix (vb : value_binding) =
+let collect_binding facts ~unit_name ~file ~prefix ~name_of
+    (vb : value_binding) =
   let line = vb.vb_loc.Location.loc_start.Lexing.pos_lnum in
+  (* a type-annotated [let x : t = e] binds through an alias pattern *)
   let base =
-    match vb.vb_pat.pat_desc with
-    | Tpat_var (id, _) -> Ident.name id
+    match pat_bound_idents vb.vb_pat with
+    | [ id ] -> Ident.name id
     | _ -> "<entry:" ^ string_of_int line ^ ">"
   in
   let fn = make_fn ~name:(prefix ^ "." ^ base) ~unit_name ~file ~line in
-  walk_binding fn vb.vb_expr;
+  walk_binding ~name_of fn vb.vb_expr;
   add_fn facts fn
 
-let rec load_items facts ~unit_name ~file ~prefix items =
+let rec strip_constraint (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_constraint (me, _, _, _) -> strip_constraint me
+  | _ -> me
+
+(* A unit's module-level names, keyed by ident stamp: each value
+   binding maps to its name and each module alias to its target
+   ([module Glue = Moira.Glue]).  A bare identifier missing from the
+   table is a local variable, which must not resolve to a same-named
+   toplevel definition. *)
+let rec module_name names = function
+  | Path.Pident id ->
+      Option.value
+        (Hashtbl.find_opt names (Ident.unique_name id))
+        ~default:(Ident.name id)
+  | Path.Pdot (p, s) -> module_name names p ^ "." ^ s
+  | p -> Path.name p
+
+let value_name names = function
+  | Path.Pident id -> Hashtbl.find_opt names (Ident.unique_name id)
+  | p -> Some (norm_path (module_name names p))
+
+let rec scope_items names items =
   List.iter
     (fun (si : structure_item) ->
       match si.str_desc with
       | Tstr_value (_, vbs) ->
-          List.iter (collect_binding facts ~unit_name ~file ~prefix) vbs
-      | Tstr_module mb -> load_module facts ~unit_name ~file ~prefix mb
-      | Tstr_recmodule mbs ->
-          List.iter (load_module facts ~unit_name ~file ~prefix) mbs
+          List.iter
+            (fun id ->
+              Hashtbl.replace names (Ident.unique_name id) (Ident.name id))
+            (let_bound_idents vbs)
+      | Tstr_module mb -> scope_module names mb
+      | Tstr_recmodule mbs -> List.iter (scope_module names) mbs
       | _ -> ())
     items
 
-and load_module facts ~unit_name ~file ~prefix mb =
+and scope_module names mb =
+  match ((strip_constraint mb.mb_expr).mod_desc, mb.mb_id) with
+  | Tmod_structure s, _ -> scope_items names s.str_items
+  | Tmod_ident (p, _), Some id ->
+      Hashtbl.replace names (Ident.unique_name id)
+        (norm_path (module_name names p))
+  | _ -> ()
+
+let rec load_items facts ~unit_name ~file ~prefix ~names items =
+  List.iter
+    (fun (si : structure_item) ->
+      match si.str_desc with
+      | Tstr_value (_, vbs) ->
+          List.iter
+            (collect_binding facts ~unit_name ~file ~prefix
+               ~name_of:(value_name names))
+            vbs
+      | Tstr_module mb ->
+          load_module facts ~unit_name ~file ~prefix ~names mb
+      | Tstr_recmodule mbs ->
+          List.iter (load_module facts ~unit_name ~file ~prefix ~names) mbs
+      | _ -> ())
+    items
+
+(* A structure's definitions are named under the module's path.  A
+   functor application becomes one definition named after the instance
+   that uses every value of its argument ([m ^ ".*"], expanded by
+   {!callees}), so a use of the instance keeps the argument live. *)
+and load_module facts ~unit_name ~file ~prefix ~names mb =
   let name =
     match mb.mb_id with Some id -> Ident.name id | None -> "_"
   in
-  let rec strip (me : module_expr) =
-    match me.mod_desc with
-    | Tmod_structure s -> Some s
-    | Tmod_constraint (me, _, _, _) -> strip me
-    | _ -> None
-  in
-  match strip mb.mb_expr with
-  | Some s ->
-      load_items facts ~unit_name ~file ~prefix:(prefix ^ "." ^ name)
+  match (strip_constraint mb.mb_expr).mod_desc with
+  | Tmod_structure s ->
+      load_items facts ~unit_name ~file ~prefix:(prefix ^ "." ^ name) ~names
         s.str_items
-  | None -> ()
+  | Tmod_apply (_, arg, _) ->
+      let line = mb.mb_loc.Location.loc_start.Lexing.pos_lnum in
+      let fn = make_fn ~name:(prefix ^ "." ^ name) ~unit_name ~file ~line in
+      (match (strip_constraint arg).mod_desc with
+      | Tmod_ident (p, _) ->
+          fn.fn_refs <- [ (norm_path (module_name names p) ^ ".*", line) ]
+      | _ -> ());
+      add_fn facts fn
+  | _ -> ()
 
 let load_structure facts ~unit_name ~file str =
-  load_items facts ~unit_name ~file ~prefix:unit_name str.str_items
+  let names = Hashtbl.create 64 in
+  scope_items names str.str_items;
+  load_items facts ~unit_name ~file ~prefix:unit_name ~names str.str_items
 
 let load_cmt facts path =
   let cmt = Cmt_format.read_cmt path in
   match cmt.Cmt_format.cmt_annots with
   | Cmt_format.Implementation str ->
-      let unit_name = norm_unit cmt.Cmt_format.cmt_modname in
+      let unit_name = norm_path cmt.Cmt_format.cmt_modname in
       let file =
         Option.value cmt.Cmt_format.cmt_sourcefile ~default:unit_name
       in
       load_structure facts ~unit_name ~file str
   | _ -> ()
 
-(* In-process typechecking for test fixtures (stdlib-only snippets). *)
+(* In-process typechecking for test fixtures (stdlib and unix only). *)
 let typecheck_initialized = ref false
 
 let load_source facts ~file source =
   if not !typecheck_initialized then begin
+    Clflags.include_dirs := "+unix" :: !Clflags.include_dirs;
     Compmisc.init_path ();
     typecheck_initialized := true
   end;
@@ -391,17 +460,57 @@ let load_source facts ~file source =
 
 (* ---------------- call-graph plumbing ---------------- *)
 
-(* Same-unit references come out of the typedtree bare ("helper") or
-   partially qualified ("Hashq.iter" inside mr_util.ml); cross-unit
-   ones are already in public wrapper form ("Dcm.Update.push"). *)
+(* The module paths enclosing a definition, innermost first, down to
+   its unit: ["Obs.Slo"; "Obs"] for "Obs.Slo.check" in unit "Obs". *)
+let rec enclosing ~unit_name p =
+  match String.rindex_opt p '.' with
+  | Some i when i >= String.length unit_name ->
+      let q = String.sub p 0 i in
+      q :: enclosing ~unit_name q
+  | _ -> []
+
+(* The names a reference can stand for, in OCaml's scoping order: a
+   same-unit reference comes out of the typedtree bare ("helper") or
+   partially qualified ("M.mid", "Hashq.iter"), so it is tried under
+   each enclosing module first; a cross-unit one is already in public
+   form ("Dcm.Update.push"). *)
+let candidates fn r =
+  List.map
+    (fun m -> m ^ "." ^ r)
+    (enclosing ~unit_name:fn.fn_unit fn.fn_name)
+  @ [ r ]
+
+(* A value of a functor instance ("Queue_map.add") has no definition of
+   its own and resolves to the instance's. *)
 let resolve (facts : facts) fn r =
-  if Hashtbl.mem facts r then Some r
-  else
-    let q = fn.fn_unit ^ "." ^ r in
-    if Hashtbl.mem facts q then Some q else None
+  let find r = List.find_opt (Hashtbl.mem facts) (candidates fn r) in
+  match find r with
+  | Some _ as hit -> hit
+  | None -> (
+      match String.rindex_opt r '.' with
+      | Some i -> find (String.sub r 0 i)
+      | None -> None)
+
+(* Every definition in the module a functor argument [m] names. *)
+let module_values (facts : facts) fn m =
+  List.fold_left
+    (fun found c ->
+      if found <> [] then found
+      else
+        Hashtbl.fold
+          (fun n _ acc ->
+            if String.starts_with ~prefix:(c ^ ".") n then n :: acc else acc)
+          facts []
+        |> List.sort compare)
+    [] (candidates fn m)
 
 let callees facts fn =
-  List.filter_map (fun (r, _) -> resolve facts fn r) fn.fn_refs
+  List.concat_map
+    (fun (r, _) ->
+      if String.ends_with ~suffix:".*" r then
+        module_values facts fn (String.sub r 0 (String.length r - 2))
+      else Option.to_list (resolve facts fn r))
+    fn.fn_refs
   |> List.sort_uniq compare
   |> List.filter (fun g -> g <> fn.fn_name)
 
@@ -445,10 +554,19 @@ let discharge_sorted_walks (facts : facts) =
           List.filter (fun (e, _) -> e <> UnorderedIter) fn.fn_direct)
     facts
 
+(* The call graph resolved once per analysis: definition -> callees. *)
+let graph (facts : facts) =
+  let g = Hashtbl.create (Hashtbl.length facts) in
+  Hashtbl.iter (fun n fn -> Hashtbl.replace g n (callees facts fn)) facts;
+  g
+
+let succs g n = Option.value (Hashtbl.find_opt g n) ~default:[]
+
 (* Transitive effect sets by fixpoint over the call graph (cycles are
    fine: iterate until stable). *)
 let compute_effects (facts : facts) =
   discharge_sorted_walks facts;
+  let g = graph facts in
   let eff : (string, effect_ list) Hashtbl.t =
     Hashtbl.create (Hashtbl.length facts)
   in
@@ -464,14 +582,14 @@ let compute_effects (facts : facts) =
   while !changed do
     changed := false;
     Hashtbl.iter
-      (fun n fn ->
+      (fun n _ ->
         let cur = Hashtbl.find eff n in
         let merged =
           List.sort_uniq compare
             (cur
             @ List.concat_map
-                (fun g -> try Hashtbl.find eff g with Not_found -> [])
-                (callees facts fn))
+                (fun c -> try Hashtbl.find eff c with Not_found -> [])
+                (succs g n))
         in
         if merged <> cur then begin
           Hashtbl.replace eff n merged;
@@ -488,44 +606,43 @@ let transitive facts name =
 let entry_points (facts : facts) =
   let called = Hashtbl.create 64 in
   Hashtbl.iter
-    (fun _ fn ->
-      List.iter (fun g -> Hashtbl.replace called g ()) (callees facts fn))
-    facts;
+    (fun _ cs -> List.iter (fun c -> Hashtbl.replace called c ()) cs)
+    (graph facts);
   List.filter_map
     (fun fn ->
       if Hashtbl.mem called fn.fn_name then None else Some fn.fn_name)
     (sorted_fns facts)
 
-(* Shortest call chain [src; ...; dst] via BFS, deterministic because
-   neighbor lists are sorted. *)
-let chain facts ~src ~dst =
-  if src = dst then Some [ src ]
-  else begin
-    let parent = Hashtbl.create 64 in
-    let q = Queue.create () in
-    Hashtbl.replace parent src "";
-    Queue.push src q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let n = Queue.pop q in
-      List.iter
-        (fun g ->
-          if not (Hashtbl.mem parent g) then begin
-            Hashtbl.replace parent g n;
-            if g = dst then found := true else Queue.push g q
-          end)
-        (callees facts (Hashtbl.find facts n))
-    done;
-    if not !found then None
-    else begin
-      let rec back acc n =
-        match Hashtbl.find parent n with
-        | "" -> n :: acc
-        | p -> back (n :: acc) p
-      in
-      Some (back [] dst)
-    end
-  end
+(* BFS from [srcs] over [g]: every reached definition mapped to its
+   parent ("" for a source).  Deterministic because neighbour lists are
+   sorted, so the path back from a node is a shortest chain. *)
+let reach g srcs =
+  let parent = Hashtbl.create 64 in
+  let q = Queue.create () in
+  List.iter
+    (fun s ->
+      Hashtbl.replace parent s "";
+      Queue.push s q)
+    srcs;
+  while not (Queue.is_empty q) do
+    let n = Queue.pop q in
+    List.iter
+      (fun c ->
+        if not (Hashtbl.mem parent c) then begin
+          Hashtbl.replace parent c n;
+          Queue.push c q
+        end)
+      (succs g n)
+  done;
+  parent
+
+let path_to parent dst =
+  let rec back acc n =
+    match Hashtbl.find parent n with "" -> n :: acc | p -> back (n :: acc) p
+  in
+  if Hashtbl.mem parent dst then Some (back [] dst) else None
+
+let chain facts ~src ~dst = path_to (reach (graph facts) [ src ]) dst
 
 (* ---------------- findings ---------------- *)
 
@@ -565,6 +682,7 @@ let effect_findings ?(suppress = no_suppress) (facts : facts) =
     | WallClock | GlobalRandom | UnorderedIter -> true
     | Io | TakesLock _ -> false
   in
+  let g = graph facts in
   let entries = entry_points facts in
   let sources =
     List.filter_map
@@ -577,9 +695,10 @@ let effect_findings ?(suppress = no_suppress) (facts : facts) =
   in
   List.concat_map
     (fun entry ->
+      let parent = reach g [ entry ] in
       List.concat_map
         (fun (src, sites) ->
-          match chain facts ~src:entry ~dst:src.fn_name with
+          match path_to parent src.fn_name with
           | None -> []
           | Some ch ->
               List.filter_map
@@ -609,6 +728,52 @@ let effect_findings ?(suppress = no_suppress) (facts : facts) =
                       sites)))
         sources)
     entries
+  |> sort_findings
+
+(* ---------------- dead exports ---------------- *)
+
+(* dead-export: a named definition under [lib] that no root reaches.
+   Every definition outside [lib] is a root (the executables, tests,
+   benches and examples are what the library is for), and so is a
+   toplevel effect, which runs whenever its module links, an
+   error-table binding, which stays so proto-exhaustive's gap check
+   holds, and a definition kept by a suppression: what it uses stays
+   live with it. *)
+let dead_findings ?(suppress = no_suppress) (facts : facts) ~lib =
+  let fns = sorted_fns facts in
+  let g = graph facts in
+  let root fn =
+    (not (String.starts_with ~prefix:lib fn.fn_file))
+    || String.starts_with ~prefix:"<" (last_component fn.fn_name)
+    || fn.fn_code_idx <> None
+  in
+  let kept fn =
+    suppress ~rule:"dead-export" ~kind:"value" ~file:fn.fn_file
+      ~line:fn.fn_line
+  in
+  let rec live roots =
+    let reached = reach g (List.map (fun fn -> fn.fn_name) roots) in
+    let dead fn = not (Hashtbl.mem reached fn.fn_name) in
+    match List.filter (fun fn -> dead fn && kept fn) fns with
+    | [] -> reached
+    | more -> live (roots @ more)
+  in
+  let reached = live (List.filter root fns) in
+  List.filter_map
+    (fun fn ->
+      if Hashtbl.mem reached fn.fn_name then None
+      else
+        Some
+          {
+            f_rule = "dead-export";
+            f_file = fn.fn_file;
+            f_line = fn.fn_line;
+            f_msg =
+              Printf.sprintf "%s is unreachable from everything outside %s"
+                fn.fn_name lib;
+            f_chain = [];
+          })
+    fns
   |> sort_findings
 
 (* ---------------- static lock-order graph ---------------- *)

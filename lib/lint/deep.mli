@@ -6,7 +6,9 @@
 
 type effect_ =
   | WallClock  (** [Unix.gettimeofday]/[Sys.time]/Gc measurement reads *)
-  | GlobalRandom  (** the global [Random] module *)
+  | GlobalRandom
+      (** the global [Random] module ([Random.State] threads a seeded
+          state and is exempt, [make_self_init] aside) *)
   | UnorderedIter
       (** a [Hashtbl.fold]/[iter] accumulating order-sensitively with no
           sort in the same definition *)
@@ -44,18 +46,17 @@ val load_cmt : facts -> string -> unit
 (** Load one [.cmt] file's implementation (interfaces are skipped). *)
 
 val load_source : facts -> file:string -> string -> unit
-(** Typecheck a source buffer in-process against the initial (stdlib)
-    environment and load it — fixture support for tests.
+(** Typecheck a source buffer in-process against the initial (stdlib
+    and [unix]) environment and load it — fixture support for tests.
     @raise Typemod errors / syntax errors on bad fixtures. *)
 
-val key_class : string -> string
-(** ["service:zephyr"] -> ["service"] (prefix before [':']). *)
-
-val resolve : facts -> fn -> string -> string option
-(** Resolve a reference as the call graph does: exact name first, then
-    qualified by the referring definition's unit. *)
-
 val callees : facts -> fn -> string list
+(** The definitions a definition references, resolved the way OCaml
+    scopes them: under each enclosing module, innermost first, then as
+    written.  Local module aliases are expanded at load time and a
+    local variable names nothing; a value of a functor instance
+    resolves to the instance's definition. *)
+
 val refs_to : facts -> string -> string list
 
 (** Every definition, ordered by name (deterministic iteration). *)
@@ -87,6 +88,12 @@ val effect_findings : ?suppress:suppress -> facts -> finding list
     effect kind) triple for {!WallClock}/{!GlobalRandom}/
     {!UnorderedIter}, located at the direct site, carrying the call
     chain from the entry. *)
+
+val dead_findings : ?suppress:suppress -> facts -> lib:string -> finding list
+(** [dead-export]: each definition whose file is under the [lib]
+    prefix that no root reaches.  The roots are every definition
+    outside [lib], every toplevel effect, every error-table binding
+    ([fn_code_idx] set) and every definition [suppress] keeps. *)
 
 type lock_edge = {
   le_from : string;
@@ -148,7 +155,6 @@ val proto_err_findings :
     [size], and each present in [doc]'s table. *)
 
 val json_str : string -> string
-val json_of_finding : finding -> string
 
 val report_json :
   findings:finding list -> info:(string * string) list -> string

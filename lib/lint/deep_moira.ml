@@ -18,10 +18,13 @@ let rec cmt_files path =
   else if Filename.check_suffix path ".cmt" then [ path ]
   else []
 
+(* Every build root: the library and everything linking it, so a
+   definition outside [lib/] is a use that keeps lib code live. *)
+let roots = [ "lib"; "bin"; "test"; "bench"; "examples"; "perfbench" ]
+
 let load_tree facts build_dir =
   let files =
-    cmt_files (Filename.concat build_dir "lib")
-    @ cmt_files (Filename.concat build_dir "bin")
+    List.concat_map (fun r -> cmt_files (Filename.concat build_dir r)) roots
   in
   List.iter (Deep.load_cmt facts) files;
   List.length files
@@ -54,23 +57,19 @@ let verbs = [ "SUBSCRIBE"; "FETCH"; "HEARTBEAT"; "SNAPSHOT" ]
 
 (* ---------------- PROTOCOL.md sections ---------------- *)
 
-let contains_ci hay needle =
-  let low = String.lowercase_ascii hay in
-  let n = String.lowercase_ascii needle in
-  let nh = String.length low and nn = String.length n in
-  let rec go i = i + nn <= nh && (String.sub low i nn = n || go (i + 1)) in
-  go 0
-
 (* Text of the section whose "## " heading contains [title], up to the
    next "## " heading — so op numbers are only looked up in their own
    tables (error index 16 must not be satisfied by opcode 16's row). *)
 let section md title =
   let lines = String.split_on_char '\n' md in
+  let title = String.lowercase_ascii title in
   let rec skip = function
     | [] -> []
     | l :: rest ->
-        if String.starts_with ~prefix:"## " l && contains_ci l title then
-          take rest [ l ]
+        if
+          String.starts_with ~prefix:"## " l
+          && Allow.contains_sub (String.lowercase_ascii l) title
+        then take rest [ l ]
         else skip rest
   and take rest acc =
     match rest with
@@ -111,20 +110,11 @@ let scan_allow_state ~src_prefix (facts : Deep.facts) =
     (Deep.sorted_fns facts);
   st
 
-(* The deep effects map onto the syntactic pass's per-file allowlist:
-   a file allowed to read the wall clock is allowed to leak it. *)
-let base_rule_of_kind = function
-  | "wall-clock" -> Some "wall-clock"
-  | "global-random" -> Some "global-random"
-  | "unordered-iter" -> Some "unsorted-fold"
-  | _ -> None
-
+(* The per-file allowlist keys on the effect kind: a file allowed to
+   read the wall clock is allowed to leak it. *)
 let suppress_of st : Deep.suppress =
  fun ~rule ~kind ~file ~line ->
-  (match base_rule_of_kind kind with
-  | Some base -> Allow.file_allowed ~file base
-  | None -> false)
-  || Allow.file_allowed ~file rule
+  Allow.file_allowed ~file kind
   ||
   match Hashtbl.find_opt st.als_by_file file with
   | None -> false
@@ -141,6 +131,9 @@ let suppress_of st : Deep.suppress =
           a.Allow.a_used <- true;
           true
       | None -> false)
+
+let suppress ?(src_prefix = "") facts =
+  suppress_of (scan_allow_state ~src_prefix facts)
 
 (* Stale deep-rule allows, after every check has had its chance to use
    them (the syntactic pass skips these — they are ours to keep honest). *)
@@ -278,6 +271,7 @@ let run ?(build_dir = "_build/default") ?(src_prefix = "")
   let observed = if chaos then observed_edges_chaos () else [] in
   let findings =
     Deep.effect_findings ~suppress facts
+    @ Deep.dead_findings ~suppress facts ~lib:"lib/"
     @ Deep.lock_findings ~suppress facts
     @ Deep.proto_op_findings ~suppress facts ~doc:ops_doc (ops ())
     @ Deep.proto_verb_findings ~suppress facts ~doc:verbs_doc

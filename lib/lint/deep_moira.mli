@@ -24,21 +24,17 @@ val run :
   ?chaos:bool ->
   unit ->
   report
-(** Analyze [lib/] and [bin/].  [build_dir] (default ["_build/default"])
+(** Analyze every build root: [lib/], [bin/], [test/], [bench/],
+    [examples/] and [perfbench/].  [build_dir] (default ["_build/default"])
     must hold [.cmt] artifacts — build with [dune build @check] first.
     [src_prefix] is prepended to source paths when reading allow
     comments (tests run from inside the sandbox).  [chaos:false] skips
     the simulated day (the cross-check then trivially passes). *)
 
+val suppress : ?src_prefix:string -> Deep.facts -> Deep.suppress
+(** The suppression {!run} applies: the per-file allowlist, keyed on
+    the effect kind, then [lint: allow] comments in the facts' source
+    files (read under [src_prefix]). *)
+
 val observed_edges_chaos : unit -> (string * string) list
 (** Just the chaos-day run (exposed for the agreement test). *)
-
-val section : string -> string -> string
-(** [section md title]: the markdown section whose ["## "] heading
-    contains [title] (case-insensitive), heading included. *)
-
-val ops : unit -> (string * int) list
-(** The opcode model: qualified binding name, runtime value. *)
-
-val verbs : string list
-(** The replication protocol's string verbs. *)

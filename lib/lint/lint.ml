@@ -1,31 +1,21 @@
-(* moira-lint: a compiler-libs source linter for determinism and safety.
+(* moira-lint: a compiler-libs source linter for the syntactic rules.
 
    The paper's bet (section 7) is that all database access goes through
    predefined query handles and all fleet mutation through the DCM's
    lock-guarded update protocol, which makes the whole surface statically
-   checkable.  This module is the checkable half: it parses every .ml
-   file with the real OCaml parser and walks the Parsetree enforcing the
-   rules below.  The executable driver is [bin/moira_lint.ml]; the test
-   suite feeds fixture snippets straight to {!lint_source}.
+   checkable.  This module checks what one expression or one definition
+   shows: it parses every .ml file with the real OCaml parser and walks
+   the Parsetree enforcing the rules below.  Effects that matter through
+   a call chain (wall-clock reads, the global [Random], hash-ordered
+   iteration reaching output) belong to the deep pass ([Deep], rule
+   [deep-effect]), which reports each at its site with the chain.  The
+   executable driver is [bin/moira_lint.ml]; the test suite feeds
+   fixture snippets straight to {!lint_source}.
 
    Rules (ids as reported):
-   - [wall-clock]     no [Unix.gettimeofday]/[Unix.time]/[Sys.time], and
-                      no [Gc.quick_stat]/[Gc.stat]/[Gc.counters]
-                      measurement reads: sim code must read the injected
-                      engine clock, or two same-seed runs stop being
-                      byte-identical, and GC counters vary run-to-run
-                      the same way wall-clock does.  A short built-in
-                      allowlist covers real-time and memory measurement
-                      (bench timing, athena_sim progress prints).
-   - [global-random]  no global [Random] (incl. [Random.self_init]): all
-                      randomness goes through the seeded [Sim.Rng].
    - [obj-magic]      no [Obj.magic].
    - [swallow-exn]    no [try ... with _ ->] that discards the exception:
                       match the exceptions you mean to handle.
-   - [unsorted-fold]  a [Hashtbl.fold]/[Hashtbl.iter] feeding a string or
-                      file sink in the same expression without a sort in
-                      between: hashtable order leaks into serialized
-                      artifacts.
    - [lock-protect]   a toplevel definition that calls [Lock.acquire]
                       must also use [Fun.protect] (the release lives in
                       its [~finally]), so no exception path leaks a lock.
@@ -35,10 +25,14 @@
                       table or column.  Applies to [lib/] and [bin/]
                       only: tests and benches legitimately build ad-hoc
                       relations with local schemas.
+   - [printf-in-lib]  no stdout printing inside [lib/]: route it through
+                      an [Obs] log channel.  Drivers own their stdout.
    - [bad-allow]      a [lint: allow] annotation without a rule id the
-                      linter knows, or without a reason.
+                      linter knows (a retired id included), or without
+                      a reason.
    - [unused-allow]   an annotation that suppresses nothing (stale after
-                      a refactor); keeps suppressions honest.
+                      a refactor); keeps suppressions honest.  The deep
+                      rules' annotations are the deep pass's to judge.
 
    Suppression: an allow comment — open-comment immediately followed by
    [lint: allow <rule> -- <reason>] (em dash or [--] before the reason)
@@ -54,22 +48,8 @@ type violation = {
 }
 
 (* The rule catalogue, per-file allowlist and [lint: allow] scanner
-   live in [Allow], shared with the interprocedural pass; re-exported
-   here so callers keep one entry module. *)
-let rules = Allow.rules
-let deep_rules = Allow.deep_rules
-let is_deep_rule = Allow.is_deep_rule
-let file_allowed = Allow.file_allowed
-
-type allow = Allow.allow = {
-  a_line : int;
-  a_rule : string;
-  a_solo : bool;
-  mutable a_used : bool;
-}
-
-let scan_allows = Allow.scan_allows
-let find_sub = Allow.find_sub
+   live in [Allow], shared with the interprocedural pass. *)
+open Allow
 
 (* ---------------- AST helpers ---------------- *)
 
@@ -89,23 +69,7 @@ let ends_with l suffix =
   let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
   drop (nl - ns) l = suffix
 
-(* All value identifiers in an expression/structure-item subtree. *)
-let idents_in_expr e =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; _ } -> acc := (flat txt, e.pexp_loc) :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  List.rev !acc
-
+(* All value identifiers in a structure item's subtree. *)
 let idents_in_item si =
   let acc = ref [] in
   let it =
@@ -171,22 +135,7 @@ let column_names =
 let is_table t = List.mem t table_names
 let is_column c = List.mem c column_names
 
-(* ---------------- sinks / walks / sorts ---------------- *)
-
-let is_sink l =
-  ends_with l [ "String"; "concat" ]
-  || ends_with l [ "Buffer"; "add_string" ]
-  || ends_with l [ "Vfs"; "write" ]
-  || (match l with
-     | [ "output_string" ] | [ "print_string" ] | [ "print_endline" ] -> true
-     | _ -> false)
-  || (match l with
-     | [ "Printf"; f ] ->
-         List.mem f [ "printf"; "sprintf"; "eprintf"; "fprintf"; "bprintf" ]
-     | _ -> false)
-
-let is_hashtbl_walk l =
-  ends_with l [ "Hashtbl"; "fold" ] || ends_with l [ "Hashtbl"; "iter" ]
+(* ---------------- printers ---------------- *)
 
 (* stdout-only printers; stderr ([prerr_*], [Printf.eprintf]) is left to
    com_err's reporting convention. *)
@@ -201,13 +150,6 @@ let is_stdout_print l =
   | [ "Printf"; "printf" ] | [ "Stdlib"; "Printf"; "printf" ] -> true
   | [ "Format"; "printf" ] | [ "Stdlib"; "Format"; "printf" ] -> true
   | _ -> false
-
-(* Any path component mentioning "sort" counts: List.sort, sort_uniq,
-   a local sorted_lines helper, ... *)
-let contains_sub hay needle =
-  match find_sub ~start:0 hay needle with Some _ -> true | None -> false
-
-let is_sort l = List.exists (fun comp -> contains_sub comp "sort") l
 
 (* ---------------- the main walk ---------------- *)
 
@@ -232,18 +174,6 @@ let check_expr ~report e =
   (match e.pexp_desc with
   | Pexp_ident { txt; _ } -> (
       match flat txt with
-      | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] | [ "Sys"; "time" ]
-        ->
-          report e.pexp_loc "wall-clock"
-            "wall-clock read; sim code must use the engine clock"
-      | [ "Gc"; "quick_stat" ] | [ "Gc"; "stat" ] | [ "Gc"; "counters" ]
-      | [ "Gc"; "allocated_bytes" ] ->
-          report e.pexp_loc "wall-clock"
-            "Gc measurement read; memory accounting lives in the bench \
-             allowlist"
-      | "Random" :: _ ->
-          report e.pexp_loc "global-random"
-            "global Random; use the seeded Sim.Rng"
       | l when ends_with l [ "Obj"; "magic" ] ->
           report e.pexp_loc "obj-magic" "Obj.magic defeats the type system"
       | l when is_stdout_print l ->
@@ -262,25 +192,6 @@ let check_expr ~report e =
       match f.pexp_desc with
       | Pexp_ident { txt; _ } ->
           let fl = flat txt in
-          (* unsorted-fold: a hashtable walk feeding this sink without a
-             sort in the same argument subtree *)
-          if is_sink fl then
-            List.iter
-              (fun (_, arg) ->
-                let ids = idents_in_expr arg in
-                let walks =
-                  List.filter (fun (l, _) -> is_hashtbl_walk l) ids
-                in
-                if walks <> []
-                   && not (List.exists (fun (l, _) -> is_sort l) ids)
-                then
-                  List.iter
-                    (fun (_, loc) ->
-                      report loc "unsorted-fold"
-                        "hashtable iteration order reaches output; sort \
-                         before serializing")
-                    walks)
-              args;
           (* schema-ref: table positions *)
           if List.exists (fun t -> ends_with fl t) table_fns then
             List.iter
@@ -409,7 +320,7 @@ let lint_source ~file source =
   (* [printf-in-lib] is scoped to lib/: clients and benches print to
      their terminal by design. *)
   let rule_applies rule =
-    rule <> "printf-in-lib" || contains_sub file "lib/"
+    rule <> "printf-in-lib" || Allow.contains_sub file "lib/"
   in
   let violations =
     List.filter

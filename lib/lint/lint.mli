@@ -8,33 +8,6 @@ type violation = {
   v_msg : string;
 }
 
-(** Rule id -> one-line description, for [--help]-style listings. *)
-val rules : (string * string) list
-
-(** Rules owned by the interprocedural pass ([moira_lint --deep]):
-    [deep-effect], [lock-order], [proto-exhaustive].  Their [lint:
-    allow] annotations parse here but use-tracking belongs to [Deep]. *)
-val deep_rules : (string * string) list
-
-val is_deep_rule : string -> bool
-
-(** A parsed [lint: allow] annotation.  [a_solo] means the comment is
-    alone on its line (it then covers the line below); [a_used] is
-    flipped by whichever pass honours the suppression. *)
-type allow = {
-  a_line : int;
-  a_rule : string;
-  a_solo : bool;
-  mutable a_used : bool;
-}
-
-(** All well-formed allow annotations in a source buffer, plus
-    [(line, message)] for each malformed one. *)
-val scan_allows : string -> allow list * (int * string) list
-
-(** Whole-file allowlist (e.g. wall-clock in [bench/main.ml]). *)
-val file_allowed : file:string -> string -> bool
-
 (** Lint an in-memory source buffer; [file] is used for reporting and
     for the per-file allowlists. *)
 val lint_source : file:string -> string -> violation list

@@ -106,12 +106,6 @@ let query_allowed mdb ~query ~login =
       | None -> false
       | Some users_id -> user_in_list mdb ~list_id ~users_id)
 
-let lists_of_user mdb ~users_id =
-  Plan.select (Mdb.table mdb "members")
-    (Pred.conj
-       [ Pred.eq_str "member_type" "USER"; Pred.eq_int "member_id" users_id ])
-  |> List.map (fun (_, row) -> Value.int row.(0))
-
 (* Naive recursive descent, one select per list visited.  Kept as the
    reference implementation: the property tests check the closure-based
    fast path against it, and the benchmarks measure the speedup. *)

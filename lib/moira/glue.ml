@@ -12,13 +12,6 @@ let ctx t =
 
 let query t ~name args = Query.execute t.registry (ctx t) ~name args
 
-let query_iter t ~name args ~callback =
-  match query t ~name args with
-  | Ok tuples ->
-      List.iter callback tuples;
-      0
-  | Error code -> code
-
 let access t ~name args =
   match Query.check t.registry (ctx t) ~name args with
   | Ok () -> 0

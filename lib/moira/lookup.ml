@@ -46,21 +46,3 @@ let list_row mdb id =
   Option.map snd
     (Plan.select_one (Mdb.table mdb "list") (Pred.eq_int "list_id" id))
 
-let filesys_id mdb label =
-  match
-    Plan.select (Mdb.table mdb "filesys") (Pred.eq_str "label" label)
-  with
-  | [] -> None
-  | rows ->
-      let tbl = Mdb.table mdb "filesys" in
-      let sorted =
-        List.sort
-          (fun (_, a) (_, b) ->
-            Int.compare
-              (Value.int (Table.field tbl a "order"))
-              (Value.int (Table.field tbl b "order")))
-          rows
-      in
-      (match sorted with
-      | (_, row) :: _ -> Some (Value.int (Table.field tbl row "filsys_id"))
-      | [] -> None)

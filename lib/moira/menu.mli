@@ -23,9 +23,6 @@ val submenu : key:string -> help:string -> t -> t -> t
 val create : title:string -> t
 (** An empty menu. *)
 
-val title : t -> string
-(** The menu's title. *)
-
 val entries : t -> (string * string) list
 (** The (keyword, help) pairs, in addition order — what [?] prints. *)
 

@@ -36,9 +36,6 @@ type t = {
   access_cache : (string, int) Hashtbl.t option;
 }
 
-let registry t = t.registry
-let mdb t = t.mdb
-let queries_served t = Obs.Counter.get t.c_served
 let connection_count t = Gdb.Server.connection_count t.gdb
 
 let access_cache_stats t =
@@ -267,7 +264,6 @@ type replica = {
   rep_handle : Relation.Replicate.replica;
 }
 
-let replica_server r = r.rep_server
 let replica_mdb r = r.rep_mdb
 let replica_handle r = r.rep_handle
 

@@ -54,15 +54,6 @@ val create :
 val access_cache_stats : t -> cache_stats
 (** Live counters of the access cache (zeros when disabled). *)
 
-val registry : t -> Query.registry
-(** The server's query catalogue (shared with glue-library users). *)
-
-val mdb : t -> Mdb.t
-(** The database context the server fronts. *)
-
-val queries_served : t -> int
-(** Number of Query requests processed. *)
-
 val connection_count : t -> int
 (** Live client connections. *)
 
@@ -114,6 +105,5 @@ val create_replica :
     server's registry) — a per-host registry here gives the replica its
     own lane in {!Obs.merge_trace_json}. *)
 
-val replica_server : replica -> t
 val replica_mdb : replica -> Mdb.t
 val replica_handle : replica -> Relation.Replicate.replica

@@ -13,15 +13,14 @@ let split_words s =
   |> List.filter (fun w -> w <> "")
 
 let canonicalize_hostname = Lookup.canon_host
-let atot = string_of_int
 
 let statuses =
   [
-    (0, "not registered");
-    (1, "active");
-    (2, "half registered");
-    (3, "marked for deletion");
-    (4, "not registerable");
+    (Mrconst.user_not_registered, "not registered");
+    (Mrconst.user_active, "active");
+    (Mrconst.user_half_registered, "half registered");
+    (Mrconst.user_deleted, "marked for deletion");
+    (Mrconst.user_not_registerable, "not registerable");
   ]
 
 let user_status_to_string status =
@@ -32,8 +31,6 @@ let user_status_of_string s =
   List.find_map
     (fun (code, name) -> if name = s then Some code else None)
     statuses
-
-let bool_flag_to_string b = if b then "on" else "off"
 
 let nfsphys_status_to_string status =
   let bits =

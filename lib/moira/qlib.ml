@@ -30,9 +30,6 @@ let name_ok s =
 
 let check_name s = if name_ok s then Ok () else Error Mr_err.bad_char
 
-let no_wildcard s =
-  if Glob.is_pattern s then Error Mr_err.wildcard else Ok ()
-
 (* Resolve the column offsets once; the returned closure projects each
    row without per-row name lookups (pairs with the compiled plans in
    [Relation.Plan] for multi-row retrievals). *)

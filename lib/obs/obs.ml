@@ -762,7 +762,6 @@ module Slo = struct
     Hashtbl.reset s.s_open
 
   let add s o = s.s_objectives <- s.s_objectives @ [ o ]
-  let objectives s = s.s_objectives
 
   let hists_of reg =
     Hashtbl.fold

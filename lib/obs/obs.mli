@@ -288,7 +288,6 @@ module Slo : sig
   (** Drop objectives, window snapshots, and open incidents. *)
 
   val add : slo -> objective -> unit
-  val objectives : slo -> objective list
 
   val tick : slo -> unit
   (** Snapshot histogram state for window baselines.  Call

@@ -16,10 +16,6 @@ let deliver_local t ~sender ~rcpt body =
 let mailbox t ~user =
   List.rev (Option.value (Hashtbl.find_opt t.boxes user) ~default:[])
 
-let box_count t =
-  Hashtbl.fold (fun _ msgs acc -> if msgs = [] then acc else acc + 1)
-    t.boxes 0
-
 (* wire formats: deliveries are "sender\nrcpt\nbody..."; retrievals are
    the bare user name, answered with newline-joined "sender\tbody"
    lines. *)

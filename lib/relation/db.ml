@@ -5,7 +5,6 @@ type t = {
 }
 
 let create ~clock = { clock; by_name = Hashtbl.create 31; order = [] }
-let clock t = t.clock
 let now t = t.clock ()
 
 let add_table ?indexed t schema =

@@ -5,9 +5,6 @@ type t
 val create : clock:(unit -> int) -> t
 (** An empty database whose tables stamp their stats with [clock]. *)
 
-val clock : t -> unit -> int
-(** The database clock function. *)
-
 val now : t -> int
 (** Shorthand for reading the clock. *)
 

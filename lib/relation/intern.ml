@@ -12,9 +12,7 @@
 
    The pool is process-global on purpose: tables from different databases
    (live db vs. a restore target, or the bench's per-tier builds) share
-   atoms.  It only ever grows; {!reset} exists for benchmarks that want
-   per-tier accounting, and is safe because already-interned boxes remain
-   valid — they just stop deduplicating against future inserts. *)
+   atoms.  It only ever grows. *)
 
 type stats = {
   mutable distinct : int;  (* distinct strings currently pooled *)
@@ -62,7 +60,6 @@ let share s =
 
 let id s = (slot_of s).id
 let of_id i = if i >= 0 && i < !next then Some !rev.(i) else None
-let cardinal () = !next
 
 (* Canonical boxes for the immediate-ish cases.  Small non-negative ints
    (uids, counts, flags, clocks early in a run) share preallocated boxes;
@@ -81,11 +78,3 @@ let value v =
 
 let row r = Array.map value r
 
-let reset () =
-  Hashtbl.reset table;
-  rev := Array.make 1024 "";
-  next := 0;
-  stats.distinct <- 0;
-  stats.bytes <- 0;
-  stats.hits <- 0;
-  stats.misses <- 0

@@ -51,10 +51,6 @@ let entries_from t ~seq =
     take [] n t.entries
   end
 
-let clear t =
-  t.entries <- [];
-  t.count <- 0
-
 (* The trace context rides in column 5, between the query name and its
    arguments; "" = no context (e.g. entries written before tracing). *)
 let encode_entry e =

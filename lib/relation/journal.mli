@@ -52,9 +52,6 @@ val entries_from : t -> seq:int -> entry list
 (** Entries with sequence number strictly greater than [seq], oldest
     first — the batch a replica at high-water [seq] still needs. *)
 
-val clear : t -> unit
-(** Truncate (e.g. after a successful dump).  Resets sequence numbers. *)
-
 val to_lines : t -> string
 (** Serialize, one entry per line in the backup escape format:
     [time:who:client:query:ctx:arg1:...:argN]. *)

@@ -46,7 +46,6 @@ let compile tbl pred =
   let shape, params = Pred.split pred in
   { compiled = prepare tbl shape; params }
 
-let explain p = Table.plan_explain p.compiled
 let run_select p = Table.plan_select p.compiled p.params
 let run_select_one p = Table.plan_select_one p.compiled p.params
 let run_count p = Table.plan_count p.compiled p.params

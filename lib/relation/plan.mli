@@ -28,9 +28,6 @@ val prepare : Table.t -> Pred.shape -> Table.compiled
     binding parameters — for callers that split once and run many
     times. *)
 
-val explain : t -> string
-(** Access-path description, see {!Table.plan_explain}. *)
-
 val run_select : t -> (Table.rowid * Value.t array) list
 val run_select_one : t -> (Table.rowid * Value.t array) option
 val run_count : t -> int

@@ -142,8 +142,6 @@ let serve_primary ?retain ?(max_batch = 512) ~net ~host ~journal ~snapshot ()
       handle p payload);
   p
 
-let primary_head p = Journal.head_seq p.p_journal
-
 (* ---------------- replica ---------------- *)
 
 type replica = {

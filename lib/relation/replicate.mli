@@ -34,9 +34,6 @@ val serve_primary :
     catch up from a snapshot instead (default: serve any suffix).
     [max_batch] caps entries per FETCH reply (default 512). *)
 
-val primary_head : primary -> int
-(** Current journal head sequence number. *)
-
 (** {1 Replica} *)
 
 type replica

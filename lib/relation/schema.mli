@@ -32,6 +32,3 @@ val mem : t -> string -> bool
 val check_tuple : t -> Value.t array -> unit
 (** Validate a tuple's arity and per-column types.
     @raise Invalid_argument describing the first mismatch. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer, e.g. [users(login:string, uid:int, ...)]. *)

@@ -651,7 +651,6 @@ let select_one t pred =
   | _ -> None
 
 let count t pred = List.length (matching t pred)
-let exists t pred = matching t pred <> []
 
 let apply_update t hits f =
   List.iter

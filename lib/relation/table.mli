@@ -49,9 +49,6 @@ val select_one : t -> Pred.t -> (rowid * Value.t array) option
 val count : t -> Pred.t -> int
 (** Number of matching rows. *)
 
-val exists : t -> Pred.t -> bool
-(** Whether any row matches. *)
-
 val update : t -> Pred.t -> (Value.t array -> Value.t array) -> int
 (** Replace each matching row by [f row]; returns the number updated.
     @raise Invalid_argument if [f] produces an ill-typed tuple. *)

@@ -254,6 +254,7 @@ let test_host_lock_failure_moves_ltt () =
     (Lock.acquire locks  (* lint: allow lock-protect -- intruder holds the lock so the cycle must contend; released below *)
        ~key:("host:HESIOD/" ^ hes_machine)
        ~owner:"intruder" Lock.Exclusive);
+  (* lint: allow lock-order -- the intruder is another owner, not a nesting: the DCM must find the host taken *)
   let report = Dcm.Manager.run tb.Testbed.dcm in
   let hes =
     List.find

@@ -1,8 +1,9 @@
 (* The interprocedural pass ([Lint.Deep] / [Lint.Deep_moira]): effect
-   propagation with call chains, the static lock-order graph and its
-   agreement with the runtime sanitizer over a simulated chaos day, and
-   the protocol exhaustiveness checks.  Source fixtures are typechecked
-   in-process ([Deep.load_source]), so they only use the stdlib; graph
+   propagation with call chains, call-graph resolution, dead exports,
+   the static lock-order graph and its agreement with the runtime
+   sanitizer over a simulated chaos day, and the protocol
+   exhaustiveness checks.  Source fixtures are typechecked in-process
+   ([Deep.load_source]), so they only use the stdlib and unix; graph
    fixtures are hand-built fact records. *)
 
 module Deep = Lint.Deep
@@ -66,6 +67,20 @@ let test_effect_kinds () =
     "one deep-effect finding" [ "deep-effect" ]
     (rules (Deep.effect_findings facts))
 
+(* The global Random reads, one per definition so each is its own site. *)
+let test_global_random () =
+  let facts =
+    load "fix_random"
+      "let seed () = Random.self_init ()\n\
+       let roll () = Random.int 5\n\
+       let seeded s = Random.State.int s 6\n"
+  in
+  let fs = Deep.effect_findings facts in
+  (* a Random.State threads its own seeded state: only the global
+     Random reads are findings *)
+  Alcotest.(check (list int)) "self_init and Random.int" [ 1; 2 ] (lines fs);
+  Alcotest.(check bool) "as global-random" true (has_msg fs "global-random")
+
 let test_unordered_iter () =
   let facts =
     load "fix_iter"
@@ -84,6 +99,46 @@ let test_unordered_iter () =
   Alcotest.(check bool) "kind is unordered-iter" true
     (has_msg fs "unordered-iter")
 
+(* A fold only leaks order when what it accumulates is order-sensitive:
+   a list fed to String.concat is, a sum is not. *)
+let test_unsorted_fold () =
+  let facts =
+    load "fix_fold"
+      "let names h = String.concat \",\" (Hashtbl.fold (fun k _ a -> k :: a) h [])\n\
+       let sorted h =\n\
+      \  String.concat \",\"\n\
+      \    (List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) h []))\n\
+       let total h = Hashtbl.fold (fun _ v a -> a + v) h 0\n"
+  in
+  let fs = Deep.effect_findings facts in
+  Alcotest.(check (list int)) "fold into concat flagged" [ 1 ] (lines fs);
+  Alcotest.(check bool) "as unordered-iter" true (has_msg fs "unordered-iter")
+
+(* The direct sources, one per definition so each is its own site. *)
+let test_wall_clock () =
+  let src =
+    "let a () = Unix.time ()\n\
+     let b () = Sys.time ()\n\
+     let c () = Unix.gettimeofday ()\n\
+     let d () = (Gc.quick_stat ()).Gc.minor_words\n\
+     let main () = a () +. b () +. c () +. d ()\n"
+  in
+  let facts = load "fix_clock" src in
+  let fs = Deep.effect_findings facts in
+  Alcotest.(check (list int)) "every read flagged" [ 1; 2; 3; 4 ] (lines fs);
+  Alcotest.(check bool) "as wall-clock" true (has_msg fs "wall-clock");
+  (* the per-file allowlist applies through the driver's suppression:
+     bench timing is legitimate, the same code under lib/ is not *)
+  let findings_as file =
+    let facts = Deep.create () in
+    Deep.load_source facts ~file src;
+    let suppress = Deep_moira.suppress facts in
+    List.length (Deep.effect_findings ~suppress facts)
+  in
+  Alcotest.(check int) "bench/main.ml allowlisted" 0
+    (findings_as "bench/main.ml");
+  Alcotest.(check int) "lib/ is not" 4 (findings_as "lib/clock.ml")
+
 let test_effect_suppression () =
   let facts =
     load "fix_sup" "let now () = Sys.time ()\nlet top () = now ()\n"
@@ -93,6 +148,114 @@ let test_effect_suppression () =
   in
   Alcotest.(check int) "suppressed at the site" 0
     (List.length (Deep.effect_findings ~suppress facts))
+
+(* ---- call-graph resolution ---- *)
+
+(* The one finding's call chain, for fixtures with one clock read. *)
+let chain_of name src =
+  match Deep.effect_findings (load name src) with
+  | [ f ] -> f.Deep.f_chain
+  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs)
+
+let entries_of name src = Deep.entry_points (load name src)
+
+let test_nested_siblings () =
+  Alcotest.(check (list string))
+    "a sibling resolves inside its module first"
+    [ "Nested.top"; "Nested.M.mid"; "Nested.M.now" ]
+    (chain_of "nested"
+       "module M = struct\n\
+       \  let now () = Sys.time ()\n\
+       \  let mid () = now ()\n\
+        end\n\
+        let top () = M.mid ()\n")
+
+let test_module_alias () =
+  Alcotest.(check (list string))
+    "A.now is M.now" [ "Alias.top"; "Alias.M.now" ]
+    (chain_of "alias"
+       "module M = struct let now () = Sys.time () end\n\
+        module A = M\n\
+        let top () = A.now ()\n")
+
+let test_local_variable () =
+  Alcotest.(check (list string))
+    "a parameter named now is not the toplevel now"
+    [ "Local.now"; "Local.top" ]
+    (entries_of "local" "let now () = Sys.time ()\nlet top now = now ()\n")
+
+let test_annotated_binding () =
+  Alcotest.(check (list string))
+    "a typed binding is named" [ "Annotated.top"; "Annotated.now" ]
+    (chain_of "annotated"
+       "let now : unit -> float = fun () -> Sys.time ()\n\
+        let top () = now ()\n")
+
+(* Dune reaches a library's modules through its alias module
+   ([Lint__.Allow]) and an executable's through [Dune__exe]; both must
+   name the unit the way its own definitions are named. *)
+let test_dune_alias_paths () =
+  let facts =
+    load "mangled"
+      "module Lint__ = struct module Allow = struct let rules = [] end end\n\
+       module Dune__exe = struct module Fix = struct let f () = () end end\n\
+       let top () = ignore Lint__.Allow.rules; Dune__exe.Fix.f ()\n"
+  in
+  List.iter
+    (fun (name, unit_name) ->
+      Deep.add_fn facts (Deep.make_fn ~name ~unit_name ~file:"x.ml" ~line:1))
+    [ ("Lint.Allow.rules", "Lint.Allow"); ("Fix.f", "Fix") ];
+  Alcotest.(check (list string))
+    "both resolve to the unit's definitions" [ "Fix.f"; "Lint.Allow.rules" ]
+    (Deep.callees facts (Hashtbl.find facts "Mangled.top"))
+
+let test_binding_operators () =
+  Alcotest.(check (list string))
+    "let* is used by top, not an entry" [ "Letop.top" ]
+    (entries_of "letop"
+       "let ( let* ) r f = Option.bind r f\n\
+        let top x = let* y = x in Some (y + 1)\n")
+
+let test_functor_argument () =
+  let facts =
+    load "functor_arg"
+      "module Key = struct type t = int let compare = Int.compare end\n\
+       module KMap = Map.Make (Key)\n\
+       let top () = KMap.empty\n"
+  in
+  Alcotest.(check (option (list string)))
+    "the instance uses its argument's values"
+    (Some
+       [ "Functor_arg.top"; "Functor_arg.KMap"; "Functor_arg.Key.compare" ])
+    (Deep.chain facts ~src:"Functor_arg.top" ~dst:"Functor_arg.Key.compare")
+
+(* ---- dead exports ---- *)
+
+let test_dead_export () =
+  let facts = Deep.create () in
+  Deep.load_source facts ~file:"lib/fix_dead.ml"
+    "let used () = 1\n\
+     let helper () = 2\n\
+     let dead () = helper ()\n\
+     let code i = i\n\
+     let mr_kept = code 3\n\
+     let registered () = 4\n\
+     let () = ignore (registered ())\n";
+  let main =
+    Deep.make_fn ~name:"Main.main" ~unit_name:"Main" ~file:"bin/main.ml"
+      ~line:1
+  in
+  main.Deep.fn_refs <- [ ("Fix_dead.used", 1) ];
+  Deep.add_fn facts main;
+  let fs = Deep.dead_findings facts ~lib:"lib/" in
+  (* helper is only reached from dead code; an error-table binding and
+     a toplevel effect keep what they use *)
+  Alcotest.(check (list string)) "rule" [ "dead-export"; "dead-export" ]
+    (rules fs);
+  Alcotest.(check (list int)) "helper and dead" [ 2; 3 ] (lines fs);
+  let suppress ~rule ~kind:_ ~file:_ ~line = rule = "dead-export" && line = 3 in
+  Alcotest.(check int) "a kept definition keeps its callees" 0
+    (List.length (Deep.dead_findings ~suppress facts ~lib:"lib/"))
 
 (* ---- lock order ---- *)
 
@@ -288,7 +451,18 @@ let suite =
     Alcotest.test_case "effect kinds" `Quick test_effect_kinds;
     Alcotest.test_case "unordered iter + sort discharge" `Quick
       test_unordered_iter;
+    Alcotest.test_case "global-random" `Quick test_global_random;
+    Alcotest.test_case "unsorted-fold" `Quick test_unsorted_fold;
+    Alcotest.test_case "wall-clock" `Quick test_wall_clock;
     Alcotest.test_case "effect suppression" `Quick test_effect_suppression;
+    Alcotest.test_case "nested-module siblings" `Quick test_nested_siblings;
+    Alcotest.test_case "local module alias" `Quick test_module_alias;
+    Alcotest.test_case "local variable" `Quick test_local_variable;
+    Alcotest.test_case "annotated binding" `Quick test_annotated_binding;
+    Alcotest.test_case "dune alias-module paths" `Quick test_dune_alias_paths;
+    Alcotest.test_case "binding operators" `Quick test_binding_operators;
+    Alcotest.test_case "functor argument" `Quick test_functor_argument;
+    Alcotest.test_case "dead export" `Quick test_dead_export;
     Alcotest.test_case "lock edges" `Quick test_lock_edges;
     Alcotest.test_case "lock cycle" `Quick test_lock_cycle;
     Alcotest.test_case "opaque lock key" `Quick test_lock_opaque_key;

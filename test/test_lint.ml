@@ -16,24 +16,6 @@ let rules_of ?(file = lib_file) src =
 let check_rules what expected src =
   Alcotest.(check (list string)) what expected (rules_of src)
 
-let test_wall_clock () =
-  check_rules "gettimeofday flagged" [ "wall-clock" ]
-    "let t = Unix.gettimeofday ()";
-  check_rules "Sys.time flagged" [ "wall-clock" ] "let t = Sys.time ()";
-  check_rules "Unix.time flagged" [ "wall-clock" ] "let t = Unix.time ()";
-  check_rules "engine clock clean" [] "let t = Sim.Engine.clock engine";
-  (* the built-in per-file allowlist: bench timing is legitimate *)
-  Alcotest.(check (list string))
-    "bench/main.ml allowlisted" []
-    (rules_of ~file:"bench/main.ml" "let t = Unix.gettimeofday ()")
-
-let test_global_random () =
-  check_rules "self_init flagged" [ "global-random" ]
-    "let () = Random.self_init ()";
-  check_rules "Random.int flagged" [ "global-random" ]
-    "let n = Random.int 5";
-  check_rules "Sim.Rng clean" [] "let n = Sim.Rng.int rng 5"
-
 let test_obj_magic () =
   check_rules "Obj.magic flagged" [ "obj-magic" ] "let y = Obj.magic x";
   check_rules "Obj.repr not flagged" [] "let y = Obj.repr x"
@@ -47,19 +29,6 @@ let test_swallow_exn () =
     "let v = try f () with Not_found -> 0";
   check_rules "bound exception clean" []
     "let v = try f () with e -> log e; 0"
-
-let test_unsorted_fold () =
-  check_rules "fold into concat flagged" [ "unsorted-fold" ]
-    "let s = String.concat \",\" (Hashtbl.fold (fun k _ a -> k :: a) h [])";
-  check_rules "sorted fold clean" []
-    "let s =\n\
-    \  String.concat \",\"\n\
-    \    (List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) h []))";
-  check_rules "iter into printf flagged (printf-in-lib rides along)"
-    [ "printf-in-lib"; "unsorted-fold" ]
-    "let () = Printf.printf \"%s\" (Hashtbl.fold (fun k _ a -> a ^ k) h \"\")";
-  check_rules "fold not reaching output clean" []
-    "let n = Hashtbl.fold (fun _ v a -> a + v) h 0"
 
 let test_lock_protect () =
   check_rules "bare acquire flagged" [ "lock-protect" ]
@@ -109,32 +78,33 @@ let test_printf_in_lib () =
 let test_suppression () =
   Alcotest.(check (list string))
     "eol annotation suppresses" []
-    (rules_of
-       ("let t = Unix.gettimeofday ()  "
-       ^ allow "wall-clock" "fixture needs real time"));
+    (rules_of ("let y = Obj.magic x  " ^ allow "obj-magic" "fixture needs it"));
   Alcotest.(check (list string))
     "solo line above suppresses" []
-    (rules_of
-       (allow "wall-clock" "fixture needs real time"
-       ^ "\nlet t = Unix.gettimeofday ()"));
+    (rules_of (allow "obj-magic" "fixture needs it" ^ "\nlet y = Obj.magic x"));
   Alcotest.(check (list string))
     "annotation for another rule does not suppress"
-    [ "unused-allow"; "wall-clock" ]
-    (rules_of
-       ("let t = Unix.gettimeofday ()  " ^ allow "obj-magic" "wrong rule"))
+    [ "obj-magic"; "unused-allow" ]
+    (rules_of ("let y = Obj.magic x  " ^ allow "swallow-exn" "wrong rule"))
 
 let test_allow_hygiene () =
   Alcotest.(check (list string))
     "stale annotation reported" [ "unused-allow" ]
-    (rules_of (allow "wall-clock" "nothing here anymore" ^ "\nlet x = 1"));
+    (rules_of (allow "obj-magic" "nothing here anymore" ^ "\nlet x = 1"));
   Alcotest.(check (list string))
-    "missing reason rejected" [ "bad-allow"; "wall-clock" ]
-    (rules_of
-       ("let t = Unix.gettimeofday ()  " ^ "(*" ^ " lint: allow wall-clock *)"));
+    "missing reason rejected" [ "bad-allow"; "obj-magic" ]
+    (rules_of ("let y = Obj.magic x  " ^ "(*" ^ " lint: allow obj-magic *)"));
   Alcotest.(check (list string))
-    "unknown rule rejected" [ "bad-allow"; "wall-clock" ]
-    (rules_of
-       ("let t = Unix.gettimeofday ()  " ^ allow "no-such-rule" "why"));
+    "unknown rule rejected" [ "bad-allow"; "obj-magic" ]
+    (rules_of ("let y = Obj.magic x  " ^ allow "no-such-rule" "why"));
+  (* the syntactic effect rules are retired in favour of deep-effect:
+     an allow still naming one is malformed, not silently inert *)
+  List.iter
+    (fun retired ->
+      Alcotest.(check (list string))
+        (retired ^ " is no longer a rule") [ "bad-allow" ]
+        (rules_of (allow retired "old annotation" ^ "\nlet x = 1")))
+    [ "wall-clock"; "global-random"; "unsorted-fold" ];
   (* deep-rule allows validate here but their use-tracking belongs to
      the deep pass: never reported stale by the syntactic one *)
   Alcotest.(check (list string))
@@ -153,11 +123,8 @@ let test_repo_is_clean () =
 
 let suite =
   [
-    Alcotest.test_case "wall-clock" `Quick test_wall_clock;
-    Alcotest.test_case "global-random" `Quick test_global_random;
     Alcotest.test_case "obj-magic" `Quick test_obj_magic;
     Alcotest.test_case "swallow-exn" `Quick test_swallow_exn;
-    Alcotest.test_case "unsorted-fold" `Quick test_unsorted_fold;
     Alcotest.test_case "lock-protect" `Quick test_lock_protect;
     Alcotest.test_case "schema-ref" `Quick test_schema_ref;
     Alcotest.test_case "printf-in-lib" `Quick test_printf_in_lib;
