@@ -1162,22 +1162,21 @@ let bench_qry () =
       List.iter
         (fun (qname, pred) ->
           let expected = naive_select users pred in
-          let shape, params = Pred.split pred in
-          (* compiled-but-uncached: pay shape compilation on every call *)
+          (* compiled-but-uncached: drop the table's plans before every
+             call, so each one compiles its shape afresh *)
           let compiled_once () =
-            Table.plan_select (Table.compile_shape users shape) params
+            Table.reset_plans users;
+            Table.select users pred
           in
-          Plan.reset_cache ();
-          ignore (Plan.select users pred);
           let identical =
-            compiled_once () = expected && Plan.select users pred = expected
+            compiled_once () = expected && Table.select users pred = expected
           in
           if not identical then
             failwith ("plan output diverges from naive eval: " ^ qname);
           let naive_us = time_per_op_us (fun () -> naive_select users pred) in
           let compiled_us = time_per_op_us compiled_once in
-          let cached_us = time_per_op_us (fun () -> Plan.select users pred) in
-          let path = Table.plan_explain (Plan.prepare users shape) in
+          let cached_us = time_per_op_us (fun () -> Table.select users pred) in
+          let path = Table.explain users pred in
           Printf.printf
             "%-12s %5d | %10.2f %10.2f %10.2f | %6.1fx %6.1fx | %s\n%!" qname
             (List.length expected) naive_us compiled_us cached_us
@@ -1207,9 +1206,10 @@ let bench_qry () =
       in
       ignore (dispatch ());
       let warm_us = time_per_op_us dispatch in
+      let tables = Relation.Db.tables (Moira.Mdb.db mdb) in
       let cold_us =
         time_per_op_us (fun () ->
-            Relation.Plan.reset_cache ();
+            List.iter (fun (_, t) -> Relation.Table.reset_plans t) tables;
             dispatch ())
       in
       Printf.printf
@@ -1522,10 +1522,12 @@ let bench_obs () =
     q_read.Obs.p95;
   Printf.printf "  update_user_shell:  p50=%dms p95=%dms\n" q_write.Obs.p50
     q_write.Obs.p95;
-  let hits, misses, entries = Relation.Plan.cache_stats () in
+  let counter name = Option.value (Obs.find_counter o name) ~default:0 in
+  let hits = counter "plan.cache.hits" in
+  let misses = counter "plan.cache.misses" in
   let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  Printf.printf "plan cache: %d hits / %d misses (%.1f%% hit rate), %d plans\n"
-    hits misses (100. *. hit_rate) entries;
+  Printf.printf "plan cache: %d hits / %d misses (%.1f%% hit rate)\n" hits
+    misses (100. *. hit_rate);
   let cycles, cycle_ms = span_stats o "dcm.cycle" in
   let _, gen_ms = span_stats o "dcm.generate" in
   let _, hosts_ms = span_stats o "dcm.hosts" in
@@ -1566,7 +1568,6 @@ let bench_obs () =
       ("plan_cache_hits", I hits);
       ("plan_cache_misses", I misses);
       ("plan_cache_hit_rate", F hit_rate);
-      ("plan_cache_entries", I entries);
       ("dcm_cycles", I cycles);
       ("dcm_cycle_ms", I cycle_ms);
       ("dcm_generate_ms", I gen_ms);

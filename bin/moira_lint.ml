@@ -4,7 +4,7 @@
    ([obj-magic], [swallow-exn], [lock-protect], [schema-ref],
    [printf-in-lib] and allow hygiene); exit nonzero listing
    file:line:rule on any violation.  Usage: moira_lint [path ...]
-   (defaults to lib bin test bench, resolved from the cwd).
+   (defaults to lib bin test bench examples, resolved from the cwd).
 
    [--deep] runs the interprocedural pass instead ([Lint.Deep_moira])
    over the [.cmt] files of every build root (lib bin test bench

@@ -420,7 +420,7 @@ let grplist_spec =
               |> Option.map
                    (List.concat_map (fun users_id ->
                         List.map fst
-                          (Plan.select (users_table mdb)
+                          (Table.select (users_table mdb)
                              (Pred.eq_int "users_id" users_id)))));
         };
   }

@@ -263,7 +263,7 @@ let recovery_sweep t =
    [modtime], so persistence never triggers a rebuild. *)
 let persist_rstate t ~service ~mach_id rs =
   ignore
-    (Plan.set_fields
+    (Table.set_fields
        (Moira.Mdb.table (mdb t) "serverhosts")
        (Pred.conj
           [ Pred.eq_str "service" service; Pred.eq_int "mach_id" mach_id ])

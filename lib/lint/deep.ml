@@ -962,11 +962,13 @@ let proto_finding ?(chain = []) facts ~rule name msg =
   in
   { f_rule = rule; f_file = file; f_line = line; f_msg = msg; f_chain = chain }
 
+(* References a protocol op or verb needs: in a request/reply protocol,
+   the sender and the dispatch arm. *)
+let min_refs = 2
+
 (* Every opcode must be referenced from at least [min_refs] distinct
-   definitions (in a request/reply protocol: the sender and the
-   dispatch arm) and appear as a table cell in the doc. *)
-let proto_op_findings ?(suppress = no_suppress) (facts : facts) ~doc
-    ?(min_refs = 2) ops =
+   definitions and appear as a table cell in the doc. *)
+let proto_op_findings ?(suppress = no_suppress) (facts : facts) ~doc ops =
   List.concat_map
     (fun (name, value) ->
       let refs = refs_to facts name in
@@ -1005,7 +1007,7 @@ let proto_op_findings ?(suppress = no_suppress) (facts : facts) ~doc
    at least [min_refs] distinct definitions of [unit_name] (client
    sender and server match arm) and in the doc's table. *)
 let proto_verb_findings ?(suppress = no_suppress) (facts : facts) ~doc
-    ~unit_name ?(min_refs = 2) verbs =
+    ~unit_name verbs =
   let fns_with_string v =
     List.filter_map
       (fun fn ->

@@ -122,19 +122,17 @@ val proto_op_findings :
   ?suppress:suppress ->
   facts ->
   doc:string ->
-  ?min_refs:int ->
   (string * int) list ->
   finding list
 (** [proto-exhaustive] for numeric opcodes [(qualified name, value)]:
-    each must be referenced from [min_refs] (default 2: sender +
-    dispatch arm) distinct definitions and appear as a cell in [doc]. *)
+    each must be referenced from at least 2 distinct definitions (sender
+    + dispatch arm) and appear as a cell in [doc]. *)
 
 val proto_verb_findings :
   ?suppress:suppress ->
   facts ->
   doc:string ->
   unit_name:string ->
-  ?min_refs:int ->
   string list ->
   finding list
 (** Same for string verbs, matched as string literals inside

@@ -355,7 +355,7 @@ let lint_file file =
   close_in ic;
   lint_source ~file source
 
-let default_roots = [ "lib"; "bin"; "test"; "bench" ]
+let default_roots = [ "lib"; "bin"; "test"; "bench"; "examples" ]
 
 let rec files_under path =
   if Sys.is_directory path then

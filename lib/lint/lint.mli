@@ -14,8 +14,8 @@ val lint_source : file:string -> string -> violation list
 
 val lint_file : string -> violation list
 
-(** ["lib"; "bin"; "test"; "bench"] — the roots the driver scans when
-    given no arguments. *)
+(** ["lib"; "bin"; "test"; "bench"; "examples"] — the roots the driver
+    scans when given no arguments. *)
 val default_roots : string list
 
 (** All [.ml] files under a path, skipping [_build] and dotdirs. *)

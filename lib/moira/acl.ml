@@ -32,7 +32,7 @@ let ace_name mdb ace =
   | _ -> Printf.sprintf "#%d" ace.ace_id
 
 let is_member_of_list mdb ~list_id ~mtype ~mid =
-  Plan.exists (Mdb.table mdb "members")
+  Table.exists (Mdb.table mdb "members")
     (Pred.conj
        [
          Pred.eq_int "list_id" list_id;
@@ -41,7 +41,7 @@ let is_member_of_list mdb ~list_id ~mtype ~mid =
        ])
 
 let direct_members mdb list_id =
-  Plan.select (Mdb.table mdb "members") (Pred.eq_int "list_id" list_id)
+  Table.select (Mdb.table mdb "members") (Pred.eq_int "list_id" list_id)
   |> List.map (fun (_, row) -> (Value.str row.(1), Value.int row.(2)))
 
 (* Recursive reachability with a visited set guarding against the
@@ -85,7 +85,7 @@ let login_on_ace mdb ace ~login =
 let set_capacl mdb ~query ~tag ~list_id =
   let tbl = Mdb.table mdb "capacls" in
   let n =
-    Plan.set_fields tbl
+    Table.set_fields tbl
       (Pred.eq_str "capability" query)
       [ ("tag", Value.Str tag); ("list_id", Value.Int list_id) ]
   in
@@ -96,7 +96,7 @@ let set_capacl mdb ~query ~tag ~list_id =
 
 let query_allowed mdb ~query ~login =
   match
-    Plan.select_one (Mdb.table mdb "capacls")
+    Table.select_one (Mdb.table mdb "capacls")
       (Pred.eq_str "capability" query)
   with
   | None -> false
@@ -141,7 +141,7 @@ let expand_users mdb ~list_id =
   |> List.sort_uniq String.compare
 
 let direct_containers mdb ~mtype ~mid =
-  Plan.select (Mdb.table mdb "members")
+  Table.select (Mdb.table mdb "members")
     (Pred.conj
        [ Pred.eq_str "member_type" mtype; Pred.eq_int "member_id" mid ])
   |> List.map (fun (_, row) -> Value.int row.(0))

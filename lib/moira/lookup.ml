@@ -3,7 +3,7 @@ open Relation
 let canon_host s = String.uppercase_ascii (String.trim s)
 
 let one_int mdb tbl pred col =
-  match Plan.select_one (Mdb.table mdb tbl) pred with
+  match Table.select_one (Mdb.table mdb tbl) pred with
   | Some (_, row) -> Some (Table.field (Mdb.table mdb tbl) row col)
   | None -> None
 
@@ -13,7 +13,7 @@ let user_id mdb login =
 
 let user_row mdb id =
   Option.map snd
-    (Plan.select_one (Mdb.table mdb "users") (Pred.eq_int "users_id" id))
+    (Table.select_one (Mdb.table mdb "users") (Pred.eq_int "users_id" id))
 
 let user_login mdb id =
   Option.map Value.str (one_int mdb "users" (Pred.eq_int "users_id" id)
@@ -44,5 +44,5 @@ let list_name mdb id =
 
 let list_row mdb id =
   Option.map snd
-    (Plan.select_one (Mdb.table mdb "list") (Pred.eq_int "list_id" id))
+    (Table.select_one (Mdb.table mdb "list") (Pred.eq_int "list_id" id))
 

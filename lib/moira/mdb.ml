@@ -6,7 +6,7 @@ type t = {
   locks : Lock.t;
   (* two-way mirror of the strings relation, so generator-time
      [intern_string]/[string_of_id] are a hashtable probe instead of a
-     [Plan.select_one] round-trip per call.  [str_gen] snapshots the
+     [Table.select_one] round-trip per call.  [str_gen] snapshots the
      table's modification count; any out-of-band write to the strings
      relation (restore, direct query) bumps it and drops the mirror. *)
   str_fwd : (string, int) Hashtbl.t;
@@ -31,14 +31,14 @@ let now t = Db.now t.db
 let table t name = Db.table t.db name
 
 let get_value t name =
-  match Plan.select_one (table t "values") (Pred.eq_str "name" name) with
+  match Table.select_one (table t "values") (Pred.eq_str "name" name) with
   | Some (_, row) -> Some (Value.int row.(1))
   | None -> None
 
 let set_value t name v =
   let tbl = table t "values" in
   let n =
-    Plan.set_fields tbl (Pred.eq_str "name" name) [ ("value", Value.Int v) ]
+    Table.set_fields tbl (Pred.eq_str "name" name) [ ("value", Value.Int v) ]
   in
   if n = 0 then
     ignore (Table.insert tbl [| Value.Str name; Value.Int v |])
@@ -94,13 +94,13 @@ let string_of_id t id =
   Hashtbl.find_opt t.str_rev id
 
 let valid_type t ~field v =
-  Plan.exists (table t "alias")
+  Table.exists (table t "alias")
     (Pred.conj
        [ Pred.eq_str "name" field; Pred.eq_str "type" "TYPE";
          Pred.eq_str "trans" v ])
 
 let type_values t ~field =
-  Plan.select (table t "alias")
+  Table.select (table t "alias")
     (Pred.conj [ Pred.eq_str "name" field; Pred.eq_str "type" "TYPE" ])
   |> List.map (fun (_, row) -> Value.str row.(2))
 
@@ -118,7 +118,7 @@ let sync_tblstats t =
       if name <> "tblstats" then begin
         let s = Table.stats tbl in
         ignore
-          (Plan.set_fields stats_tbl (Pred.eq_str "table" name)
+          (Table.set_fields stats_tbl (Pred.eq_str "table" name)
              [
                ("appends", Value.Int s.Table.appends);
                ("updates", Value.Int s.Table.updates);

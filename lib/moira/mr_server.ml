@@ -16,7 +16,6 @@ type t = {
   gdb : conn_state Gdb.Server.t;
   obs : Obs.t;
   clock : unit -> int;  (* engine ms, for handler durations *)
-  slow_query_ms : int;
   read_only : bool;
   (* journal sequence this server's database reflects: the journal head
      on a primary, the replication stream's applied sequence on a
@@ -48,8 +47,11 @@ let access_cache_stats t =
 let cache_key principal name args =
   String.concat "\000" (principal :: name :: args)
 
+(* Handler time (engine ms) past which a query is logged as slow. *)
+let slow_query_ms = 1000
+
 let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
-    ?extra_queries ?obs ?(slow_query_ms = 1000) ?(read_only = false)
+    ?extra_queries ?obs ?(read_only = false)
     ~net ~host ~mdb ~kdc ?(trigger_dcm = fun () -> ()) () =
   (* Default to the net's registry: in a testbed that is [Obs.default],
      in an isolated unit test it is the net's private registry, so two
@@ -132,13 +134,12 @@ let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
     in
     let span_ctx = Obs.span_ctx sp in
     let t0 = t.clock () in
+    let q = Query.find t.registry name in
+    let writes =
+      match q with Some q -> q.Query.kind <> Query.Retrieve | None -> false
+    in
     let code, tuples =
-      if
-        t.read_only
-        && (match Query.find t.registry name with
-           | Some q -> q.Query.kind <> Query.Retrieve
-           | None -> false)
-      then (Mr_err.read_only_replica, [])
+      if t.read_only && writes then (Mr_err.read_only_replica, [])
       else
         match
           Query.execute t.registry
@@ -146,19 +147,20 @@ let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
             ~name args
         with
         | Ok tuples ->
-            (match Query.find t.registry name with
-            | Some q when q.Query.kind <> Query.Retrieve -> invalidate t
-            | _ -> ());
+            if writes then invalidate t;
             (0, tuples)
         | Error code -> (code, [])
     in
     let dur = t.clock () - t0 in
     Obs.Histogram.observe t.h_handler dur;
-    Obs.Histogram.observe
-      (Obs.Histogram.make t.obs ("query." ^ name ^ ".handler_ms"))
-      dur;
+    (* per-query series only for catalogue names: the name is whatever
+       the peer sent, and each distinct one would be a new histogram *)
+    if Option.is_some q then
+      Obs.Histogram.observe
+        (Obs.Histogram.make t.obs ("query." ^ name ^ ".handler_ms"))
+        dur;
     if code <> 0 then Obs.Counter.incr t.c_errors;
-    if dur >= t.slow_query_ms then
+    if dur >= slow_query_ms then
       Obs.log t.obs ~channel:"slow_query"
         ~attrs:
           [
@@ -234,7 +236,6 @@ let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
       gdb;
       obs;
       clock = Sim.Engine.clock (Netsim.Net.engine net);
-      slow_query_ms;
       c_served = Obs.Counter.make obs "query.served";
       c_errors = Obs.Counter.make obs "query.errors";
       h_handler = Obs.Histogram.make obs "query.handler_ms";
@@ -252,8 +253,8 @@ let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
 
 (* ---------------- replication ---------------- *)
 
-let serve_replication ?retain ?max_batch t ~net ~host =
-  Relation.Replicate.serve_primary ?retain ?max_batch ~net ~host
+let serve_replication ?retain t ~net ~host =
+  Relation.Replicate.serve_primary ?retain ~net ~host
     ~journal:(Mdb.journal t.mdb)
     ~snapshot:(fun () -> Relation.Backup.dump (Mdb.db t.mdb))
     ()
@@ -267,8 +268,8 @@ type replica = {
 let replica_mdb r = r.rep_mdb
 let replica_handle r = r.rep_handle
 
-let create_replica ?backend ?access_cache ?obs ?trace_obs ?slow_query_ms
-    ?(poll_ms = 1_000) ?boot_from_snapshot ~net ~host ~primary ~kdc () =
+let create_replica ?backend ?access_cache ?obs ?trace_obs ?(poll_ms = 1_000)
+    ?boot_from_snapshot ~net ~host ~primary ~kdc () =
   let engine = Netsim.Net.engine net in
   (* Applying a journal entry pins the database clock to the entry's
      commit time, so modtime/modwith stamps written during replay equal
@@ -286,8 +287,7 @@ let create_replica ?backend ?access_cache ?obs ?trace_obs ?slow_query_ms
       ("repl." ^ String.lowercase_ascii self ^ ".apply_failed")
   in
   let server =
-    create ?backend ?access_cache ?obs ?slow_query_ms ~read_only:true ~net
-      ~host ~mdb ~kdc ()
+    create ?backend ?access_cache ?obs ~read_only:true ~net ~host ~mdb ~kdc ()
   in
   (* Span lane for this replica's applies (a per-host registry in the
      testbed, so the merged trace shows the replica as its own lane). *)

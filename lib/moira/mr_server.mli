@@ -18,7 +18,6 @@ val create :
   ?access_cache:bool ->
   ?extra_queries:Query.t list ->
   ?obs:Obs.t ->
-  ?slow_query_ms:int ->
   ?read_only:bool ->
   net:Netsim.Net.t ->
   host:Netsim.Host.t ->
@@ -43,8 +42,8 @@ val create :
 
     Every Query request records a [query] span, a [query.handler_ms]
     histogram sample (engine time: pure handlers read as 0 ms, nested
-    RPCs charge their simulated cost) and, past [slow_query_ms]
-    (default 1000), a [slow_query] log entry — all into [obs], which
+    RPCs charge their simulated cost) and, past 1000 ms of handler
+    time, a [slow_query] log entry — all into [obs], which
     defaults to the net's registry.  The [query] span joins the trace
     context the request carried (the GDB wire trailer), the slow-query
     entry is tagged with the trace id, and a committing query journals
@@ -66,15 +65,14 @@ val connection_count : t -> int
 
 val serve_replication :
   ?retain:int ->
-  ?max_batch:int ->
   t ->
   net:Netsim.Net.t ->
   host:Netsim.Host.t ->
   Relation.Replicate.primary
 (** Register the replication stream on the primary's host.  [retain]
     bounds how far back entry batches are served (replicas further
-    behind catch up from a full snapshot); [max_batch] caps entries per
-    fetch. *)
+    behind catch up from a full snapshot).  Each fetch returns at most
+    512 entries. *)
 
 type replica
 (** A read-only replica: its own database, a server instance answering
@@ -86,7 +84,6 @@ val create_replica :
   ?access_cache:bool ->
   ?obs:Obs.t ->
   ?trace_obs:Obs.t ->
-  ?slow_query_ms:int ->
   ?poll_ms:int ->
   ?boot_from_snapshot:bool ->
   net:Netsim.Net.t ->

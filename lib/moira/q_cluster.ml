@@ -10,12 +10,12 @@ let svc (ctx : Query.ctx) = Mdb.table ctx.mdb "svc"
 
 let machine_in_use (ctx : Query.ctx) mach_id =
   let mdb = ctx.mdb in
-  Plan.exists (Mdb.table mdb "users") (Pred.eq_int "pop_id" mach_id)
-  || Plan.exists (Mdb.table mdb "filesys") (Pred.eq_int "mach_id" mach_id)
-  || Plan.exists (Mdb.table mdb "printcap") (Pred.eq_int "mach_id" mach_id)
-  || Plan.exists (Mdb.table mdb "hostaccess") (Pred.eq_int "mach_id" mach_id)
-  || Plan.exists (Mdb.table mdb "serverhosts") (Pred.eq_int "mach_id" mach_id)
-  || Plan.exists (Mdb.table mdb "nfsphys") (Pred.eq_int "mach_id" mach_id)
+  Table.exists (Mdb.table mdb "users") (Pred.eq_int "pop_id" mach_id)
+  || Table.exists (Mdb.table mdb "filesys") (Pred.eq_int "mach_id" mach_id)
+  || Table.exists (Mdb.table mdb "printcap") (Pred.eq_int "mach_id" mach_id)
+  || Table.exists (Mdb.table mdb "hostaccess") (Pred.eq_int "mach_id" mach_id)
+  || Table.exists (Mdb.table mdb "serverhosts") (Pred.eq_int "mach_id" mach_id)
+  || Table.exists (Mdb.table mdb "nfsphys") (Pred.eq_int "mach_id" mach_id)
 
 let q_get_machine =
   {
@@ -30,7 +30,7 @@ let q_get_machine =
         match args with
         | [ name ] ->
             let pred = Pred.name_match ~case_fold:true "name" name in
-            let* rows = rows_or_no_match (Plan.select (machines ctx) pred) in
+            let* rows = rows_or_no_match (Table.select (machines ctx) pred) in
             Ok
               (List.map
                  (fun (_, r) ->
@@ -95,7 +95,7 @@ let q_update_machine =
             let tbl = machines ctx in
             let* _ =
               exactly_one ~err:Mr_err.machine
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let* () =
               if Mdb.valid_type ctx.mdb ~field:"mach_type" ty then Ok ()
@@ -105,7 +105,7 @@ let q_update_machine =
             then Error Mr_err.not_unique
             else begin
               ignore
-                (Plan.set_fields tbl (Pred.eq_str "name" name)
+                (Table.set_fields tbl (Pred.eq_str "name" name)
                    ([ set "name" newname; set "type" ty ]
                    @ stamp_fields ctx ()));
               Ok []
@@ -129,14 +129,14 @@ let q_delete_machine =
             let tbl = machines ctx in
             let* row =
               exactly_one ~err:Mr_err.machine
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let mach_id = Value.int (Table.field tbl row "mach_id") in
             if machine_in_use ctx mach_id then Error Mr_err.in_use
             else begin
-              ignore (Plan.delete tbl (Pred.eq_str "name" name));
+              ignore (Table.delete tbl (Pred.eq_str "name" name));
               ignore
-                (Plan.delete (mcmap ctx) (Pred.eq_int "mach_id" mach_id));
+                (Table.delete (mcmap ctx) (Pred.eq_int "mach_id" mach_id));
               Ok []
             end
         | _ -> Error Mr_err.args);
@@ -158,7 +158,7 @@ let q_get_cluster =
         | [ name ] ->
             let* rows =
               rows_or_no_match
-                (Plan.select (clusters ctx) (Pred.name_match "name" name))
+                (Table.select (clusters ctx) (Pred.name_match "name" name))
             in
             Ok
               (List.map (fun (_, r) -> project (clusters ctx) cluster_cols r)
@@ -212,14 +212,14 @@ let q_update_cluster =
             let tbl = clusters ctx in
             let* _ =
               exactly_one ~err:Mr_err.cluster
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let* () = check_name newname in
             if newname <> name && Lookup.cluster_id ctx.mdb newname <> None
             then Error Mr_err.not_unique
             else begin
               ignore
-                (Plan.set_fields tbl (Pred.eq_str "name" name)
+                (Table.set_fields tbl (Pred.eq_str "name" name)
                    ([ set "name" newname; set "desc" desc;
                       set "location" location ]
                    @ stamp_fields ctx ()));
@@ -243,14 +243,14 @@ let q_delete_cluster =
             let tbl = clusters ctx in
             let* row =
               exactly_one ~err:Mr_err.cluster
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let clu_id = Value.int (Table.field tbl row "clu_id") in
-            if Plan.exists (mcmap ctx) (Pred.eq_int "clu_id" clu_id) then
+            if Table.exists (mcmap ctx) (Pred.eq_int "clu_id" clu_id) then
               Error Mr_err.in_use
             else begin
-              ignore (Plan.delete (svc ctx) (Pred.eq_int "clu_id" clu_id));
-              ignore (Plan.delete tbl (Pred.eq_str "name" name));
+              ignore (Table.delete (svc ctx) (Pred.eq_int "clu_id" clu_id));
+              ignore (Table.delete tbl (Pred.eq_str "name" name));
               Ok []
             end
         | _ -> Error Mr_err.args);
@@ -270,7 +270,7 @@ let q_get_machine_to_cluster_map =
         | [ machine; cluster ] ->
             let mdb = ctx.mdb in
             let pairs =
-              Plan.select (mcmap ctx) Pred.True
+              Table.select (mcmap ctx) Pred.True
               |> List.filter_map (fun (_, row) ->
                      let mach = Value.int row.(0) and clu = Value.int row.(1) in
                      match
@@ -317,7 +317,7 @@ let q_add_machine_to_cluster =
         | [ machine; cluster ] ->
             let* mach_id, clu_id = resolve_pair ctx machine cluster in
             if
-              Plan.exists (mcmap ctx)
+              Table.exists (mcmap ctx)
                 (Pred.conj
                    [ Pred.eq_int "mach_id" mach_id;
                      Pred.eq_int "clu_id" clu_id ])
@@ -327,7 +327,7 @@ let q_add_machine_to_cluster =
                 (Table.insert (mcmap ctx)
                    [| Value.Int mach_id; Value.Int clu_id |]);
               ignore
-                (Plan.set_fields (machines ctx)
+                (Table.set_fields (machines ctx)
                    (Pred.eq_int "mach_id" mach_id)
                    (stamp_fields ctx ()));
               Ok []
@@ -349,7 +349,7 @@ let q_delete_machine_from_cluster =
         | [ machine; cluster ] ->
             let* mach_id, clu_id = resolve_pair ctx machine cluster in
             let n =
-              Plan.delete (mcmap ctx)
+              Table.delete (mcmap ctx)
                 (Pred.conj
                    [ Pred.eq_int "mach_id" mach_id;
                      Pred.eq_int "clu_id" clu_id ])
@@ -357,7 +357,7 @@ let q_delete_machine_from_cluster =
             if n = 0 then Error Mr_err.no_match
             else begin
               ignore
-                (Plan.set_fields (machines ctx)
+                (Table.set_fields (machines ctx)
                    (Pred.eq_int "mach_id" mach_id)
                    (stamp_fields ctx ()));
               Ok []
@@ -379,7 +379,7 @@ let q_get_cluster_data =
         | [ cluster; label ] ->
             let mdb = ctx.mdb in
             let rows =
-              Plan.select (svc ctx) Pred.True
+              Table.select (svc ctx) Pred.True
               |> List.filter_map (fun (_, row) ->
                      match Lookup.cluster_name mdb (Value.int row.(0)) with
                      | Some cname ->
@@ -421,7 +421,7 @@ let q_add_cluster_data =
               (Table.insert (svc ctx)
                  [| Value.Int clu_id; Value.Str label; Value.Str data |]);
             ignore
-              (Plan.set_fields (clusters ctx) (Pred.eq_int "clu_id" clu_id)
+              (Table.set_fields (clusters ctx) (Pred.eq_int "clu_id" clu_id)
                  (stamp_fields ctx ()));
             Ok []
         | _ -> Error Mr_err.args);
@@ -445,7 +445,7 @@ let q_delete_cluster_data =
               | None -> Error Mr_err.cluster
             in
             let n =
-              Plan.delete (svc ctx)
+              Table.delete (svc ctx)
                 (Pred.conj
                    [ Pred.eq_int "clu_id" clu_id;
                      Pred.eq_str "serv_label" label;
@@ -454,7 +454,7 @@ let q_delete_cluster_data =
             if n = 0 then Error Mr_err.not_unique
             else begin
               ignore
-                (Plan.set_fields (clusters ctx) (Pred.eq_int "clu_id" clu_id)
+                (Table.set_fields (clusters ctx) (Pred.eq_int "clu_id" clu_id)
                    (stamp_fields ctx ()));
               Ok []
             end

@@ -45,7 +45,7 @@ let q_get_filesys_by_label =
         | [ label ] ->
             let* rows =
               rows_or_no_match
-                (Plan.select (filesys ctx) (Pred.name_match "label" label))
+                (Table.select (filesys ctx) (Pred.name_match "label" label))
             in
             Ok (List.map (fun (_, row) -> render_fs ctx row) rows)
         | _ -> Error Mr_err.args);
@@ -69,14 +69,14 @@ let q_get_filesys_by_machine =
               | None -> Error Mr_err.machine
             in
             let rows =
-              Plan.select (filesys ctx) (Pred.eq_int "mach_id" mach_id)
+              Table.select (filesys ctx) (Pred.eq_int "mach_id" mach_id)
             in
             Ok (List.map (fun (_, row) -> render_fs ctx row) rows)
         | _ -> Error Mr_err.args);
   }
 
 let find_nfsphys (ctx : Query.ctx) mach_id dir =
-  Plan.select_one (nfsphys ctx)
+  Table.select_one (nfsphys ctx)
     (Pred.conj [ Pred.eq_int "mach_id" mach_id; Pred.eq_str "dir" dir ])
 
 let q_get_filesys_by_nfsphys =
@@ -103,7 +103,7 @@ let q_get_filesys_by_nfsphys =
               | None -> Error Mr_err.no_match
             in
             let rows =
-              Plan.select (filesys ctx) (Pred.eq_int "phys_id" phys)
+              Table.select (filesys ctx) (Pred.eq_int "phys_id" phys)
             in
             Ok (List.map (fun (_, row) -> render_fs ctx row) rows)
         | _ -> Error Mr_err.args);
@@ -137,7 +137,7 @@ let q_get_filesys_by_group =
               | None -> Error Mr_err.list
             in
             let rows =
-              Plan.select (filesys ctx) (Pred.eq_int "owners" list_id)
+              Table.select (filesys ctx) (Pred.eq_int "owners" list_id)
             in
             Ok (List.map (fun (_, row) -> render_fs ctx row) rows)
         | _ -> Error Mr_err.args);
@@ -178,7 +178,7 @@ let validate_fs (ctx : Query.ctx) ~fstype ~machine ~packname ~access ~owner
       (* packname is "<partition-dir>/<subdir>"; find the partition that
          prefixes it. *)
       let parts =
-        Plan.select (nfsphys ctx) (Pred.eq_int "mach_id" mach_id)
+        Table.select (nfsphys ctx) (Pred.eq_int "mach_id" mach_id)
       in
       let matching =
         List.filter
@@ -218,7 +218,7 @@ let q_add_filesys =
         | [ label; fstype; machine; packname; mountpoint; access; comments;
             owner; owners; create; lockertype ] ->
             let* () = check_name label in
-            if Plan.exists (filesys ctx) (Pred.eq_str "label" label) then
+            if Table.exists (filesys ctx) (Pred.eq_str "label" label) then
               Error Mr_err.filesys_exists
             else begin
               let* fstype, mach_id, owner_id, owners_id, create, phys_id =
@@ -263,10 +263,12 @@ let q_update_filesys =
             let tbl = filesys ctx in
             let* _ =
               exactly_one ~err:Mr_err.filesys
-                (Plan.select tbl (Pred.eq_str "label" label))
+                (Table.select tbl (Pred.eq_str "label" label))
             in
             let* () = check_name newname in
-            if newname <> label && Plan.exists tbl (Pred.eq_str "label" newname)
+            if
+              newname <> label
+              && Table.exists tbl (Pred.eq_str "label" newname)
             then Error Mr_err.not_unique
             else begin
               let* fstype, mach_id, owner_id, owners_id, create, phys_id =
@@ -274,7 +276,7 @@ let q_update_filesys =
                   ~owners ~create ~lockertype
               in
               ignore
-                (Plan.set_fields tbl (Pred.eq_str "label" label)
+                (Table.set_fields tbl (Pred.eq_str "label" label)
                    ([
                       set "label" newname; set "type" fstype;
                       seti "mach_id" mach_id; set "name" packname;
@@ -306,12 +308,12 @@ let q_delete_filesys =
             let tbl = filesys ctx in
             let* row =
               exactly_one ~err:Mr_err.filesys
-                (Plan.select tbl (Pred.eq_str "label" label))
+                (Table.select tbl (Pred.eq_str "label" label))
             in
             let filsys_id = Value.int (Table.field tbl row "filsys_id") in
             let phys_id = Value.int (Table.field tbl row "phys_id") in
             let quotas =
-              Plan.select (nfsquota ctx) (Pred.eq_int "filsys_id" filsys_id)
+              Table.select (nfsquota ctx) (Pred.eq_int "filsys_id" filsys_id)
             in
             let total =
               List.fold_left
@@ -320,10 +322,10 @@ let q_delete_filesys =
                 0 quotas
             in
             ignore
-              (Plan.delete (nfsquota ctx) (Pred.eq_int "filsys_id" filsys_id));
+              (Table.delete (nfsquota ctx) (Pred.eq_int "filsys_id" filsys_id));
             if total > 0 then
               ignore
-                (Plan.update (nfsphys ctx) (Pred.eq_int "nfsphys_id" phys_id)
+                (Table.update (nfsphys ctx) (Pred.eq_int "nfsphys_id" phys_id)
                    (fun r ->
                      let idx =
                        Relation.Schema.index_of
@@ -331,7 +333,7 @@ let q_delete_filesys =
                      in
                      r.(idx) <- Value.Int (Value.int r.(idx) - total);
                      r));
-            ignore (Plan.delete tbl (Pred.eq_str "label" label));
+            ignore (Table.delete tbl (Pred.eq_str "label" label));
             Ok []
         | _ -> Error Mr_err.args);
   }
@@ -361,7 +363,7 @@ let q_get_all_nfsphys =
         Ok
           (List.map
              (fun (_, row) -> render_phys ctx row)
-             (Plan.select (nfsphys ctx) Pred.True)));
+             (Table.select (nfsphys ctx) Pred.True)));
   }
 
 let q_get_nfsphys =
@@ -382,7 +384,7 @@ let q_get_nfsphys =
               | None -> Error Mr_err.machine
             in
             let rows =
-              Plan.select (nfsphys ctx)
+              Table.select (nfsphys ctx)
                 (Pred.conj
                    [ Pred.eq_int "mach_id" mach_id;
                      Pred.name_match "dir" dir ])
@@ -454,7 +456,7 @@ let q_update_nfsphys =
             | None -> Error Mr_err.nfsphys
             | Some _ ->
                 ignore
-                  (Plan.set_fields (nfsphys ctx)
+                  (Table.set_fields (nfsphys ctx)
                      (Pred.conj
                         [ Pred.eq_int "mach_id" mach_id;
                           Pred.eq_str "dir" dir ])
@@ -492,7 +494,7 @@ let q_adjust_nfsphys_allocation =
                   Value.int (Table.field (nfsphys ctx) row "allocated")
                 in
                 ignore
-                  (Plan.set_fields (nfsphys ctx)
+                  (Table.set_fields (nfsphys ctx)
                      (Pred.conj
                         [ Pred.eq_int "mach_id" mach_id;
                           Pred.eq_str "dir" dir ])
@@ -525,11 +527,11 @@ let q_delete_nfsphys =
                   Value.int (Table.field (nfsphys ctx) row "nfsphys_id")
                 in
                 if
-                  Plan.exists (filesys ctx) (Pred.eq_int "phys_id" phys_id)
+                  Table.exists (filesys ctx) (Pred.eq_int "phys_id" phys_id)
                 then Error Mr_err.in_use
                 else begin
                   ignore
-                    (Plan.delete (nfsphys ctx)
+                    (Table.delete (nfsphys ctx)
                        (Pred.eq_int "nfsphys_id" phys_id));
                   Ok []
                 end)
@@ -540,7 +542,7 @@ let q_delete_nfsphys =
 
 let fs_of_quota ctx qrow =
   let fsid = Value.int (Table.field (nfsquota ctx) qrow "filsys_id") in
-  Plan.select_one (filesys ctx) (Pred.eq_int "filsys_id" fsid)
+  Table.select_one (filesys ctx) (Pred.eq_int "filsys_id" fsid)
 
 let render_quota ctx qrow =
   let qt = nfsquota ctx in
@@ -562,7 +564,7 @@ let render_quota ctx qrow =
   in
   let dir =
     match
-      Plan.select_one (nfsphys ctx)
+      Table.select_one (nfsphys ctx)
         (Pred.eq_int "nfsphys_id"
            (Value.int (Table.field qt qrow "phys_id")))
     with
@@ -582,7 +584,7 @@ let fs_owner_rule (ctx : Query.ctx) args =
   match args with
   | label :: _ -> (
       match
-        Plan.select_one (filesys ctx) (Pred.eq_str "label" label)
+        Table.select_one (filesys ctx) (Pred.eq_str "label" label)
       with
       | Some (_, fs) -> (
           match Qlib.caller_id ctx with
@@ -615,12 +617,12 @@ let q_get_nfs_quota =
               | None -> Error Mr_err.user
             in
             let fs_ids =
-              Plan.select (filesys ctx) (Pred.name_match "label" fs_label)
+              Table.select (filesys ctx) (Pred.name_match "label" fs_label)
               |> List.map (fun (_, fs) ->
                      Value.int (Table.field (filesys ctx) fs "filsys_id"))
             in
             let quotas =
-              Plan.select (nfsquota ctx) (Pred.eq_int "users_id" users_id)
+              Table.select (nfsquota ctx) (Pred.eq_int "users_id" users_id)
               |> List.filter (fun (_, q) ->
                      List.mem
                        (Value.int (Table.field (nfsquota ctx) q "filsys_id"))
@@ -649,7 +651,7 @@ let q_get_nfs_quotas_by_partition =
               | None -> Error Mr_err.machine
             in
             let phys_ids =
-              Plan.select (nfsphys ctx)
+              Table.select (nfsphys ctx)
                 (Pred.conj
                    [ Pred.eq_int "mach_id" mach_id;
                      Pred.name_match "dir" dir ])
@@ -657,7 +659,7 @@ let q_get_nfs_quotas_by_partition =
                      Value.int (Table.field (nfsphys ctx) p "nfsphys_id"))
             in
             let quotas =
-              Plan.select (nfsquota ctx) Pred.True
+              Table.select (nfsquota ctx) Pred.True
               |> List.filter (fun (_, q) ->
                      List.mem
                        (Value.int (Table.field (nfsquota ctx) q "phys_id"))
@@ -677,7 +679,7 @@ let q_get_nfs_quotas_by_partition =
 let resolve_quota_target (ctx : Query.ctx) fs_label login =
   let* fs =
     match
-      Plan.select (filesys ctx) (Pred.eq_str "label" fs_label)
+      Table.select (filesys ctx) (Pred.eq_str "label" fs_label)
     with
     | [ (_, fs) ] -> Ok fs
     | _ -> Error Mr_err.filesys
@@ -691,7 +693,7 @@ let resolve_quota_target (ctx : Query.ctx) fs_label login =
 
 let adjust_allocation ctx phys_id delta =
   ignore
-    (Plan.update (nfsphys ctx) (Pred.eq_int "nfsphys_id" phys_id) (fun r ->
+    (Table.update (nfsphys ctx) (Pred.eq_int "nfsphys_id" phys_id) (fun r ->
          let idx =
            Relation.Schema.index_of (Table.schema (nfsphys ctx)) "allocated"
          in
@@ -717,7 +719,7 @@ let q_add_nfs_quota =
             in
             let phys_id = Value.int (Table.field (filesys ctx) fs "phys_id") in
             if
-              Plan.exists (nfsquota ctx)
+              Table.exists (nfsquota ctx)
                 (Pred.conj
                    [ Pred.eq_int "users_id" users_id;
                      Pred.eq_int "filsys_id" filsys_id ])
@@ -762,14 +764,14 @@ let q_update_nfs_quota =
                 [ Pred.eq_int "users_id" users_id;
                   Pred.eq_int "filsys_id" filsys_id ]
             in
-            (match Plan.select_one (nfsquota ctx) pred with
+            (match Table.select_one (nfsquota ctx) pred with
             | None -> Error Mr_err.no_match
             | Some (_, old) ->
                 let old_quota =
                   Value.int (Table.field (nfsquota ctx) old "quota")
                 in
                 ignore
-                  (Plan.set_fields (nfsquota ctx) pred
+                  (Table.set_fields (nfsquota ctx) pred
                      (seti "quota" quota :: stamp_fields ctx ()));
                 adjust_allocation ctx phys_id (quota - old_quota);
                 Ok [])
@@ -798,13 +800,13 @@ let q_delete_nfs_quota =
                 [ Pred.eq_int "users_id" users_id;
                   Pred.eq_int "filsys_id" filsys_id ]
             in
-            (match Plan.select_one (nfsquota ctx) pred with
+            (match Table.select_one (nfsquota ctx) pred with
             | None -> Error Mr_err.no_match
             | Some (_, old) ->
                 let old_quota =
                   Value.int (Table.field (nfsquota ctx) old "quota")
                 in
-                ignore (Plan.delete (nfsquota ctx) pred);
+                ignore (Table.delete (nfsquota ctx) pred);
                 adjust_allocation ctx phys_id (-old_quota);
                 Ok [])
         | _ -> Error Mr_err.args);

@@ -18,7 +18,7 @@ let caller_on_list_ace (ctx : Query.ctx) row =
   && Acl.login_on_ace ctx.mdb (list_ace ctx row) ~login:ctx.caller
 
 let caller_on_list_ace_by_name (ctx : Query.ctx) name =
-  match Plan.select_one (lists ctx) (Pred.eq_str "name" name) with
+  match Table.select_one (lists ctx) (Pred.eq_str "name" name) with
   | Some (_, row) -> caller_on_list_ace ctx row
   | None -> false
 
@@ -79,7 +79,7 @@ let q_get_list_info =
       Query.access_acl_or "get_list_info" (fun ctx args ->
           match args with
           | [ name ] when not (Glob.is_pattern name) -> (
-              match Plan.select_one (lists ctx) (Pred.eq_str "name" name) with
+              match Table.select_one (lists ctx) (Pred.eq_str "name" name) with
               | Some (_, row) ->
                   (not (Value.bool (Table.field (lists ctx) row "hidden")))
                   || caller_on_list_ace ctx row
@@ -101,7 +101,7 @@ let q_get_list_info =
             in
             let* rows =
               rows_or_no_match
-                (Plan.select (lists ctx) (Pred.name_match "name" name))
+                (Table.select (lists ctx) (Pred.name_match "name" name))
             in
             let visible =
               List.filter
@@ -131,7 +131,7 @@ let q_expand_list_names =
         match args with
         | [ name ] ->
             let rows =
-              Plan.select (lists ctx) (Pred.name_match "name" name)
+              Table.select (lists ctx) (Pred.name_match "name" name)
               |> List.filter (fun (_, row) ->
                      ctx.privileged
                      || not
@@ -235,7 +235,7 @@ let q_update_list =
             let tbl = lists ctx in
             let* row =
               exactly_one ~err:Mr_err.list
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let* () = check_name newname in
             if newname <> name && Lookup.list_id ctx.mdb newname <> None then
@@ -255,7 +255,7 @@ let q_update_list =
                 else Acl.resolve_ace ctx.mdb ~ace_type ~ace_name
               in
               ignore
-                (Plan.set_fields tbl (Pred.eq_str "name" name)
+                (Table.set_fields tbl (Pred.eq_str "name" name)
                    ([
                       set "name" newname; setb "active" active;
                       setb "public" public; setb "hidden" hidden;
@@ -273,24 +273,24 @@ let q_update_list =
 (* Everything that can reference a list and therefore blocks deletion. *)
 let list_references (ctx : Query.ctx) list_id =
   let mdb = ctx.mdb in
-  Plan.exists (members ctx)
+  Table.exists (members ctx)
     (Pred.conj
        [ Pred.eq_str "member_type" "LIST"; Pred.eq_int "member_id" list_id ])
-  || Plan.exists (Mdb.table mdb "list")
+  || Table.exists (Mdb.table mdb "list")
        (Pred.conj
           [
             Pred.eq_str "acl_type" "LIST"; Pred.eq_int "acl_id" list_id;
             Pred.Not (Pred.eq_int "list_id" list_id);
           ])
-  || Plan.exists (Mdb.table mdb "servers")
+  || Table.exists (Mdb.table mdb "servers")
        (Pred.conj
           [ Pred.eq_str "acl_type" "LIST"; Pred.eq_int "acl_id" list_id ])
-  || Plan.exists (Mdb.table mdb "filesys") (Pred.eq_int "owners" list_id)
-  || Plan.exists (Mdb.table mdb "hostaccess")
+  || Table.exists (Mdb.table mdb "filesys") (Pred.eq_int "owners" list_id)
+  || Table.exists (Mdb.table mdb "hostaccess")
        (Pred.conj
           [ Pred.eq_str "acl_type" "LIST"; Pred.eq_int "acl_id" list_id ])
-  || Plan.exists (Mdb.table mdb "capacls") (Pred.eq_int "list_id" list_id)
-  || Plan.exists (Mdb.table mdb "zephyr")
+  || Table.exists (Mdb.table mdb "capacls") (Pred.eq_int "list_id" list_id)
+  || Table.exists (Mdb.table mdb "zephyr")
        (Pred.disj
           (List.concat_map
              (fun prefix ->
@@ -322,15 +322,15 @@ let q_delete_list =
             let tbl = lists ctx in
             let* row =
               exactly_one ~err:Mr_err.list
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let list_id = Value.int (Table.field tbl row "list_id") in
             if
-              Plan.exists (members ctx) (Pred.eq_int "list_id" list_id)
+              Table.exists (members ctx) (Pred.eq_int "list_id" list_id)
               || list_references ctx list_id
             then Error Mr_err.in_use
             else begin
-              ignore (Plan.delete tbl (Pred.eq_str "name" name));
+              ignore (Table.delete tbl (Pred.eq_str "name" name));
               Ok []
             end
         | _ -> Error Mr_err.args);
@@ -341,7 +341,7 @@ let q_delete_list =
 let member_self_rule (ctx : Query.ctx) args =
   match args with
   | [ name; ty; member ] -> (
-      match Plan.select_one (lists ctx) (Pred.eq_str "name" name) with
+      match Table.select_one (lists ctx) (Pred.eq_str "name" name) with
       | Some (_, row) ->
           caller_on_list_ace ctx row
           || (Value.bool (Table.field (lists ctx) row "public")
@@ -365,7 +365,7 @@ let q_add_member_to_list =
             let tbl = lists ctx in
             let* row =
               exactly_one ~err:Mr_err.list
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let* mtype, mid = resolve_member ctx ty member in
             let list_id = Value.int (Table.field tbl row "list_id") in
@@ -376,7 +376,7 @@ let q_add_member_to_list =
                 (Table.insert (members ctx)
                    [| Value.Int list_id; Value.Str mtype; Value.Int mid |]);
               ignore
-                (Plan.set_fields tbl (Pred.eq_int "list_id" list_id)
+                (Table.set_fields tbl (Pred.eq_int "list_id" list_id)
                    (stamp_fields ctx ()));
               Ok []
             end
@@ -399,12 +399,12 @@ let q_delete_member_from_list =
             let tbl = lists ctx in
             let* row =
               exactly_one ~err:Mr_err.list
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let* mtype, mid = resolve_member ctx ty member in
             let list_id = Value.int (Table.field tbl row "list_id") in
             let n =
-              Plan.delete (members ctx)
+              Table.delete (members ctx)
                 (Pred.conj
                    [
                      Pred.eq_int "list_id" list_id;
@@ -415,7 +415,7 @@ let q_delete_member_from_list =
             if n = 0 then Error Mr_err.no_match
             else begin
               ignore
-                (Plan.set_fields tbl (Pred.eq_int "list_id" list_id)
+                (Table.set_fields tbl (Pred.eq_int "list_id" list_id)
                    (stamp_fields ctx ()));
               Ok []
             end
@@ -436,7 +436,7 @@ let ace_use_hits (ctx : Query.ctx) entities =
         let ty = Value.str (Table.field tbl row "acl_type") in
         let id = Value.int (Table.field tbl row "acl_id") in
         if is_hit ty id then add kind (name_of tbl row))
-      (Plan.select tbl Pred.True)
+      (Table.select tbl Pred.True)
   in
   scan_table "list" "LIST" (fun tbl row ->
       Value.str (Table.field tbl row "name"));
@@ -454,14 +454,14 @@ let ace_use_hits (ctx : Query.ctx) entities =
         add "FILESYS" (Value.str (Table.field fs row "label"));
       if is_hit "LIST" (Value.int (Table.field fs row "owners")) then
         add "FILESYS" (Value.str (Table.field fs row "label")))
-    (Plan.select fs Pred.True);
+    (Table.select fs Pred.True);
   (* queries: capacls point at lists *)
   let cap = Mdb.table mdb "capacls" in
   List.iter
     (fun (_, row) ->
       if is_hit "LIST" (Value.int (Table.field cap row "list_id")) then
         add "QUERY" (Value.str (Table.field cap row "capability")))
-    (Plan.select cap Pred.True);
+    (Table.select cap Pred.True);
   (* zephyr: four ACEs per class *)
   let z = Mdb.table mdb "zephyr" in
   List.iter
@@ -473,7 +473,7 @@ let ace_use_hits (ctx : Query.ctx) entities =
           if is_hit ty id then
             add "ZEPHYR" (Value.str (Table.field z row "class")))
         [ "xmt"; "sub"; "iws"; "iui" ])
-    (Plan.select z Pred.True);
+    (Table.select z Pred.True);
   List.sort_uniq compare (List.rev !hits)
 
 let q_get_ace_use =
@@ -575,7 +575,7 @@ let q_qualified_get_lists =
                 ]
             in
             let* rows =
-              rows_or_no_match (Plan.select (lists ctx) pred)
+              rows_or_no_match (Table.select (lists ctx) pred)
             in
             Ok
               (List.map
@@ -588,7 +588,7 @@ let q_qualified_get_lists =
 let visible_list_rule (ctx : Query.ctx) args =
   match args with
   | name :: _ -> (
-      match Plan.select_one (lists ctx) (Pred.eq_str "name" name) with
+      match Table.select_one (lists ctx) (Pred.eq_str "name" name) with
       | Some (_, row) ->
           (not (Value.bool (Table.field (lists ctx) row "hidden")))
           || caller_on_list_ace ctx row
@@ -610,11 +610,11 @@ let q_get_members_of_list =
             let tbl = lists ctx in
             let* row =
               exactly_one ~err:Mr_err.list
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let list_id = Value.int (Table.field tbl row "list_id") in
             let ms =
-              Plan.select (members ctx) (Pred.eq_int "list_id" list_id)
+              Table.select (members ctx) (Pred.eq_int "list_id" list_id)
             in
             Ok
               (List.map
@@ -653,7 +653,7 @@ let q_get_lists_of_member =
             in
             let* mtype, mid = resolve_member ctx base_ty member in
             let direct =
-              Plan.select (members ctx)
+              Table.select (members ctx)
                 (Pred.conj
                    [
                      Pred.eq_str "member_type" mtype;
@@ -705,10 +705,10 @@ let q_count_members_of_list =
             let tbl = lists ctx in
             let* row =
               exactly_one ~err:Mr_err.list
-                (Plan.select tbl (Pred.eq_str "name" name))
+                (Table.select tbl (Pred.eq_str "name" name))
             in
             let list_id = Value.int (Table.field tbl row "list_id") in
-            let n = Plan.count (members ctx) (Pred.eq_int "list_id" list_id) in
+            let n = Table.count (members ctx) (Pred.eq_int "list_id" list_id) in
             Ok [ [ string_of_int n ] ]
         | _ -> Error Mr_err.args);
   }

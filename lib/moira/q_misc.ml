@@ -24,7 +24,7 @@ let q_get_server_host_access =
         | [ machine ] ->
             let tbl = hostaccess ctx in
             let rows =
-              Plan.select tbl Pred.True
+              Table.select tbl Pred.True
               |> List.filter_map (fun (_, row) ->
                      match
                        Lookup.machine_name ctx.mdb
@@ -75,7 +75,7 @@ let q_add_server_host_access =
             let* mach_id, ace =
               resolve_machine_ace ctx machine ace_type ace_name
             in
-            if Plan.exists (hostaccess ctx) (Pred.eq_int "mach_id" mach_id)
+            if Table.exists (hostaccess ctx) (Pred.eq_int "mach_id" mach_id)
             then Error Mr_err.exists
             else begin
               ignore
@@ -109,7 +109,7 @@ let q_update_server_host_access =
               resolve_machine_ace ctx machine ace_type ace_name
             in
             let n =
-              Plan.set_fields (hostaccess ctx) (Pred.eq_int "mach_id" mach_id)
+              Table.set_fields (hostaccess ctx) (Pred.eq_int "mach_id" mach_id)
                 ([ set "acl_type" ace.Acl.ace_type;
                    seti "acl_id" ace.Acl.ace_id ]
                 @ stamp_fields ctx ())
@@ -136,7 +136,7 @@ let q_delete_server_host_access =
               | None -> Error Mr_err.machine
             in
             let n =
-              Plan.delete (hostaccess ctx) (Pred.eq_int "mach_id" mach_id)
+              Table.delete (hostaccess ctx) (Pred.eq_int "mach_id" mach_id)
             in
             if n = 0 then Error Mr_err.no_match else Ok []
         | _ -> Error Mr_err.args);
@@ -162,7 +162,7 @@ let q_get_service =
         | [ name ] ->
             let* rows =
               rows_or_no_match
-                (Plan.select (services ctx) (Pred.name_match "name" name))
+                (Table.select (services ctx) (Pred.name_match "name" name))
             in
             Ok
               (List.map
@@ -190,7 +190,7 @@ let q_add_service =
               else Error Mr_err.typ
             in
             let* port = int_arg port in
-            if Plan.exists (services ctx) (Pred.eq_str "name" name) then
+            if Table.exists (services ctx) (Pred.eq_str "name" name) then
               Error Mr_err.exists
             else begin
               ignore
@@ -222,9 +222,9 @@ let q_delete_service =
         | [ name ] ->
             let* _ =
               exactly_one ~err:Mr_err.service
-                (Plan.select (services ctx) (Pred.eq_str "name" name))
+                (Table.select (services ctx) (Pred.eq_str "name" name))
             in
-            ignore (Plan.delete (services ctx) (Pred.eq_str "name" name));
+            ignore (Table.delete (services ctx) (Pred.eq_str "name" name));
             Ok []
         | _ -> Error Mr_err.args);
   }
@@ -247,7 +247,7 @@ let q_get_printcap =
             let tbl = printcap ctx in
             let* rows =
               rows_or_no_match
-                (Plan.select tbl (Pred.name_match "name" printer))
+                (Table.select tbl (Pred.name_match "name" printer))
             in
             Ok
               (List.map
@@ -284,7 +284,7 @@ let q_add_printcap =
               | Some id -> Ok id
               | None -> Error Mr_err.machine
             in
-            if Plan.exists (printcap ctx) (Pred.eq_str "name" printer) then
+            if Table.exists (printcap ctx) (Pred.eq_str "name" printer) then
               Error Mr_err.exists
             else begin
               ignore
@@ -316,9 +316,9 @@ let q_delete_printcap =
         | [ printer ] ->
             let* _ =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select (printcap ctx) (Pred.eq_str "name" printer))
+                (Table.select (printcap ctx) (Pred.eq_str "name" printer))
             in
-            ignore (Plan.delete (printcap ctx) (Pred.eq_str "name" printer));
+            ignore (Table.delete (printcap ctx) (Pred.eq_str "name" printer));
             Ok []
         | _ -> Error Mr_err.args);
   }
@@ -344,7 +344,7 @@ let q_get_alias =
                   Pred.name_match "trans" trans;
                 ]
             in
-            let* rows = rows_or_no_match (Plan.select (alias ctx) pred) in
+            let* rows = rows_or_no_match (Table.select (alias ctx) pred) in
             Ok
               (List.map
                  (fun (_, row) ->
@@ -375,7 +375,7 @@ let q_add_alias =
                 [ Pred.eq_str "name" name; Pred.eq_str "type" ty;
                   Pred.eq_str "trans" trans ]
             in
-            if Plan.exists (alias ctx) exact then Error Mr_err.exists
+            if Table.exists (alias ctx) exact then Error Mr_err.exists
             else begin
               ignore
                 (Table.insert (alias ctx)
@@ -405,9 +405,9 @@ let q_delete_alias =
             in
             let* _ =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select (alias ctx) exact)
+                (Table.select (alias ctx) exact)
             in
-            ignore (Plan.delete (alias ctx) exact);
+            ignore (Table.delete (alias ctx) exact);
             Ok []
         | _ -> Error Mr_err.args);
   }
@@ -444,7 +444,7 @@ let q_add_value =
         match args with
         | [ name; v ] ->
             let* v = int_arg v in
-            if Plan.exists (values ctx) (Pred.eq_str "name" name) then
+            if Table.exists (values ctx) (Pred.eq_str "name" name) then
               Error Mr_err.exists
             else begin
               Mdb.set_value ctx.mdb name v;
@@ -466,7 +466,7 @@ let q_update_value =
         match args with
         | [ name; v ] ->
             let* v = int_arg v in
-            if not (Plan.exists (values ctx) (Pred.eq_str "name" name)) then
+            if not (Table.exists (values ctx) (Pred.eq_str "name" name)) then
               Error Mr_err.no_match
             else begin
               Mdb.set_value ctx.mdb name v;
@@ -487,7 +487,7 @@ let q_delete_value =
       (fun ctx args ->
         match args with
         | [ name ] ->
-            let n = Plan.delete (values ctx) (Pred.eq_str "name" name) in
+            let n = Table.delete (values ctx) (Pred.eq_str "name" name) in
             if n = 0 then Error Mr_err.no_match else Ok []
         | _ -> Error Mr_err.args);
   }
@@ -512,7 +512,7 @@ let q_get_all_table_stats =
                  [ "table"; "retrieves"; "appends"; "updates"; "deletes";
                    "modtime" ]
                  row)
-             (Plan.select tbl Pred.True)));
+             (Table.select tbl Pred.True)));
   }
 
 (* Telemetry read back through the query protocol, as the paper's

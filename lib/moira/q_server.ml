@@ -19,7 +19,7 @@ let caller_on_service_ace (ctx : Query.ctx) service =
   ctx.caller <> ""
   &&
   match
-    Plan.select_one (servers ctx) (Pred.eq_str "name" (canon_service service))
+    Table.select_one (servers ctx) (Pred.eq_str "name" (canon_service service))
   with
   | Some (_, row) ->
       Acl.login_on_ace ctx.mdb (service_ace ctx row) ~login:ctx.caller
@@ -64,7 +64,7 @@ let q_get_server_info =
         match args with
         | [ service ] ->
             let pred = Pred.name_match "name" (canon_service service) in
-            let* rows = rows_or_no_match (Plan.select (servers ctx) pred) in
+            let* rows = rows_or_no_match (Table.select (servers ctx) pred) in
             Ok (List.map (fun (_, row) -> render_server ctx row) rows)
         | _ -> Error Mr_err.args);
   }
@@ -104,7 +104,7 @@ let q_qualified_get_server =
                   err_pred "harderror" harderror;
                 ]
             in
-            let* rows = rows_or_no_match (Plan.select (servers ctx) pred) in
+            let* rows = rows_or_no_match (Table.select (servers ctx) pred) in
             Ok
               (List.map
                  (fun (_, row) ->
@@ -146,7 +146,7 @@ let q_add_server_info =
               validate_service_fields ctx ~interval ~ty ~enable ~ace_type
                 ~ace_name
             in
-            if Plan.exists (servers ctx) (Pred.eq_str "name" service) then
+            if Table.exists (servers ctx) (Pred.eq_str "name" service) then
               Error Mr_err.exists
             else begin
               ignore
@@ -187,7 +187,7 @@ let q_update_server_info =
             let tbl = servers ctx in
             let* _ =
               exactly_one ~err:Mr_err.service
-                (Plan.select tbl (Pred.eq_str "name" service))
+                (Table.select tbl (Pred.eq_str "name" service))
             in
             let ty = String.uppercase_ascii ty in
             let* interval, enable, ace =
@@ -195,7 +195,7 @@ let q_update_server_info =
                 ~ace_name
             in
             ignore
-              (Plan.set_fields tbl (Pred.eq_str "name" service)
+              (Table.set_fields tbl (Pred.eq_str "name" service)
                  ([
                     seti "update_int" interval; set "target_file" target;
                     set "script" script; set "type" ty; setb "enable" enable;
@@ -223,11 +223,11 @@ let q_reset_server_error =
             let tbl = servers ctx in
             let* row =
               exactly_one ~err:Mr_err.service
-                (Plan.select tbl (Pred.eq_str "name" service))
+                (Table.select tbl (Pred.eq_str "name" service))
             in
             let dfgen = Value.int (Table.field tbl row "dfgen") in
             ignore
-              (Plan.set_fields tbl (Pred.eq_str "name" service)
+              (Table.set_fields tbl (Pred.eq_str "name" service)
                  ([ seti "harderror" 0; set "errmsg" ""; seti "dfcheck" dfgen ]
                  @ stamp_fields ctx ()));
             Ok []
@@ -251,7 +251,7 @@ let q_set_server_internal_flags =
             let tbl = servers ctx in
             let* _ =
               exactly_one ~err:Mr_err.service
-                (Plan.select tbl (Pred.eq_str "name" service))
+                (Table.select tbl (Pred.eq_str "name" service))
             in
             let* dfgen = int_arg dfgen in
             let* dfcheck = int_arg dfcheck in
@@ -259,7 +259,7 @@ let q_set_server_internal_flags =
             let* harderror = int_arg harderror in
             (* Internal flags do NOT bump the user-visible modtime. *)
             ignore
-              (Plan.set_fields tbl (Pred.eq_str "name" service)
+              (Table.set_fields tbl (Pred.eq_str "name" service)
                  [
                    seti "dfgen" dfgen; seti "dfcheck" dfcheck;
                    setb "inprogress" inprogress; seti "harderror" harderror;
@@ -285,14 +285,14 @@ let q_delete_server_info =
             let tbl = servers ctx in
             let* row =
               exactly_one ~err:Mr_err.service
-                (Plan.select tbl (Pred.eq_str "name" service))
+                (Table.select tbl (Pred.eq_str "name" service))
             in
             if
               Value.bool (Table.field tbl row "inprogress")
-              || Plan.exists (shosts ctx) (Pred.eq_str "service" service)
+              || Table.exists (shosts ctx) (Pred.eq_str "service" service)
             then Error Mr_err.in_use
             else begin
-              ignore (Plan.delete tbl (Pred.eq_str "name" service));
+              ignore (Table.delete tbl (Pred.eq_str "name" service));
               Ok []
             end
         | _ -> Error Mr_err.args);
@@ -335,7 +335,7 @@ let q_get_server_host_info =
         | [ service; machine ] ->
             let tbl = shosts ctx in
             let rows =
-              Plan.select tbl
+              Table.select tbl
                 (Pred.name_match "service" (canon_service service))
               |> List.filter (fun (_, row) ->
                      let m =
@@ -382,7 +382,7 @@ let q_qualified_get_server_host =
                 ]
             in
             let tbl = shosts ctx in
-            let* rows = rows_or_no_match (Plan.select tbl pred) in
+            let* rows = rows_or_no_match (Table.select tbl pred) in
             Ok
               (List.map
                  (fun (_, row) ->
@@ -400,7 +400,7 @@ let q_qualified_get_server_host =
 let resolve_service_machine (ctx : Query.ctx) service machine =
   let service = canon_service service in
   let* () =
-    if Plan.exists (servers ctx) (Pred.eq_str "name" service) then Ok ()
+    if Table.exists (servers ctx) (Pred.eq_str "name" service) then Ok ()
     else Error Mr_err.service
   in
   let* mach_id =
@@ -429,7 +429,7 @@ let q_add_server_host_info =
             let* value1 = int_arg value1 in
             let* value2 = int_arg value2 in
             if
-              Plan.exists (shosts ctx)
+              Table.exists (shosts ctx)
                 (Pred.conj
                    [
                      Pred.eq_str "service" service;
@@ -480,7 +480,7 @@ let q_update_server_host_info =
             let tbl = shosts ctx in
             let* row =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select tbl (shost_pred service mach_id))
+                (Table.select tbl (shost_pred service mach_id))
             in
             let* () =
               if Value.bool (Table.field tbl row "inprogress") then
@@ -491,7 +491,7 @@ let q_update_server_host_info =
             let* value1 = int_arg value1 in
             let* value2 = int_arg value2 in
             ignore
-              (Plan.set_fields tbl (shost_pred service mach_id)
+              (Table.set_fields tbl (shost_pred service mach_id)
                  ([
                     setb "enable" enable; seti "value1" value1;
                     seti "value2" value2; set "value3" value3;
@@ -520,10 +520,10 @@ let q_reset_server_host_error =
             let tbl = shosts ctx in
             let* _ =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select tbl (shost_pred service mach_id))
+                (Table.select tbl (shost_pred service mach_id))
             in
             ignore
-              (Plan.set_fields tbl (shost_pred service mach_id)
+              (Table.set_fields tbl (shost_pred service mach_id)
                  ([ seti "hosterror" 0; set "hosterrmsg" "" ]
                  @ stamp_fields ctx ()));
             Ok []
@@ -549,10 +549,10 @@ let q_set_server_host_override =
             let tbl = shosts ctx in
             let* _ =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select tbl (shost_pred service mach_id))
+                (Table.select tbl (shost_pred service mach_id))
             in
             ignore
-              (Plan.set_fields tbl (shost_pred service mach_id)
+              (Table.set_fields tbl (shost_pred service mach_id)
                  (setb "override" true :: stamp_fields ctx ()));
             Ok []
         | _ -> Error Mr_err.args);
@@ -579,7 +579,7 @@ let q_set_server_host_internal =
             let tbl = shosts ctx in
             let* _ =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select tbl (shost_pred service mach_id))
+                (Table.select tbl (shost_pred service mach_id))
             in
             let* override = bool_arg override in
             let* success = bool_arg success in
@@ -589,7 +589,7 @@ let q_set_server_host_internal =
             let* lastsuccess = int_arg lastsuccess in
             (* Internal: no modtime bump. *)
             ignore
-              (Plan.set_fields tbl (shost_pred service mach_id)
+              (Table.set_fields tbl (shost_pred service mach_id)
                  [
                    setb "override" override; setb "success" success;
                    setb "inprogress" inprogress; seti "hosterror" hosterror;
@@ -619,12 +619,12 @@ let q_delete_server_host_info =
             let tbl = shosts ctx in
             let* row =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select tbl (shost_pred service mach_id))
+                (Table.select tbl (shost_pred service mach_id))
             in
             if Value.bool (Table.field tbl row "inprogress") then
               Error Mr_err.in_use
             else begin
-              ignore (Plan.delete tbl (shost_pred service mach_id));
+              ignore (Table.delete tbl (shost_pred service mach_id));
               Ok []
             end
         | _ -> Error Mr_err.args);
@@ -645,7 +645,7 @@ let q_get_server_locations =
             let tbl = shosts ctx in
             let* rows =
               rows_or_no_match
-                (Plan.select tbl
+                (Table.select tbl
                    (Pred.name_match "service" (canon_service service)))
             in
             Ok

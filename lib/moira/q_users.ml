@@ -54,7 +54,7 @@ let restrict_to_self (ctx : Query.ctx) qname rows =
 
 let get_by pred_of qname ctx args =
   let pred = pred_of ctx args in
-  let* rows = rows_or_no_match (Plan.select (users ctx) pred) in
+  let* rows = rows_or_no_match (Table.select (users ctx) pred) in
   let* rows = restrict_to_self ctx qname rows in
   let proj = projector (users ctx) full_cols in
   Ok (List.map (fun (_, row) -> proj row) rows)
@@ -72,7 +72,7 @@ let allocate_uid ctx uid_arg =
   else int_arg uid_arg
 
 let user_exists ctx login =
-  Plan.exists (users ctx) (Pred.eq_str "login" login)
+  Table.exists (users ctx) (Pred.eq_str "login" login)
 
 (* serverhosts.value1 tracks "the number of poboxes assigned to this
    server": every pobox move must adjust the counters. *)
@@ -80,7 +80,7 @@ let adjust_pop_count (ctx : Query.ctx) mach_id delta =
   if mach_id <> 0 then begin
     let shosts = Mdb.table ctx.mdb "serverhosts" in
     ignore
-      (Plan.update shosts
+      (Table.update shosts
          (Pred.conj
             [ Pred.eq_str "service" "POP"; Pred.eq_int "mach_id" mach_id ])
          (fun row ->
@@ -109,7 +109,7 @@ let q_get_all_logins =
     check_access = Query.access_acl "get_all_logins";
     handler =
       (fun ctx _ ->
-        let rows = Plan.select (users ctx) Pred.True in
+        let rows = Table.select (users ctx) Pred.True in
         let proj = projector (users ctx) summary_cols in
         Ok (List.map (fun (_, r) -> proj r) rows));
   }
@@ -125,7 +125,7 @@ let q_get_all_active_logins =
     handler =
       (fun ctx _ ->
         let rows =
-          Plan.select (users ctx)
+          Table.select (users ctx)
             (Pred.eq_int "status" Mrconst.user_active)
         in
         let proj = projector (users ctx) summary_cols in
@@ -165,7 +165,7 @@ let q_get_user_by_uid =
             let* uid = int_arg uid in
             let* rows =
               rows_or_no_match
-                (Plan.select (users ctx) (Pred.eq_int "uid" uid))
+                (Table.select (users ctx) (Pred.eq_int "uid" uid))
             in
             let* rows = restrict_to_self ctx "get_user_by_uid" rows in
             let proj = projector (users ctx) full_cols in
@@ -189,7 +189,7 @@ let q_get_user_by_name =
               Pred.And
                 (Pred.name_match "first" first, Pred.name_match "last" last)
             in
-            let* rows = rows_or_no_match (Plan.select (users ctx) pred) in
+            let* rows = rows_or_no_match (Table.select (users ctx) pred) in
             let* rows = restrict_to_self ctx "get_user_by_name" rows in
             let proj = projector (users ctx) full_cols in
             Ok (List.map (fun (_, r) -> proj r) rows)
@@ -210,7 +210,7 @@ let q_get_user_by_class =
         | [ cls ] ->
             let* rows =
               rows_or_no_match
-                (Plan.select (users ctx) (Pred.name_match "mit_year" cls))
+                (Table.select (users ctx) (Pred.name_match "mit_year" cls))
             in
             let proj = projector (users ctx) full_cols in
             Ok (List.map (fun (_, r) -> proj r) rows)
@@ -231,7 +231,7 @@ let q_get_user_by_mitid =
         | [ mitid ] ->
             let* rows =
               rows_or_no_match
-                (Plan.select (users ctx) (Pred.name_match "mit_id" mitid))
+                (Table.select (users ctx) (Pred.name_match "mit_id" mitid))
             in
             let proj = projector (users ctx) full_cols in
             Ok (List.map (fun (_, r) -> proj r) rows)
@@ -317,7 +317,7 @@ let do_register_user (ctx : Query.ctx) uid login fstype =
   let* fstype = int_arg fstype in
   let* () = check_name login in
   let* row =
-    match Plan.select tbl (Pred.eq_int "uid" uid) with
+    match Table.select tbl (Pred.eq_int "uid" uid) with
     | [] -> Error Mr_err.no_match
     | [ (_, row) ] -> Ok row
     | _ -> Error Mr_err.not_unique
@@ -337,7 +337,7 @@ let do_register_user (ctx : Query.ctx) uid login fstype =
      load = value1 (boxes assigned), capacity = value2. *)
   let shosts = Mdb.table mdb "serverhosts" in
   let pops =
-    Plan.select shosts
+    Table.select shosts
       (Pred.conj [ Pred.eq_str "service" "POP"; Pred.eq_bool "enable" true ])
   in
   let* pop_row =
@@ -361,7 +361,7 @@ let do_register_user (ctx : Query.ctx) uid login fstype =
   in
   let pop_mach = Value.int (Table.field shosts pop_row "mach_id") in
   ignore
-    (Plan.set_fields shosts
+    (Table.set_fields shosts
        (Pred.conj
           [ Pred.eq_str "service" "POP"; Pred.eq_int "mach_id" pop_mach ])
        [ seti "value1" (Value.int (Table.field shosts pop_row "value1") + 1) ]);
@@ -389,7 +389,7 @@ let do_register_user (ctx : Query.ctx) uid login fstype =
     List.filter
       (fun (_, r) ->
         Value.int (Table.field nfsphys r "status") land fstype <> 0)
-      (Plan.select nfsphys Pred.True)
+      (Table.select nfsphys Pred.True)
   in
   let* part =
     match
@@ -430,12 +430,12 @@ let do_register_user (ctx : Query.ctx) uid login fstype =
          Value.Int now; Value.Str who; Value.Str ctx.client;
        |]);
   ignore
-    (Plan.set_fields nfsphys (Pred.eq_int "nfsphys_id" phys_id)
+    (Table.set_fields nfsphys (Pred.eq_int "nfsphys_id" phys_id)
        [ seti "allocated"
            (Value.int (Table.field nfsphys part "allocated") + quota) ]);
   (* Finally flip the user to half-registered with the real login. *)
   ignore
-    (Plan.set_fields tbl (Pred.eq_int "users_id" users_id)
+    (Table.set_fields tbl (Pred.eq_int "users_id" users_id)
        ([
           set "login" login;
           seti "status" Mrconst.user_half_registered;
@@ -479,7 +479,7 @@ let q_update_user =
             let tbl = users ctx in
             let* _row =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             let* () =
               if Mdb.valid_type ctx.mdb ~field:"class" cls then Ok ()
@@ -492,7 +492,7 @@ let q_update_user =
               Error Mr_err.not_unique
             else begin
               ignore
-                (Plan.set_fields tbl (Pred.eq_str "login" login)
+                (Table.set_fields tbl (Pred.eq_str "login" login)
                    ([
                       set "login" newlogin; seti "uid" uid; set "shell" shell;
                       set "last" last; set "first" first; set "middle" middle;
@@ -522,10 +522,10 @@ let q_update_user_shell =
             let tbl = users ctx in
             let* _ =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             ignore
-              (Plan.set_fields tbl (Pred.eq_str "login" login)
+              (Table.set_fields tbl (Pred.eq_str "login" login)
                  (set "shell" shell :: stamp_fields ctx ()));
             Ok []
         | _ -> Error Mr_err.args);
@@ -546,11 +546,11 @@ let q_update_user_status =
             let tbl = users ctx in
             let* _ =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             let* status = int_arg status in
             ignore
-              (Plan.set_fields tbl (Pred.eq_str "login" login)
+              (Table.set_fields tbl (Pred.eq_str "login" login)
                  (seti "status" status :: stamp_fields ctx ()));
             Ok []
         | _ -> Error Mr_err.args);
@@ -561,24 +561,24 @@ let q_update_user_status =
    server ACEs, hostaccess ACEs). *)
 let user_references (ctx : Query.ctx) users_id =
   let mdb = ctx.mdb in
-  Plan.exists (Mdb.table mdb "members")
+  Table.exists (Mdb.table mdb "members")
     (Pred.conj
        [ Pred.eq_str "member_type" "USER"; Pred.eq_int "member_id" users_id ])
-  || Plan.exists (Mdb.table mdb "nfsquota") (Pred.eq_int "users_id" users_id)
-  || Plan.exists (Mdb.table mdb "filesys") (Pred.eq_int "owner" users_id)
-  || Plan.exists (Mdb.table mdb "list")
+  || Table.exists (Mdb.table mdb "nfsquota") (Pred.eq_int "users_id" users_id)
+  || Table.exists (Mdb.table mdb "filesys") (Pred.eq_int "owner" users_id)
+  || Table.exists (Mdb.table mdb "list")
        (Pred.conj
           [ Pred.eq_str "acl_type" "USER"; Pred.eq_int "acl_id" users_id ])
-  || Plan.exists (Mdb.table mdb "servers")
+  || Table.exists (Mdb.table mdb "servers")
        (Pred.conj
           [ Pred.eq_str "acl_type" "USER"; Pred.eq_int "acl_id" users_id ])
-  || Plan.exists (Mdb.table mdb "hostaccess")
+  || Table.exists (Mdb.table mdb "hostaccess")
        (Pred.conj
           [ Pred.eq_str "acl_type" "USER"; Pred.eq_int "acl_id" users_id ])
 
 let delete_by pred require_status_zero ctx =
   let tbl = users ctx in
-  let* row = exactly_one ~err:Mr_err.user (Plan.select tbl pred) in
+  let* row = exactly_one ~err:Mr_err.user (Table.select tbl pred) in
   let users_id = Value.int (Table.field tbl row "users_id") in
   let* () =
     if
@@ -590,7 +590,7 @@ let delete_by pred require_status_zero ctx =
   in
   if user_references ctx users_id then Error Mr_err.in_use
   else begin
-    ignore (Plan.delete tbl pred);
+    ignore (Table.delete tbl pred);
     Ok []
   end
 
@@ -641,7 +641,7 @@ let q_get_finger_by_login =
             let tbl = users ctx in
             let* row =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             Ok [ project tbl finger_cols row ]
         | _ -> Error Mr_err.args);
@@ -667,10 +667,10 @@ let q_update_finger_by_login =
             let tbl = users ctx in
             let* _ =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             ignore
-              (Plan.set_fields tbl (Pred.eq_str "login" login)
+              (Table.set_fields tbl (Pred.eq_str "login" login)
                  ([
                     set "fullname" fullname; set "nickname" nickname;
                     set "home_addr" home_addr; set "home_phone" home_phone;
@@ -706,7 +706,7 @@ let q_get_pobox =
             let tbl = users ctx in
             let* row =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             Ok
               [
@@ -723,7 +723,7 @@ let poboxes_of_type ctx ty =
     | Some t -> Pred.eq_str "potype" t
     | None -> Pred.Not (Pred.eq_str "potype" "NONE")
   in
-  Plan.select tbl pred |> List.map (fun (_, row) -> pobox_tuple ctx row)
+  Table.select tbl pred |> List.map (fun (_, row) -> pobox_tuple ctx row)
 
 let q_get_all_poboxes =
   {
@@ -776,7 +776,7 @@ let q_set_pobox =
             let ty = String.uppercase_ascii ty in
             let* _ =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             let* () =
               if Mdb.valid_type ctx.mdb ~field:"pobox" ty then Ok ()
@@ -784,7 +784,7 @@ let q_set_pobox =
             in
             let* row =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             let old_pop = current_pop ctx row in
             let* fields, new_pop =
@@ -800,7 +800,7 @@ let q_set_pobox =
               | _ -> Ok ([ set "potype" "NONE" ], 0)
             in
             ignore
-              (Plan.set_fields tbl (Pred.eq_str "login" login)
+              (Table.set_fields tbl (Pred.eq_str "login" login)
                  (fields @ stamp_fields ctx ~prefix:"p" ()));
             if old_pop <> new_pop then begin
               adjust_pop_count ctx old_pop (-1);
@@ -825,14 +825,14 @@ let q_set_pobox_pop =
             let tbl = users ctx in
             let* row =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             let pop = Value.int (Table.field tbl row "pop_id") in
             if pop = 0 then Error Mr_err.machine
             else begin
               let was_pop = current_pop ctx row in
               ignore
-                (Plan.set_fields tbl (Pred.eq_str "login" login)
+                (Table.set_fields tbl (Pred.eq_str "login" login)
                    (set "potype" "POP" :: stamp_fields ctx ~prefix:"p" ()));
               if was_pop = 0 then adjust_pop_count ctx pop 1;
               Ok []
@@ -855,11 +855,11 @@ let q_delete_pobox =
             let tbl = users ctx in
             let* row =
               exactly_one ~err:Mr_err.user
-                (Plan.select tbl (Pred.eq_str "login" login))
+                (Table.select tbl (Pred.eq_str "login" login))
             in
             adjust_pop_count ctx (current_pop ctx row) (-1);
             ignore
-              (Plan.set_fields tbl (Pred.eq_str "login" login)
+              (Table.set_fields tbl (Pred.eq_str "login" login)
                  (set "potype" "NONE" :: stamp_fields ctx ~prefix:"p" ()));
             Ok []
         | _ -> Error Mr_err.args);

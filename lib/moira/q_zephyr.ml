@@ -55,7 +55,7 @@ let q_get_zephyr_class =
         | [ cls ] ->
             let* rows =
               rows_or_no_match
-                (Plan.select (zephyr ctx) (Pred.name_match "class" cls))
+                (Table.select (zephyr ctx) (Pred.name_match "class" cls))
             in
             Ok (List.map (fun (_, row) -> render_class ctx row) rows)
         | _ -> Error Mr_err.args);
@@ -76,7 +76,7 @@ let q_add_zephyr_class =
         match args with
         | cls :: rest ->
             let* () = check_name cls in
-            if Plan.exists (zephyr ctx) (Pred.eq_str "class" cls) then
+            if Table.exists (zephyr ctx) (Pred.eq_str "class" cls) then
               Error Mr_err.exists
             else begin
               let* aces = resolve_four_aces ctx rest in
@@ -95,7 +95,7 @@ let q_add_zephyr_class =
               in
               ignore (Table.insert (zephyr ctx) base);
               ignore
-                (Plan.set_fields (zephyr ctx) (Pred.eq_str "class" cls)
+                (Table.set_fields (zephyr ctx) (Pred.eq_str "class" cls)
                    fields);
               Ok []
             end
@@ -119,15 +119,15 @@ let q_update_zephyr_class =
             let tbl = zephyr ctx in
             let* _ =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select tbl (Pred.eq_str "class" cls))
+                (Table.select tbl (Pred.eq_str "class" cls))
             in
             let* () = check_name newcls in
-            if newcls <> cls && Plan.exists tbl (Pred.eq_str "class" newcls)
+            if newcls <> cls && Table.exists tbl (Pred.eq_str "class" newcls)
             then Error Mr_err.not_unique
             else begin
               let* aces = resolve_four_aces ctx rest in
               ignore
-                (Plan.set_fields tbl (Pred.eq_str "class" cls)
+                (Table.set_fields tbl (Pred.eq_str "class" cls)
                    ((set "class" newcls :: ace_fields aces)
                    @ stamp_fields ctx ()));
               Ok []
@@ -150,9 +150,9 @@ let q_delete_zephyr_class =
             let tbl = zephyr ctx in
             let* _ =
               exactly_one ~err:Mr_err.no_match
-                (Plan.select tbl (Pred.eq_str "class" cls))
+                (Table.select tbl (Pred.eq_str "class" cls))
             in
-            ignore (Plan.delete tbl (Pred.eq_str "class" cls));
+            ignore (Table.delete tbl (Pred.eq_str "class" cls));
             Ok []
         | _ -> Error Mr_err.args);
   }

@@ -31,8 +31,8 @@ let name_ok s =
 let check_name s = if name_ok s then Ok () else Error Mr_err.bad_char
 
 (* Resolve the column offsets once; the returned closure projects each
-   row without per-row name lookups (pairs with the compiled plans in
-   [Relation.Plan] for multi-row retrievals). *)
+   row without per-row name lookups (pairs with the compiled plans
+   [Relation.Table] runs multi-row retrievals through). *)
 let projector tbl cols =
   let schema = Table.schema tbl in
   let idx = List.map (Schema.index_of schema) cols in

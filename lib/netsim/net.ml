@@ -70,9 +70,6 @@ type t = {
   rng : Sim.Rng.t;
   by_name : (string, Host.t) Hashtbl.t;
   mutable order : string list;
-  base_rtt_ms : int;
-  per_kb_ms : int;
-  timeout_ms : int;
   mutable drop_rate : float;
   mutable reply_drop_rate : float;
   links : (string * string, link) Hashtbl.t;
@@ -84,7 +81,12 @@ type t = {
   mutable trace_calls : bool;
 }
 
-let create ?(base_rtt_ms = 4) ?(per_kb_ms = 1) ?(timeout_ms = 30_000) ?obs engine =
+(* Latency model (see the .mli). *)
+let base_rtt_ms = 4
+let per_kb_ms = 1
+let timeout_ms = 30_000
+
+let create ?obs engine =
   let obs =
     match obs with
     | Some o -> o
@@ -100,9 +102,6 @@ let create ?(base_rtt_ms = 4) ?(per_kb_ms = 1) ?(timeout_ms = 30_000) ?obs engin
     rng = Sim.Rng.split (Sim.Engine.rng engine);
     by_name = Hashtbl.create 31;
     order = [];
-    base_rtt_ms;
-    per_kb_ms;
-    timeout_ms;
     drop_rate = 0.0;
     reply_drop_rate = 0.0;
     links = Hashtbl.create 7;
@@ -248,7 +247,7 @@ let armed_reply_fires t dst =
       end
 
 let charge t bytes =
-  let cost = t.base_rtt_ms + (t.per_kb_ms * (bytes / 1024)) in
+  let cost = base_rtt_ms + (per_kb_ms * (bytes / 1024)) in
   Sim.Engine.advance t.engine cost
 
 let failure_slug = function
@@ -287,14 +286,14 @@ let call t ~src ~dst ~service payload =
       Obs.Counter.incr t.ctr.c_partitioned;
       link_drop t ~src ~dst ~kind:"partition" ~wasted:req_len;
       waste req_len;
-      Sim.Engine.advance t.engine t.timeout_ms;
+      Sim.Engine.advance t.engine timeout_ms;
       fail Timeout
   | Some h when not (Host.is_up h) ->
       (* A down host looks like a connection that never completes. *)
       Obs.Counter.incr t.ctr.c_down;
       link_drop t ~src ~dst ~kind:"host_down" ~wasted:req_len;
       waste req_len;
-      Sim.Engine.advance t.engine t.timeout_ms;
+      Sim.Engine.advance t.engine timeout_ms;
       fail Host_down
   | Some h ->
       let lk = Hashtbl.find_opt t.links (link_key src dst) in
@@ -309,7 +308,7 @@ let call t ~src ~dst ~service payload =
           ~attrs:[ ("kind", "request"); ("src", src); ("dst", dst); ("service", service) ];
         link_drop t ~src ~dst ~kind:"request" ~wasted:req_len;
         waste req_len;
-        Sim.Engine.advance t.engine t.timeout_ms;
+        Sim.Engine.advance t.engine timeout_ms;
         fail Timeout
       end
       else begin
@@ -347,7 +346,7 @@ let call t ~src ~dst ~service payload =
                   link_drop t ~src ~dst ~kind:"reply"
                     ~wasted:(req_len + rep_len);
                   waste (req_len + rep_len);
-                  Sim.Engine.advance t.engine t.timeout_ms;
+                  Sim.Engine.advance t.engine timeout_ms;
                   fail Timeout
                 end
                 else begin
@@ -360,7 +359,7 @@ let call t ~src ~dst ~service payload =
                 Obs.Counter.incr t.ctr.c_crashed;
                 link_drop t ~src ~dst ~kind:"crash" ~wasted:req_len;
                 waste req_len;
-                Sim.Engine.advance t.engine t.timeout_ms;
+                Sim.Engine.advance t.engine timeout_ms;
                 fail (Remote_crash point))
       end
 

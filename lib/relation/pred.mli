@@ -48,8 +48,9 @@ val eval : Schema.t -> t -> Value.t array -> bool
     numbered parameter slots.  Two calls of the same named query with
     different arguments produce the same shape, so the planner can
     compile a shape once and reuse the plan for every argument vector
-    ({!Plan}).  Glob patterns stay literal in the shape: the access path
-    chosen at compile time depends on their text. *)
+    (the plan cache in {!Table}).  Glob patterns stay literal in the
+    shape: the access path chosen at compile time depends on their
+    text. *)
 
 type cmp = Clt | Cle | Cgt | Cge  (** Comparison operators in shapes. *)
 

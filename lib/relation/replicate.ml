@@ -17,7 +17,6 @@ type primary = {
   p_journal : Journal.t;
   p_snapshot : unit -> (string * string) list;
   p_retain : int option;
-  p_max_batch : int;
   p_obs : Obs.t;
   p_fetches : Obs.Counter.counter;
   p_snaps : Obs.Counter.counter;
@@ -45,20 +44,24 @@ let decode_entry line =
 
 let reply_rows rows = String.concat "\n" rows
 
+(* Entries per FETCH reply. *)
+let max_batch = 512
+
 (* Record, per subscribed replica, the highest sequence number it has
-   acknowledged (a FETCH at [since] acknowledges everything <= since). *)
-let note_ack p ~replica ~since =
+   acknowledged (a FETCH at [since] acknowledges everything <= since).
+   The gauge is named after the calling host, not the replica name the
+   payload carries: any peer can send any name. *)
+let note_ack p ~src ~since =
   Obs.Gauge.set
-    (Obs.Gauge.make p.p_obs
-       ("repl." ^ String.lowercase_ascii replica ^ ".acked"))
+    (Obs.Gauge.make p.p_obs ("repl." ^ String.lowercase_ascii src ^ ".acked"))
     since
 
-let handle p payload =
+let handle p ~src payload =
   let head = Journal.head_seq p.p_journal in
   match Backup.decode_row payload with
-  | [ "SUBSCRIBE"; replica; since ] ->
+  | [ "SUBSCRIBE"; _replica; since ] ->
       let since = Option.value (int_of_string_opt since) ~default:0 in
-      note_ack p ~replica ~since;
+      note_ack p ~src ~since;
       reply_rows
         [
           Backup.encode_row
@@ -72,10 +75,10 @@ let handle p payload =
           Backup.encode_row
             [ "OK"; string_of_int head; string_of_int (min_served p) ];
         ]
-  | [ "FETCH"; replica; since ] ->
+  | [ "FETCH"; _replica; since ] ->
       Obs.Counter.incr p.p_fetches;
       let since = Option.value (int_of_string_opt since) ~default:0 in
-      note_ack p ~replica ~since;
+      note_ack p ~src ~since;
       if since < min_served p then
         (* the replica is behind the retention window: entries it needs
            are no longer served — it must catch up from a snapshot *)
@@ -94,7 +97,7 @@ let handle p payload =
             | e :: rest when k > 0 -> take (e :: acc) (k - 1) rest
             | _ -> List.rev acc
           in
-          take [] p.p_max_batch all
+          take [] max_batch all
         in
         let header =
           Backup.encode_row
@@ -124,22 +127,20 @@ let handle p payload =
   | exception Failure msg ->
       reply_rows [ Backup.encode_row [ "ERR"; msg ] ]
 
-let serve_primary ?retain ?(max_batch = 512) ~net ~host ~journal ~snapshot ()
-    =
+let serve_primary ?retain ~net ~host ~journal ~snapshot () =
   let p =
     {
       p_journal = journal;
       p_snapshot = snapshot;
       p_retain = retain;
-      p_max_batch = max_batch;
       p_obs = Netsim.Net.obs net;
       p_fetches = Obs.Counter.make (Netsim.Net.obs net) "repl.primary.fetches";
       p_snaps =
         Obs.Counter.make (Netsim.Net.obs net) "repl.primary.snapshots_served";
     }
   in
-  Netsim.Host.register host ~service:service_name (fun ~src:_ payload ->
-      handle p payload);
+  Netsim.Host.register host ~service:service_name (fun ~src payload ->
+      handle p ~src payload);
   p
 
 (* ---------------- replica ---------------- *)

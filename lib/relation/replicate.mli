@@ -20,7 +20,6 @@ type primary
 
 val serve_primary :
   ?retain:int ->
-  ?max_batch:int ->
   net:Netsim.Net.t ->
   host:Netsim.Host.t ->
   journal:Journal.t ->
@@ -31,8 +30,8 @@ val serve_primary :
     full dump (typically {!Backup.dump}) served to replicas that boot
     fresh or fall behind.  [retain] bounds how far back FETCH is served:
     a replica more than [retain] entries behind the head is told to
-    catch up from a snapshot instead (default: serve any suffix).
-    [max_batch] caps entries per FETCH reply (default 512). *)
+    catch up from a snapshot instead (default: serve any suffix).  A
+    FETCH reply carries at most 512 entries. *)
 
 (** {1 Replica} *)
 

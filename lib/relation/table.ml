@@ -41,6 +41,27 @@ type index = {
   mutable folded_version : int;
 }
 
+(* Access paths of a compiled plan; see "Compiled plans" below. *)
+type candidate =
+  | C_slot of index * int  (* probe by the rendered slot value *)
+  | C_key of index * string  (* probe by a literal key (non-pattern glob) *)
+  | C_fold of index * string  (* folded-bucket probe, lowercased key *)
+  | C_union of candidate list  (* OR of probeable atoms *)
+
+type path =
+  | P_scan
+  | P_probe of candidate list  (* And-reachable; runtime picks smallest *)
+  | P_range of index * (Pred.cmp * int) list  (* cmps on one indexed column *)
+  | P_prefix of index * string * string option
+      (* literal glob prefix on a string column: half-open key range
+         [prefix, successor); [None] = no finite successor (all 0xff) *)
+
+(* A shape compiled against one table. *)
+type compiled = {
+  ceval : Value.t array -> Value.t array -> bool;  (* params -> row -> bool *)
+  cpath : path;
+}
+
 (* Change log: a fixed ring of recently touched rowids.  Consumers
    (row-grain generator splicing) take a cursor, and later ask for the
    rowids touched since; if more than [chlog_cap] events happened in
@@ -70,6 +91,7 @@ type t = {
          rebuild, never a missed one. *)
   chlog : int array;  (* ring of touched rowids, slot = seq land mask *)
   mutable chlog_seq : int;  (* next sequence number to write *)
+  plans : (Pred.shape, compiled) Hashtbl.t;  (* see [prepare] *)
 }
 
 let next_uid = ref 0
@@ -106,6 +128,7 @@ let create ?(indexed = []) ~clock schema =
     col_max = Array.make (Array.length (Schema.columns schema)) min_int;
     chlog = Array.make chlog_cap 0;
     chlog_seq = 0;
+    plans = Hashtbl.create 8;
   }
 
 let schema t = t.schema
@@ -306,26 +329,6 @@ let insert t row =
    key is justified by [Value.equal a b] implying
    [Value.to_string a = Value.to_string b]. *)
 
-type candidate =
-  | C_slot of index * int  (* probe by the rendered slot value *)
-  | C_key of index * string  (* probe by a literal key (non-pattern glob) *)
-  | C_fold of index * string  (* folded-bucket probe, lowercased key *)
-  | C_union of candidate list  (* OR of probeable atoms *)
-
-type path =
-  | P_scan
-  | P_probe of candidate list  (* And-reachable; runtime picks smallest *)
-  | P_range of index * (Pred.cmp * int) list  (* cmps on one indexed column *)
-  | P_prefix of index * string * string option
-      (* literal glob prefix on a string column: half-open key range
-         [prefix, successor); [None] = no finite successor (all 0xff) *)
-
-type compiled = {
-  ctable : t;
-  ceval : Value.t array -> Value.t array -> bool;  (* params -> row -> bool *)
-  cpath : path;
-}
-
 let compile_eval t shape =
   let getter c =
     match Schema.index_of t.schema c with
@@ -466,8 +469,37 @@ let choose_path t shape =
         in
         prefix_path cs
 
-let compile_shape t shape =
-  { ctable = t; ceval = compile_eval t shape; cpath = choose_path t shape }
+let compile t shape =
+  { ceval = compile_eval t shape; cpath = choose_path t shape }
+
+(* The plan cache.  Moira's fixed catalogue of named queries gives each
+   handle one shape whatever its arguments, so every table converges on
+   a small set of plans and a select costs a shape split, one probe of
+   this table's cache, and the plan body.  Plans stay valid for the
+   table's whole lifetime (schemas are immutable, the index structures
+   they capture are updated in place, and the ordered/folded views are
+   rebuilt off the index versions), so no write or [clear] touches the
+   cache.  Glob patterns stay literal in a shape, so client-supplied
+   patterns make new entries: the cache is bounded and resets wholesale
+   when full. *)
+
+let plan_hits = Obs.Counter.make Obs.default "plan.cache.hits"
+let plan_misses = Obs.Counter.make Obs.default "plan.cache.misses"
+let plan_cap = 256
+
+let prepare t shape =
+  match Hashtbl.find_opt t.plans shape with
+  | Some c ->
+      Obs.Counter.incr plan_hits;
+      c
+  | None ->
+      Obs.Counter.incr plan_misses;
+      let c = compile t shape in
+      if Hashtbl.length t.plans >= plan_cap then Hashtbl.reset t.plans;
+      Hashtbl.replace t.plans shape c;
+      c
+
+let reset_plans t = Hashtbl.reset t.plans
 
 let probe ix k = Option.value (Hashtbl.find_opt ix.buckets k) ~default:empty_bucket
 
@@ -590,8 +622,7 @@ let path_probe = Obs.Counter.make Obs.default "plan.path.probe"
 let path_range = Obs.Counter.make Obs.default "plan.path.range"
 let path_prefix = Obs.Counter.make Obs.default "plan.path.prefix"
 
-let plan_matching c params =
-  let t = c.ctable in
+let run t c params =
   let eval = c.ceval in
   (match c.cpath with
   | P_scan -> Obs.Counter.incr path_scan
@@ -622,8 +653,9 @@ let plan_matching c params =
   | P_range (ix, cmps) -> from_set (range_ids ix cmps params)
   | P_prefix (ix, lo, hi) -> from_set (prefix_ids ix lo hi)
 
-let plan_explain c =
-  let colname ix = (Schema.columns c.ctable.schema).(ix.col).Schema.cname in
+let explain t pred =
+  let c = compile t (fst (Pred.split pred)) in
+  let colname ix = (Schema.columns t.schema).(ix.col).Schema.cname in
   let rec cand = function
     | C_slot (ix, _) -> Printf.sprintf "eq(%s)" (colname ix)
     | C_key (ix, k) -> Printf.sprintf "key(%s=%S)" (colname ix) k
@@ -636,11 +668,9 @@ let plan_explain c =
   | P_range (ix, _) -> Printf.sprintf "range(%s)" (colname ix)
   | P_prefix (ix, p, _) -> Printf.sprintf "prefix(%s,%S)" (colname ix) p
 
-let plan_table c = c.ctable
-
 let matching t pred =
   let shape, params = Pred.split pred in
-  plan_matching (compile_shape t shape) params
+  run t (prepare t shape) params
 
 let select t pred =
   List.map (fun (id, row) -> (id, Array.copy row)) (matching t pred)
@@ -651,6 +681,7 @@ let select_one t pred =
   | _ -> None
 
 let count t pred = List.length (matching t pred)
+let exists t pred = matching t pred <> []
 
 let apply_update t hits f =
   List.iter
@@ -773,19 +804,3 @@ let clear t =
   touch t
 
 let field t row col = row.(Schema.index_of t.schema col)
-
-(* Executors over compiled plans, mirroring select/select_one/count/
-   exists/update/delete.  [Plan] builds its cache on these. *)
-
-let plan_select c params =
-  List.map (fun (id, row) -> (id, Array.copy row)) (plan_matching c params)
-
-let plan_select_one c params =
-  match plan_matching c params with
-  | [ (id, row) ] -> Some (id, Array.copy row)
-  | _ -> None
-
-let plan_count c params = List.length (plan_matching c params)
-let plan_exists c params = plan_matching c params <> []
-let plan_update c params f = apply_update c.ctable (plan_matching c params) f
-let plan_delete c params = apply_delete c.ctable (plan_matching c params)

@@ -49,6 +49,9 @@ val select_one : t -> Pred.t -> (rowid * Value.t array) option
 val count : t -> Pred.t -> int
 (** Number of matching rows. *)
 
+val exists : t -> Pred.t -> bool
+(** Whether any row matches. *)
+
 val update : t -> Pred.t -> (Value.t array -> Value.t array) -> int
 (** Replace each matching row by [f row]; returns the number updated.
     @raise Invalid_argument if [f] produces an ill-typed tuple. *)
@@ -111,48 +114,25 @@ val field : t -> Value.t array -> string -> Value.t
 (** [field t row col] projects a named column out of a tuple of this
     table.  @raise Not_found if [col] is not a column. *)
 
-(** {2 Compiled plans}
+(** {2 Query plans}
 
-    A {!Pred.shape} compiles against a table once — column names resolve
-    to offsets, an access path (bucket probe, union of buckets, ordered
-    range scan, prefix range, or full scan) is chosen from the shape —
-    and the compiled plan then serves every parameter vector.  Plans
-    stay valid for the table's whole lifetime: the index structures they
-    capture are updated in place by inserts/updates/deletes and
-    {!clear}, and the ordered/folded views they consult are rebuilt
-    lazily off the index version counters.  Most callers want the
-    caching front-end in {!Plan} rather than this raw interface. *)
+    {!select}, {!select_one}, {!count}, {!exists}, {!update},
+    {!set_fields} and {!delete} run through a plan built from the
+    predicate's {!Pred.shape}: column names resolve to offsets once, and an access
+    path — bucket probe, union of buckets, ordered range scan, prefix
+    range, or full scan — is chosen from the shape.  Each table caches
+    its plans by shape, so every call of a named query with any argument
+    values reuses one plan.  The cache needs no invalidation: schemas are
+    immutable and a plan reads the table's live indexes.  It holds a
+    bounded number of plans and resets wholesale when full.  Hits and
+    misses count on [plan.cache.hits] and [plan.cache.misses] in
+    {!Obs.default}, and each plan run on one [plan.path.*] counter. *)
 
-type compiled
-(** A predicate shape compiled against one table. *)
+val explain : t -> Pred.t -> string
+(** The access path a plan for this predicate takes, for tests and
+    diagnostics, e.g. ["probe(eq(login))"], ["range(uid)"],
+    ["prefix(login,\"jis\")"], ["scan"].  Does not touch the cache. *)
 
-val compile_shape : t -> Pred.shape -> compiled
-(** Compile a shape for this table.  Columns absent from the schema are
-    treated as unindexed and raise [Not_found] only when a row is
-    actually evaluated, matching {!Pred.eval}. *)
-
-val plan_select : compiled -> Value.t array -> (rowid * Value.t array) list
-(** As {!select}, on a compiled plan with its parameter vector. *)
-
-val plan_select_one : compiled -> Value.t array -> (rowid * Value.t array) option
-(** As {!select_one}. *)
-
-val plan_count : compiled -> Value.t array -> int
-(** As {!count}. *)
-
-val plan_exists : compiled -> Value.t array -> bool
-(** As {!exists}. *)
-
-val plan_update : compiled -> Value.t array -> (Value.t array -> Value.t array) -> int
-(** As {!update}. *)
-
-val plan_delete : compiled -> Value.t array -> int
-(** As {!delete}. *)
-
-val plan_explain : compiled -> string
-(** Access-path description for tests and diagnostics, e.g.
-    ["probe(eq(login))"], ["range(uid)"], ["prefix(login,\"jis\")"],
-    ["scan"]. *)
-
-val plan_table : compiled -> t
-(** The table the plan was compiled against. *)
+val reset_plans : t -> unit
+(** Drop this table's cached plans, so the next query of each shape
+    compiles afresh (benchmarks time cold plans with it). *)

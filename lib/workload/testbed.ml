@@ -88,7 +88,7 @@ let create ?(spec = Population.small) ?backend ?access_cache ?(dcm_every_min = 1
     Sim.Engine.create ~seed:spec.Population.seed ~start:epoch_1988_ms ()
   in
   (* One registry for the whole testbed: reset the global one (handles
-     cached by Relation.Plan/Table stay valid), clock it off the engine,
+     cached by Relation.Table stay valid), clock it off the engine,
      and hand it to every layer — so a stats query through the Moira
      protocol sees the same counters the benches and traces read. *)
   Obs.reset Obs.default;

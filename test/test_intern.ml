@@ -155,7 +155,7 @@ let test_sorted_merge_after_small_change () =
   let q = age_window 10 20 in
   (* first range query builds the sorted view from scratch *)
   Alcotest.(check bool) "initial range correct" true
-    (Plan.select t q = naive t q);
+    (Table.select t q = naive t q);
   let merges0 = counter "table.sorted.merge" in
   let rebuilds0 = counter "table.sorted.rebuild" in
   (* touch a handful of keys: update, delete, insert *)
@@ -164,7 +164,7 @@ let test_sorted_merge_after_small_change () =
   ignore (Table.delete t (Pred.eq_str "name" "u013"));
   ignore (Table.insert t [| Value.Str "zed"; Value.Int 15; Value.Str "/bin/sh" |]);
   Alcotest.(check bool) "merged range correct" true
-    (Plan.select t q = naive t q);
+    (Table.select t q = naive t q);
   Alcotest.(check bool) "took the merge path" true
     (counter "table.sorted.merge" > merges0);
   Alcotest.(check int) "no full rebuild" rebuilds0
@@ -172,7 +172,7 @@ let test_sorted_merge_after_small_change () =
   (* and the merged view keeps answering correctly as changes continue *)
   ignore (Table.delete t (Pred.eq_str "name" "zed"));
   Alcotest.(check bool) "still correct after delete" true
-    (Plan.select t q = naive t q)
+    (Table.select t q = naive t q)
 
 let test_sorted_overflow_falls_back_to_rebuild () =
   let t = fresh_table () in
@@ -183,7 +183,7 @@ let test_sorted_overflow_falls_back_to_rebuild () =
             Value.Str "/bin/csh" |])
   done;
   let q = age_window 0 5_000 in
-  ignore (Plan.select t q);
+  ignore (Table.select t q);
   (* dirty more distinct keys than the tracker's cap: the next view must
      rebuild (merge would need the discarded delta set) *)
   for i = 100 to 4_400 do
@@ -194,7 +194,7 @@ let test_sorted_overflow_falls_back_to_rebuild () =
   done;
   let rebuilds0 = counter "table.sorted.rebuild" in
   Alcotest.(check bool) "overflowed range correct" true
-    (Plan.select t q = naive t q);
+    (Table.select t q = naive t q);
   Alcotest.(check bool) "took the rebuild path" true
     (counter "table.sorted.rebuild" > rebuilds0)
 
@@ -207,12 +207,12 @@ let test_sorted_after_clear () =
             Value.Str "/bin/csh" |])
   done;
   let q = age_window 0 100 in
-  Alcotest.(check int) "before clear" 50 (List.length (Plan.select t q));
+  Alcotest.(check int) "before clear" 50 (List.length (Table.select t q));
   Table.clear t;
   ignore (Table.insert t [| Value.Str "solo"; Value.Int 7; Value.Str "/bin/sh" |]);
   (* clear discards delta tracking wholesale: the view must not resurrect
      pre-clear rows via a stale merge *)
-  match Plan.select t q with
+  match Table.select t q with
   | [ (_, row) ] ->
       Alcotest.(check string) "only the post-clear row" "solo"
         (Value.str row.(0))
@@ -235,7 +235,7 @@ let prop_sorted_merge_model =
                 Value.Str "/bin/csh" |])
       done;
       let q = age_window 5 25 in
-      ignore (Plan.select t q);
+      ignore (Table.select t q);
       List.for_all
         (fun (op, who, age) ->
           (match op with
@@ -253,7 +253,7 @@ let prop_sorted_merge_model =
               ignore
                 (Table.delete t
                    (Pred.eq_str "name" (Printf.sprintf "u%02d" who))));
-          Plan.select t q = naive t q)
+          Table.select t q = naive t q)
         script)
 
 let suite =

@@ -65,11 +65,11 @@ let apply t = function
         (Table.insert t
            [| Value.Str k; Value.Str s; Value.Int n; Value.Int m; Value.Bool b |])
   | Set_n (k, v) ->
-      ignore (Plan.set_fields t (Pred.eq_str "k" k) [ ("n", Value.Int v) ])
+      ignore (Table.set_fields t (Pred.eq_str "k" k) [ ("n", Value.Int v) ])
   | Rename (a, b) ->
-      ignore (Plan.set_fields t (Pred.eq_str "k" a) [ ("k", Value.Str b) ])
-  | Delete k -> ignore (Plan.delete t (Pred.eq_str "k" k))
-  | Delete_lt v -> ignore (Plan.delete t (Pred.Lt ("n", Value.Int v)))
+      ignore (Table.set_fields t (Pred.eq_str "k" a) [ ("k", Value.Str b) ])
+  | Delete k -> ignore (Table.delete t (Pred.eq_str "k" k))
+  | Delete_lt v -> ignore (Table.delete t (Pred.Lt ("n", Value.Int v)))
   | Clear -> Table.clear t
 
 (* --- random predicate trees ---------------------------------------- *)
@@ -136,10 +136,10 @@ let brute t p =
 
 let plans_agree t p =
   let expected = brute t p in
-  Plan.select t p = expected
-  && Plan.count t p = List.length expected
-  && Plan.exists t p = (expected <> [])
-  && Plan.select_one t p
+  Table.select t p = expected
+  && Table.count t p = List.length expected
+  && Table.exists t p = (expected <> [])
+  && Table.select_one t p
      = (match expected with [ r ] -> Some r | _ -> None)
 
 let scenario_gen =
@@ -187,10 +187,6 @@ let prop_equivalence_unindexed =
 
 (* --- directed access-path checks ----------------------------------- *)
 
-let explain t p =
-  let shape, _ = Pred.split p in
-  Table.plan_explain (Plan.prepare t shape)
-
 let test_paths () =
   let t = fresh_table () in
   List.iter
@@ -201,7 +197,7 @@ let test_paths () =
               Value.Bool (n mod 2 = 0) |]))
     [ ("ab", 1); ("aB", 2); ("bx", 3); ("ca", 10); ("cb", 11) ];
   let check what pred prefix =
-    let e = explain t pred in
+    let e = Table.explain t pred in
     Alcotest.(check bool)
       (Printf.sprintf "%s -> %s (got %s)" what prefix e)
       true
@@ -236,22 +232,31 @@ let test_paths () =
       Pred.Glob ("k", "\xff*");
     ]
 
+let counter name =
+  Option.value (Obs.find_counter Obs.default name) ~default:0
+
 let test_cache () =
-  Plan.reset_cache ();
   let t = fresh_table () in
   ignore
     (Table.insert t
        [| Value.Str "ab"; Value.Str "x"; Value.Int 1; Value.Int 1;
           Value.Bool true |]);
-  ignore (Plan.select t (Pred.eq_str "k" "ab"));
-  let _, misses1, _ = Plan.cache_stats () in
+  let hits0 = counter "plan.cache.hits" in
+  let misses0 = counter "plan.cache.misses" in
+  ignore (Table.select t (Pred.eq_str "k" "ab"));
   (* same shape, different argument: must hit the cached plan *)
-  ignore (Plan.select t (Pred.eq_str "k" "zz"));
-  ignore (Plan.select t (Pred.eq_str "k" "bx"));
-  let hits, misses2, size = Plan.cache_stats () in
-  Alcotest.(check int) "one miss" misses1 misses2;
-  Alcotest.(check bool) "hits counted" true (hits >= 2);
-  Alcotest.(check bool) "cache non-empty" true (size >= 1);
+  ignore (Table.select t (Pred.eq_str "k" "zz"));
+  ignore (Table.count t (Pred.eq_str "k" "bx"));
+  Alcotest.(check int) "one miss" 1 (counter "plan.cache.misses" - misses0);
+  Alcotest.(check int) "two hits" 2 (counter "plan.cache.hits" - hits0);
+  (* the cache is per table: the same shape on a fresh table compiles *)
+  ignore (Table.select (fresh_table ()) (Pred.eq_str "k" "ab"));
+  Alcotest.(check int) "fresh table misses" 2
+    (counter "plan.cache.misses" - misses0);
+  Table.reset_plans t;
+  ignore (Table.select t (Pred.eq_str "k" "ab"));
+  Alcotest.(check int) "reset_plans drops the plan" 3
+    (counter "plan.cache.misses" - misses0);
   (* clear + repopulate: the cached plan must see the new contents *)
   Table.clear t;
   ignore
@@ -259,9 +264,64 @@ let test_cache () =
        [| Value.Str "zz"; Value.Str "y"; Value.Int 2; Value.Int 2;
           Value.Bool false |]);
   Alcotest.(check int) "cached plan after clear" 1
-    (List.length (Plan.select t (Pred.eq_str "k" "zz")));
+    (List.length (Table.select t (Pred.eq_str "k" "zz")));
   Alcotest.(check int) "cached plan sees deletion" 0
-    (List.length (Plan.select t (Pred.eq_str "k" "ab")))
+    (List.length (Table.select t (Pred.eq_str "k" "ab")))
+
+(* Client-supplied glob patterns are part of the shape; a stream of
+   distinct ones must not grow a table's cache without bound (the
+   earliest pattern's plan is gone again by the end) nor make results
+   wrong once it has reset. *)
+let test_cache_bounded () =
+  let t = fresh_table () in
+  ignore
+    (Table.insert t
+       [| Value.Str "ab"; Value.Str "x"; Value.Int 1; Value.Int 1;
+          Value.Bool true |]);
+  let glob i = Pred.Glob ("k", Printf.sprintf "a*%d" i) in
+  for i = 1 to 2_000 do
+    Alcotest.(check int) "no match" 0 (Table.count t (glob i))
+  done;
+  let misses0 = counter "plan.cache.misses" in
+  ignore (Table.count t (glob 2_000));
+  Alcotest.(check int) "latest plan kept" 0
+    (counter "plan.cache.misses" - misses0);
+  ignore (Table.count t (glob 1));
+  Alcotest.(check int) "earliest plan evicted" 1
+    (counter "plan.cache.misses" - misses0);
+  Alcotest.(check int) "still correct" 1 (Table.count t (Pred.Glob ("k", "a*")))
+
+(* Every plan run goes through the cache: over a DCM cycle and a mix of
+   named queries, each run (one [plan.path.*] tick) was preceded by one
+   cache lookup (a hit or a miss). *)
+let test_every_run_cached () =
+  let open Workload in
+  let tb = Testbed.create ~dcm_every_min:1_000_000 () in
+  let paths () =
+    List.fold_left (fun a p -> a + counter ("plan.path." ^ p)) 0
+      [ "scan"; "probe"; "range"; "prefix" ]
+  in
+  let lookups () = counter "plan.cache.hits" + counter "plan.cache.misses" in
+  let paths0 = paths () and lookups0 = lookups () in
+  ignore (Dcm.Manager.run tb.Testbed.dcm);
+  let ws = tb.Testbed.built.Population.workstation_machines.(0) in
+  let c = Testbed.admin_client tb ~src:ws in
+  let login = tb.Testbed.built.Population.logins.(0) in
+  List.iter
+    (fun (name, args) ->
+      ignore (Moira.Mr_client.mr_query_list c ~name args))
+    [
+      ("get_user_by_login", [ login ]);
+      ("get_user_by_login", [ "a*" ]);
+      ("get_all_active_logins", []);
+      ("get_machine", [ "*" ]);
+      ("get_list_info", [ "*" ]);
+      ("get_filesys_by_label", [ login ]);
+      ("update_user_shell", [ login; "/bin/sh" ]);
+    ];
+  let runs = paths () - paths0 in
+  Alcotest.(check bool) "plans ran" true (runs > 0);
+  Alcotest.(check int) "runs = cache lookups" runs (lookups () - lookups0)
 
 let test_int_range_order () =
   (* int bucket keys sort numerically in the ordered view, not as
@@ -275,7 +335,7 @@ let test_int_range_order () =
               Value.Bool true |]))
     [ 1; 5; 9; 10; 11; 20; 100 ];
   let p = Pred.And (Pred.Ge ("n", Value.Int 9), Pred.Le ("n", Value.Int 20)) in
-  Alcotest.(check int) "numeric range" 4 (Plan.count t p);
+  Alcotest.(check int) "numeric range" 4 (Table.count t p);
   Alcotest.(check bool) "agrees with brute force" true (plans_agree t p)
 
 let test_split_roundtrip () =
@@ -294,6 +354,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_equivalence_unindexed;
     Alcotest.test_case "access paths" `Quick test_paths;
     Alcotest.test_case "plan cache" `Quick test_cache;
+    Alcotest.test_case "plan cache bounded" `Quick test_cache_bounded;
+    Alcotest.test_case "every plan run is cached" `Quick test_every_run_cached;
     Alcotest.test_case "int range order" `Quick test_int_range_order;
     Alcotest.test_case "split/fill roundtrip" `Quick test_split_roundtrip;
   ]
