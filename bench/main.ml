@@ -437,7 +437,7 @@ let bench_robust () =
   List.iter
     (fun rate ->
       let tb = Testbed.create () in
-      Netsim.Net.set_drop_rate tb.Testbed.net rate;
+      Chaos.inject tb { Chaos.calm with drop = rate };
       Testbed.run_hours tb 26;
       let reports = Dcm.Manager.reports tb.Testbed.dcm in
       let props =
@@ -1229,909 +1229,6 @@ let bench_qry () =
     scales;
   json_write "BENCH_query.json"
 
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* E12: the chaos harness — convergence under injected faults.         *)
-(* CHAOS_SMOKE=1 (CI): fewer fault levels, same assertions.            *)
-
-let chaos_smoke = Sys.getenv_opt "CHAOS_SMOKE" <> None || smoke
-
-(* Every enabled host of every enabled, generated service has caught up
-   with the current data file generation and carries no host error; the
-   service itself has re-checked for changes after [after] (engine
-   seconds), so "current generation" really includes the last trickled
-   change rather than a stale pre-change one. *)
-let chaos_converged ?(after = 0) tb =
-  let db = tb.Testbed.mdb in
-  let servers = Moira.Mdb.table db "servers" in
-  let shosts = Moira.Mdb.table db "serverhosts" in
-  Relation.Table.fold shosts ~init:true ~f:(fun ok _ row ->
-      ok
-      &&
-      let field c = Relation.Table.field shosts row c in
-      if not (Relation.Value.bool (field "enable")) then true
-      else
-        let service = Relation.Value.str (field "service") in
-        match
-          Relation.Table.select_one servers
-            (Relation.Pred.eq_str "name" service)
-        with
-        | None -> true
-        | Some (_, srow) ->
-            let sfield c = Relation.Table.field servers srow c in
-            if
-              (not (Relation.Value.bool (sfield "enable")))
-              || Relation.Value.int (sfield "update_int") <= 0
-            then true
-            else
-              Relation.Value.int (sfield "harderror") = 0
-              && Relation.Value.int (sfield "dfcheck") >= after
-              && Relation.Value.int (field "hosterror") = 0
-              && Relation.Value.int (field "lts")
-                 >= Relation.Value.int (sfield "dfgen"))
-
-(* The same change trickle for every run: one shell update every two
-   hours, so there is always something to propagate. *)
-let chaos_changes tb =
-  let logins = tb.Testbed.built.Population.logins in
-  for i = 1 to 8 do
-    ignore
-      (Sim.Engine.schedule tb.Testbed.engine
-         ~at:(Sim.Engine.now tb.Testbed.engine + (i * 2 * 3600_000))
-         "chaos-change"
-         (fun () ->
-           ignore
-             (Moira.Glue.query tb.Testbed.glue ~name:"update_user_shell"
-                [
-                  logins.(i mod Array.length logins);
-                  Printf.sprintf "/bin/chaos%d" i;
-                ])))
-  done
-
-(* One run at one fault level.  [drop] and [reply_drop] persist for the
-   whole run; on top of them the faulty runs get a partition window, two
-   scheduled crash/reboot outages, and one guaranteed mid-push crash
-   (armed [mid_install] point, host rebooted an hour in). *)
-let chaos_run ~drop ~reply_drop =
-  let tb = Testbed.create () in
-  chaos_changes tb;
-  let faulty = drop > 0.0 || reply_drop > 0.0 in
-  if faulty then begin
-    let net = tb.Testbed.net in
-    let now = Sim.Engine.now tb.Testbed.engine in
-    Netsim.Net.set_drop_rate net drop;
-    Netsim.Net.set_reply_drop_rate net reply_drop;
-    let managed = Testbed.managed_machines tb in
-    let half = List.filteri (fun i _ -> i mod 2 = 0) managed in
-    Netsim.Net.partition_window net ~hosts:half
-      ~at:(now + (5 * 3600_000))
-      ~duration_ms:(90 * 60_000);
-    List.iteri
-      (fun i m ->
-        if i < 2 then
-          Netsim.Net.schedule_outage net ~host:m
-            ~at:(now + ((8 + (3 * i)) * 3600_000))
-            ~duration_ms:((40 + (20 * i)) * 60_000))
-      managed;
-    let hes_machine, _ = Testbed.first_hesiod tb in
-    Netsim.Host.arm_crash (Testbed.host tb hes_machine) ~point:"mid_install";
-    ignore
-      (Sim.Engine.schedule tb.Testbed.engine
-         ~at:(now + 3600_000)
-         "chaos-reboot"
-         (fun () ->
-           let h = Testbed.host tb hes_machine in
-           if not (Netsim.Host.is_up h) then Netsim.Host.boot h))
-  end;
-  (* fault phase: all scheduled faults land inside these 18 hours (the
-     loss rates stay on for the whole run) *)
-  Testbed.run_hours tb 18;
-  (* the last change lands at 16h: convergence means every service
-     re-checked after it AND every host caught up with the result *)
-  let cutoff = (Testbed.epoch_1988_ms / 1000) + (16 * 3600) in
-  let cycles = ref 0 in
-  while (not (chaos_converged ~after:cutoff tb)) && !cycles < 200 do
-    Testbed.run_minutes tb 15;
-    incr cycles
-  done;
-  (tb, !cycles, chaos_converged ~after:cutoff tb)
-
-let bench_chaos () =
-  header
-    "E12: chaos harness -- eventual convergence under request loss,\n\
-     reply loss, partitions and crash/reboot cycles (sections 5.7, 5.9)";
-  let levels =
-    if chaos_smoke then [ (0.0, 0.0); (0.3, 0.2) ]
-    else [ (0.0, 0.0); (0.1, 0.05); (0.2, 0.1); (0.3, 0.2) ]
-  in
-  Printf.printf "%-18s %8s %8s %10s %12s %9s\n" "drop/reply-loss" "cycles"
-    "hours" "retries" "wasted KB" "identical";
-  let baseline_state = ref None in
-  let failures = ref [] in
-  List.iter
-    (fun (drop, reply_drop) ->
-      let tb, cycles, converged = chaos_run ~drop ~reply_drop in
-      let hours =
-        (Sim.Engine.now tb.Testbed.engine - Testbed.epoch_1988_ms)
-        / 3600_000
-      in
-      let state = Testbed.installed_state tb in
-      let identical =
-        match !baseline_state with
-        | None ->
-            baseline_state := Some state;
-            true
-        | Some base -> state = base
-      in
-      let reports = Dcm.Manager.reports tb.Testbed.dcm in
-      (* whole-run telemetry straight from the registry (the per-report
-         fields are deltas of these same counters) *)
-      let o = Testbed.obs tb in
-      let ctr name = Option.value ~default:0 (Obs.find_counter o name) in
-      let retries = ctr "dcm.retries" in
-      let ops_sent = ctr "update.ops.sent" in
-      let ops_ok = ctr "update.ops.ok" in
-      let ops_retried = ctr "update.ops.retried" in
-      let ops_failed =
-        List.fold_left
-          (fun a (n, v) ->
-            if Obs.glob_match "update.ops.failed.*" n then a + v else a)
-          0 (Obs.counters o)
-      in
-      let count pred =
-        List.fold_left
-          (fun a r ->
-            a
-            + List.fold_left
-                (fun a s ->
-                  a
-                  + List.length
-                      (List.filter (fun (_, h) -> pred h) s.Dcm.Manager.hosts))
-                0 r.Dcm.Manager.services)
-          0 reports
-      in
-      let incidents =
-        count (function
-          | Dcm.Manager.Hard_failed _ | Dcm.Manager.Quarantined _ -> true
-          | _ -> false)
-      in
-      let ns = Netsim.Net.stats tb.Testbed.net in
-      let name = Printf.sprintf "chaos_drop%.2f_reply%.2f" drop reply_drop in
-      if not converged then failures := (name ^ ": did not converge") :: !failures;
-      if not identical then
-        failures := (name ^ ": installed files differ from baseline") :: !failures;
-      (* every protocol operation is accounted for: it either succeeded,
-         was retried, or ended in a counted failure kind *)
-      if ops_sent <> ops_ok + ops_retried + ops_failed then
-        failures :=
-          Printf.sprintf "%s: ops unaccounted (%d sent <> %d ok + %d retried + %d failed)"
-            name ops_sent ops_ok ops_retried ops_failed
-          :: !failures;
-      json_add name
-        [
-          ("drop_rate", F drop);
-          ("reply_drop_rate", F reply_drop);
-          ("converged", B converged);
-          ("cycles_to_converge", I cycles);
-          ("hours_to_converge", I hours);
-          ("files_identical_to_baseline", B identical);
-          ("retries", I retries);
-          ("incidents", I incidents);
-          ("wasted_wire_bytes", I ns.Netsim.Net.wasted_bytes);
-          ("calls", I ns.Netsim.Net.calls);
-          ("req_dropped", I ns.Netsim.Net.req_dropped);
-          ("reply_dropped", I ns.Netsim.Net.reply_dropped);
-          ("partitioned_calls", I ns.Netsim.Net.partitioned);
-          ("ops_sent", I ops_sent);
-          ("ops_ok", I ops_ok);
-          ("ops_retried", I ops_retried);
-          ("ops_failed", I ops_failed);
-          ("notices_sent", I (ctr "dcm.notices.sent"));
-          ("notices_dropped", I (ctr "dcm.notices.dropped"));
-        ];
-      Printf.printf "%5.2f / %-9.2f %8d %8d %10d %12d %9b\n" drop reply_drop
-        cycles hours retries
-        (ns.Netsim.Net.wasted_bytes / 1024)
-        identical)
-    levels;
-  json_write "BENCH_chaos.json";
-  match !failures with
-  | [] ->
-      Printf.printf
-        "all fault levels converged with installed files byte-identical to\n\
-         the fault-free run\n"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "CHAOS FAILURE: %s\n" f) fs;
-      exit 1
-
-(* ------------------------------------------------------------------ *)
-(* obs: the observability layer end to end -- per-query latency         *)
-(* quantiles, plan-cache hit rate, DCM cycle breakdown, registry        *)
-(* determinism across identical seeded runs, and a Chrome-loadable      *)
-(* trace (BENCH_obs.json, trace.json).  OBS_SMOKE=1 (CI) shrinks it.    *)
-
-let obs_smoke = Sys.getenv_opt "OBS_SMOKE" <> None || smoke
-let obs_queries = if obs_smoke then 40 else 160
-
-(* A deterministic mixed workload: reads and writes trickling in over
-   simulated hours while the DCM cron fires — everything the PR wires
-   up (query spans, client latency histograms, plan cache, DCM span
-   tree, net counters) gets exercised. *)
-let obs_run () =
-  let tb = Testbed.create () in
-  let o = Testbed.obs tb in
-  Netsim.Net.set_trace_calls tb.Testbed.net true;
-  let ws = tb.Testbed.built.Population.workstation_machines.(0) in
-  let c = Testbed.admin_client tb ~src:ws in
-  let logins = tb.Testbed.built.Population.logins in
-  for i = 0 to obs_queries - 1 do
-    let login = logins.(i mod Array.length logins) in
-    (match i mod 4 with
-    | 3 ->
-        ignore
-          (Moira.Mr_client.mr_query c ~name:"update_user_shell"
-             [ login; Printf.sprintf "/bin/obs%d" i ]
-             ~callback:(fun _ -> ()))
-    | _ ->
-        ignore
-          (Moira.Mr_client.mr_query_list c ~name:"get_user_by_login" [ login ]));
-    Testbed.run_minutes tb 2
-  done;
-  Testbed.run_hours tb 1;
-  (* the registry surfaced through the Moira wire protocol — part of the
-     workload (not just the demo below) so both determinism runs are
-     identical query-for-query *)
-  let stat_rows =
-    match
-      Moira.Mr_client.mr_query_list c ~name:"_get_server_statistics"
-        [ "dcm.*" ]
-    with
-    | Ok rows -> rows
-    | Error _ -> []
-  in
-  (tb, stat_rows, o)
-
-let span_stats o name =
-  let spans =
-    List.filter (fun s -> s.Obs.sp_name = name) (Obs.completed_spans o)
-  in
-  (List.length spans, List.fold_left (fun a s -> a + s.Obs.sp_dur_ms) 0 spans)
-
-let bench_obs () =
-  header
-    "obs: sim-time observability -- query latency quantiles, plan-cache\n\
-     hit rate, DCM cycle breakdown, registry determinism, Chrome trace\n\
-     (BENCH_obs.json, trace.json)";
-  let _tb, stat_rows, o = obs_run () in
-  (* fingerprint before anything below perturbs the registry *)
-  let dump1 = Obs.dump o in
-  let h name =
-    match Obs.find_histogram o name with
-    | Some s -> s
-    | None ->
-        { Obs.count = 0; sum = 0; min = 0; max = 0; p50 = 0; p95 = 0; p99 = 0 }
-  in
-  let q = h "client.query_ms" in
-  let q_read = h "client.query.get_user_by_login.ms" in
-  let q_write = h "client.query.update_user_shell.ms" in
-  Printf.printf
-    "client round trips: %d  p50=%dms p95=%dms p99=%dms max=%dms\n"
-    q.Obs.count q.Obs.p50 q.Obs.p95 q.Obs.p99 q.Obs.max;
-  Printf.printf "  get_user_by_login:  p50=%dms p95=%dms\n" q_read.Obs.p50
-    q_read.Obs.p95;
-  Printf.printf "  update_user_shell:  p50=%dms p95=%dms\n" q_write.Obs.p50
-    q_write.Obs.p95;
-  let counter name = Option.value (Obs.find_counter o name) ~default:0 in
-  let hits = counter "plan.cache.hits" in
-  let misses = counter "plan.cache.misses" in
-  let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  Printf.printf "plan cache: %d hits / %d misses (%.1f%% hit rate)\n" hits
-    misses (100. *. hit_rate);
-  let cycles, cycle_ms = span_stats o "dcm.cycle" in
-  let _, gen_ms = span_stats o "dcm.generate" in
-  let _, hosts_ms = span_stats o "dcm.hosts" in
-  let pushes, push_ms = span_stats o "dcm.push" in
-  Printf.printf
-    "dcm (ring window): %d cycles, %d sim-ms -- generate %dms, host scans\n\
-    \  %dms of which %d pushes took %dms\n"
-    cycles cycle_ms gen_ms hosts_ms pushes push_ms;
-  Printf.printf "_get_server_statistics \"dcm.*\": %d rows, e.g.\n"
-    (List.length stat_rows);
-  List.iteri
-    (fun i row -> if i < 4 then Printf.printf "  %s\n" (String.concat " " row))
-    stat_rows;
-  let trace = Obs.trace_json o in
-  let n_events = List.length (Obs.trace_events o) in
-  let oc = open_out "trace.json" in
-  output_string oc trace;
-  close_out oc;
-  Printf.printf "wrote trace.json (%d events, %d bytes)\n" n_events
-    (String.length trace);
-  (* a second identical seeded run must fingerprint identically: every
-     timestamp is sim time, so wall clock never leaks into a metric *)
-  let _, _, o2 = obs_run () in
-  let deterministic = String.equal dump1 (Obs.dump o2) in
-  Printf.printf "registry identical across two same-seed runs: %b\n"
-    deterministic;
-  json_add "obs"
-    [
-      ("queries", I q.Obs.count);
-      ("query_p50_ms", I q.Obs.p50);
-      ("query_p95_ms", I q.Obs.p95);
-      ("query_p99_ms", I q.Obs.p99);
-      ("query_max_ms", I q.Obs.max);
-      ("read_p50_ms", I q_read.Obs.p50);
-      ("read_p95_ms", I q_read.Obs.p95);
-      ("write_p50_ms", I q_write.Obs.p50);
-      ("write_p95_ms", I q_write.Obs.p95);
-      ("plan_cache_hits", I hits);
-      ("plan_cache_misses", I misses);
-      ("plan_cache_hit_rate", F hit_rate);
-      ("dcm_cycles", I cycles);
-      ("dcm_cycle_ms", I cycle_ms);
-      ("dcm_generate_ms", I gen_ms);
-      ("dcm_hosts_ms", I hosts_ms);
-      ("dcm_pushes", I pushes);
-      ("dcm_push_ms", I push_ms);
-      ("trace_events", I n_events);
-      ("deterministic", B deterministic);
-    ];
-  json_write "BENCH_obs.json";
-  if not deterministic then begin
-    let save p s = let oc = open_out p in output_string oc s; close_out oc in
-    save "OBS_dump1.txt" dump1;
-    save "OBS_dump2.txt" (Obs.dump o2);
-    Printf.eprintf
-      "OBS FAILURE: two identical seeded runs produced different registries\n\
-       (dumps in OBS_dump1.txt / OBS_dump2.txt)\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* E13: the replicated read path — journal-streaming replicas under    *)
-(* the E12 fault model with the primary killed mid-propagation, plus   *)
-(* aggregate read capacity vs the single server.                       *)
-(* REPL_SMOKE=1 (CI): shorter fault phase, same assertions.            *)
-
-let repl_smoke = Sys.getenv_opt "REPL_SMOKE" <> None || smoke
-
-let bench_replication () =
-  header
-    "E13: replicated read path -- journal-streaming replicas, client\n\
-     failover and read-your-writes under loss + primary kill, aggregate\n\
-     read qps vs the single server";
-  let failures = ref [] in
-  let n_replicas = 3 in
-  let drop, reply_drop = (0.3, 0.2) in
-  let tb = Testbed.create ~replicas:n_replicas ~repl_poll_ms:5_000 () in
-  let net = tb.Testbed.net in
-  let o = Testbed.obs tb in
-  let ctr name = Option.value ~default:0 (Obs.find_counter o name) in
-  let logins = tb.Testbed.built.Population.logins in
-  let ws = tb.Testbed.built.Population.workstation_machines.(0) in
-  let c = Testbed.admin_client tb ~src:ws in
-  Moira.Mr_client.set_replicas c (Testbed.replica_machines tb);
-  (* a second, read-only client: its high-water mark ratchets only off
-     its own reads, so it keeps monotonic reads through a primary kill
-     even when the writer's read-your-writes floor is unservable (the
-     writer's last commit may not have reached any replica yet) *)
-  let reader =
-    Testbed.admin_client tb
-      ~src:tb.Testbed.built.Population.workstation_machines.(1)
-  in
-  Moira.Mr_client.set_replicas reader (Testbed.replica_machines tb);
-  (* let the replicas boot-sync before the weather starts *)
-  Testbed.run_minutes tb 2;
-
-  (* Monotonic-read oracle: shells are written as /bin/v<N> with N
-     strictly increasing per login; a read that returns a smaller N
-     than this client has already observed for that login is a
-     regression.  This criterion is exact even when a reply-dropped
-     write commits without the client learning it. *)
-  let version_of shell =
-    if String.length shell > 6 && String.sub shell 0 6 = "/bin/v" then
-      int_of_string_opt
-        (String.sub shell 6 (String.length shell - 6))
-    else None
-  in
-  let observed = Hashtbl.create 16 in
-  let regressions = ref 0 in
-  let reads_ok = ref 0 and reads_failed = ref 0 in
-  let reads_ok_during_kill = ref 0 in
-  let primary = tb.Testbed.built.Population.moira_machine in
-  let primary_down () =
-    not (Netsim.Host.is_up (Testbed.host tb primary))
-  in
-  let read login =
-    match
-      Moira.Mr_client.mr_query_list reader ~name:"get_user_by_login"
-        [ login ]
-    with
-    | Ok ((_ :: _ :: shell :: _) :: _) ->
-        incr reads_ok;
-        if primary_down () then incr reads_ok_during_kill;
-        (match version_of shell with
-        | None -> ()
-        | Some v ->
-            let prev =
-              Option.value (Hashtbl.find_opt observed login) ~default:(-1)
-            in
-            if v < prev then incr regressions
-            else Hashtbl.replace observed login v)
-    | Ok _ -> incr reads_ok
-    | Error e ->
-        incr reads_failed;
-        if Sys.getenv_opt "REPL_DEBUG" <> None then
-          Printf.eprintf
-            "DEBUG t=%d read failed (%s) primary_down=%b hw=%d status=[%s] \
-             applied=[%s]\n%!"
-            (Sim.Engine.now tb.Testbed.engine)
-            (Comerr.Com_err.error_message e)
-            (primary_down ())
-            (Moira.Mr_client.high_water reader)
-            (String.concat ";"
-               (List.map
-                  (fun (h, q) -> Printf.sprintf "%s:%b" h q)
-                  (Moira.Mr_client.replica_status reader)))
-            (String.concat ";"
-               (List.map
-                  (fun (_, r) ->
-                    string_of_int
-                      (Relation.Replicate.applied_seq
-                         (Moira.Mr_server.replica_handle r)))
-                  tb.Testbed.replicas))
-  in
-  let version = ref 0 in
-  let writes_ok = ref 0 and writes_failed = ref 0 in
-  let ryw_ok = ref 0 and ryw_failed = ref 0 in
-  let write login =
-    incr version;
-    match
-      Moira.Mr_client.mr_query_list c ~name:"update_user_shell"
-        [ login; Printf.sprintf "/bin/v%d" !version ]
-    with
-    | Ok _ -> (
-        incr writes_ok;
-        let written = !version in
-        (* read-your-writes: the writer's own next read must observe at
-           least this write, wherever it is served from *)
-        match
-          Moira.Mr_client.mr_query_list c ~name:"get_user_by_login"
-            [ login ]
-        with
-        | Ok ((_ :: _ :: shell :: _) :: _) ->
-            incr ryw_ok;
-            if
-              match version_of shell with
-              | Some v -> v < written
-              | None -> true
-            then incr regressions
-        | Ok _ | Error _ -> incr ryw_failed)
-    | Error _ -> incr writes_failed
-  in
-
-  (* fault model of E12 at its harshest level, plus the primary kill.
-     Faults are anchored to round boundaries rather than wall offsets:
-     under 30% loss the client's own timeouts and retries advance the
-     sim clock far more than the inter-read sleeps do, so an absolute
-     schedule would miss the read instants entirely. *)
-  Netsim.Net.set_drop_rate net drop;
-  Netsim.Net.set_reply_drop_rate net reply_drop;
-  let rounds = if repl_smoke then 12 else 48 in
-  let kill_round = rounds / 3 in
-  let kill_ms = 25 * 60_000 in
-  let kill_end = ref 0 in
-  for i = 0 to rounds - 1 do
-    let now = Sim.Engine.now tb.Testbed.engine in
-    if i = 1 then
-      (* one replica loses the network long enough to need catch-up *)
-      Netsim.Net.partition_window net
-        ~hosts:[ Testbed.replica_machine 0 ]
-        ~at:now
-        ~duration_ms:(8 * 60_000);
-    let login = logins.(i mod Array.length logins) in
-    write login;
-    if i = kill_round then begin
-      (* the kill lands 2.5 s after this round's committed write —
-         inside the replicas' 5 s poll window, mid-propagation *)
-      let at = Sim.Engine.now tb.Testbed.engine + 2_500 in
-      Netsim.Net.schedule_outage net ~host:primary ~at
-        ~duration_ms:kill_ms;
-      kill_end := at + kill_ms
-    end;
-    (* reads every 30 s, so the outage window holds many read instants
-       and quarantine backoffs get their probes *)
-    for k = 0 to 3 do
-      read logins.((i + k) mod Array.length logins);
-      Sim.Engine.run_for tb.Testbed.engine 30_000
-    done
-  done;
-
-  (* weather clears; run out the outage, then until every replica is
-     byte-identical *)
-  Netsim.Net.set_drop_rate net 0.0;
-  Netsim.Net.set_reply_drop_rate net 0.0;
-  while Sim.Engine.now tb.Testbed.engine < !kill_end do
-    Testbed.run_minutes tb 1
-  done;
-  let dump_of mdb = Relation.Backup.dump (Moira.Mdb.db mdb) in
-  let all_identical () =
-    let p = dump_of tb.Testbed.mdb in
-    List.for_all
-      (fun (_, r) -> dump_of (Moira.Mr_server.replica_mdb r) = p)
-      tb.Testbed.replicas
-  in
-  let cycles = ref 0 in
-  while (not (all_identical ())) && !cycles < 60 do
-    Testbed.run_minutes tb 1;
-    incr cycles
-  done;
-  let converged = all_identical () in
-  let head = Relation.Journal.head_seq (Moira.Mdb.journal tb.Testbed.mdb) in
-  if not converged then
-    failures := "replicas did not converge byte-identical" :: !failures;
-  if !regressions > 0 then
-    failures :=
-      Printf.sprintf "%d monotonic-read regressions" !regressions
-      :: !failures;
-  if !reads_ok_during_kill = 0 then
-    failures := "no read survived the primary outage" :: !failures;
-  let lag = Obs.find_histogram o "repl.lag_entries" in
-  let delay = Obs.find_histogram o "repl.apply_delay_ms" in
-  let hp f = function Some (s : Obs.summary) -> f s | None -> 0 in
-  Printf.printf
-    "fault phase: %d/%d writes ok, %d/%d reader reads ok (%d during \
-     primary kill), %d/%d read-your-writes checks ok, %d stale bounces, \
-     %d quarantines, %d snapshots, read regressions: %d\n"
-    !writes_ok (!writes_ok + !writes_failed) !reads_ok
-    (!reads_ok + !reads_failed) !reads_ok_during_kill !ryw_ok
-    (!ryw_ok + !ryw_failed)
-    (ctr "client.read.stale_bounce")
-    (ctr "client.replica_quarantined")
-    (List.fold_left
-       (fun a (m, _) ->
-         a + ctr ("repl." ^ String.lowercase_ascii m ^ ".snapshots"))
-       0 tb.Testbed.replicas)
-    !regressions;
-  Printf.printf
-    "converged byte-identical: %b (journal head %d, +%d quiet minutes)\n\
-     replica lag: p50 %d p99 %d entries; apply delay p50 %d p99 %d ms\n"
-    converged head !cycles (hp (fun s -> s.Obs.p50) lag)
-    (hp (fun s -> s.Obs.p99) lag)
-    (hp (fun s -> s.Obs.p50) delay)
-    (hp (fun s -> s.Obs.p99) delay);
-
-  (* --- aggregate read capacity: N replicas vs the one primary --- *)
-  let dispatch glue login () =
-    match Moira.Glue.query glue ~name:"get_user_by_login" [ login ] with
-    | Ok _ -> ()
-    | Error c -> failwith (Comerr.Com_err.error_message c)
-  in
-  let rounds = if repl_smoke then 2 else 5 in
-  let time_per_op_us f =
-    let _, once_ms = time_ms f in
-    let iters =
-      max 1 (min 200_000 (int_of_float (20.0 /. max 0.0005 once_ms)))
-    in
-    let best = ref infinity in
-    for _ = 1 to rounds do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        ignore (f ())
-      done;
-      let t = Unix.gettimeofday () -. t0 in
-      if t < !best then best := t
-    done;
-    !best /. float_of_int iters *. 1_000_000.
-  in
-  let login = logins.(Array.length logins / 2) in
-  let qps f = 1_000_000. /. time_per_op_us f in
-  let baseline = qps (dispatch tb.Testbed.glue login) in
-  let per_replica =
-    List.map
-      (fun (m, r) ->
-        let glue =
-          Moira.Glue.create
-            ~mdb:(Moira.Mr_server.replica_mdb r)
-            ~registry:(Moira.Catalog.make ()) ()
-        in
-        (m, qps (dispatch glue login)))
-      tb.Testbed.replicas
-  in
-  let aggregate = List.fold_left (fun a (_, q) -> a +. q) 0.0 per_replica in
-  Printf.printf
-    "single-server warm read path: %.0f qps\n\
-     aggregate over %d replicas:   %.0f qps (%.2fx)\n"
-    baseline n_replicas aggregate (aggregate /. baseline);
-  if aggregate < 2.0 *. baseline then
-    failures :=
-      Printf.sprintf "aggregate read qps only %.2fx the single server"
-        (aggregate /. baseline)
-      :: !failures;
-
-  json_add "replication"
-    ([
-       ("replicas", I n_replicas);
-       ("drop_rate", F drop);
-       ("reply_drop_rate", F reply_drop);
-       ("writes_ok", I !writes_ok);
-       ("writes_failed", I !writes_failed);
-       ("reads_ok", I !reads_ok);
-       ("reads_failed", I !reads_failed);
-       ("reads_ok_during_primary_kill", I !reads_ok_during_kill);
-       ("read_your_writes_ok", I !ryw_ok);
-       ("read_your_writes_failed", I !ryw_failed);
-       ("read_regressions", I !regressions);
-       ("stale_bounces", I (ctr "client.read.stale_bounce"));
-       ("replica_reads", I (ctr "client.read.replica"));
-       ("primary_reads", I (ctr "client.read.primary"));
-       ("quarantines", I (ctr "client.replica_quarantined"));
-       ("converged_byte_identical", B converged);
-       ("journal_head", I head);
-       ("lag_entries_p50", I (hp (fun s -> s.Obs.p50) lag));
-       ("lag_entries_p99", I (hp (fun s -> s.Obs.p99) lag));
-       ("apply_delay_ms_p50", I (hp (fun s -> s.Obs.p50) delay));
-       ("apply_delay_ms_p99", I (hp (fun s -> s.Obs.p99) delay));
-       ("single_server_qps", F baseline);
-       ("aggregate_read_qps", F aggregate);
-       ("read_speedup", F (aggregate /. baseline));
-     ]
-    @ List.map
-        (fun (m, q) -> ("qps_" ^ String.lowercase_ascii m, F q))
-        per_replica);
-  json_write "BENCH_replication.json";
-  match !failures with
-  | [] ->
-      Printf.printf
-        "replicas converged byte-identical under loss + primary kill; no\n\
-         read regressed; aggregate read capacity scales\n"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "REPL FAILURE: %s\n" f) fs;
-      exit 1
-
-(* ------------------------------------------------------------------ *)
-(* prop: commit-to-serving propagation freshness -- the tracing/SLO    *)
-(* pipeline end to end.  Every committed write carries a journal      *)
-(* stamp; replica apply and DCM serving-host install time themselves  *)
-(* against it.  Quantiles at 1x and 4x population, fault-free and     *)
-(* under the chaos fault level; under faults, one committed write's   *)
-(* stitched trace must span the client, server, replica and serving-  *)
-(* host lanes; and two identical seeded chaos runs must fingerprint   *)
-(* byte-identical across every lane (BENCH_propagation.json).         *)
-(* OBS_SMOKE=1 (CI) shrinks it.                                       *)
-
-let prop_smoke = Sys.getenv_opt "OBS_SMOKE" <> None || smoke
-
-(* Every lane's registry dump plus the extracted trace: the whole
-   telemetry surface two same-seed runs must reproduce byte for byte. *)
-let prop_fingerprint tb trace =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (m, o) ->
-      Buffer.add_string b ("== " ^ m ^ "\n");
-      Buffer.add_string b (Obs.dump o))
-    (Testbed.lanes tb);
-  Buffer.add_string b trace;
-  Buffer.contents b
-
-(* One run: a trickle of shell writes over the first hours, then enough
-   simulated time for the dirtied service intervals (HESIOD regenerates
-   every 6 hours, NFS every 12) to carry the commits to the serving
-   hosts. *)
-let prop_run ~scale ~drop ~reply_drop () =
-  let spec = Population.scaled Population.small scale in
-  let tb = Testbed.create ~spec ~replicas:2 ~repl_poll_ms:60_000 () in
-  let net = tb.Testbed.net in
-  let o = Testbed.obs tb in
-  let ws = tb.Testbed.built.Population.workstation_machines.(0) in
-  let c = Testbed.admin_client tb ~src:ws in
-  (* the write path with failover: query2 sequencing plus an in-place
-     reconnect when loss kills the connection mid-run *)
-  Moira.Mr_client.set_replicas c (Testbed.replica_machines tb);
-  (* let the replicas boot-sync past the population's build history
-     before the weather starts: every commit from here on is applied
-     entry by entry, with its repl.apply span, rather than swallowed
-     into the boot snapshot *)
-  Testbed.run_minutes tb 3;
-  Netsim.Net.set_drop_rate net drop;
-  Netsim.Net.set_reply_drop_rate net reply_drop;
-  let logins = tb.Testbed.built.Population.logins in
-  let journal = Moira.Mdb.journal tb.Testbed.mdb in
-  let writes = if prop_smoke then 4 else 12 in
-  let writes_ok = ref 0 in
-  let commits = ref 0 in
-  let traced = ref None in
-  let t0 = Sim.Engine.now tb.Testbed.engine in
-  for i = 0 to writes - 1 do
-    let seq0 = Relation.Journal.head_seq journal in
-    (* an operator retries a failed update; each attempt is its own
-       client.query root span, so retries stay visible in the trace *)
-    let rec attempt k =
-      match
-        Moira.Mr_client.mr_query_list c ~name:"update_user_shell"
-          [ logins.(i mod Array.length logins);
-            Printf.sprintf "/bin/prop%d" i ]
-      with
-      | Ok _ -> incr writes_ok
-      | Error _ -> if k > 1 then attempt (k - 1)
-    in
-    attempt 6;
-    (* the journal, not the client's return code, is the commit oracle:
-       a reply-dropped write commits without the client learning it *)
-    List.iter
-      (fun e ->
-        let ctx = e.Relation.Journal.ctx in
-        if ctx <> "" then begin
-          incr commits;
-          if !traced = None then
-            match String.index_opt ctx '/' with
-            | Some k -> traced := Some (String.sub ctx 0 k)
-            | None -> ()
-        end)
-      (Relation.Journal.entries_from journal ~seq:seq0);
-    Testbed.run_minutes tb 15
-  done;
-  (* run until the first dirtied interval fires and its pushes land
-     (retries under loss can slip a push by whole cron cycles), then
-     capture the first committed write's stitched trace before ring
-     churn under a faulty sky evicts its early client spans *)
-  let c2s_count () =
-    match Obs.find_histogram o "prop.commit_to_serving_ms" with
-    | Some s -> s.Obs.count
-    | None -> 0
-  in
-  let budget = ref (2 * 24) in
-  while c2s_count () = 0 && !budget > 0 do
-    Testbed.run_minutes tb 30;
-    decr budget
-  done;
-  let trace_id = Option.value !traced ~default:"" in
-  let trace = Testbed.trace_json ~trace:trace_id tb in
-  (* weather clears; run to a fixed horizon past the slowest dirtied
-     service interval (HESIOD regenerates every 6 hours, NFS every 12)
-     so every write's commit is carried to its serving hosts and the
-     quantiles describe interval-dominated propagation *)
-  Netsim.Net.set_drop_rate net 0.0;
-  Netsim.Net.set_reply_drop_rate net 0.0;
-  let horizon_ms = (if prop_smoke then 7 else 13) * 3_600_000 in
-  while Sim.Engine.now tb.Testbed.engine - t0 < horizon_ms do
-    Testbed.run_minutes tb 30
-  done;
-  (tb, o, (!writes_ok, !commits), trace_id, trace)
-
-let bench_prop () =
-  header
-    "prop: commit-to-serving freshness -- journal-stamped commits timed\n\
-     to replica apply and serving-host install at 1x/4x population,\n\
-     fault-free and under loss; end-to-end trace and telemetry\n\
-     determinism (BENCH_propagation.json)";
-  let failures = ref [] in
-  let drop, reply_drop = (0.3, 0.2) in
-  let h o name =
-    match Obs.find_histogram o name with
-    | Some s -> s
-    | None ->
-        { Obs.count = 0; sum = 0; min = 0; max = 0; p50 = 0; p95 = 0; p99 = 0 }
-  in
-  Printf.printf "%-15s %7s %9s %9s %9s %9s  %s\n" "config" "served"
-    "c2s_p50m" "c2s_p99m" "c2r_p50s" "c2r_p99s" "slo";
-  (* harvest reads the global registry and SLO engine, so it must run
-     before the next Testbed.create resets them *)
-  let harvest name ~drop ~reply_drop (tb, o, (writes_ok, commits), trace_id, trace) =
-    let c2s = h o "prop.commit_to_serving_ms" in
-    let c2r = h o "prop.commit_to_replica_ms" in
-    let verdict =
-      List.fold_left
-        (fun acc r ->
-          if r.Obs.Slo.r_objective.Obs.Slo.o_name = "serving-freshness-p99"
-          then Obs.Slo.verdict_name r.Obs.Slo.r_verdict
-          else acc)
-        "?"
-        (Obs.Slo.evaluate Obs.Slo.default)
-    in
-    if commits = 0 then
-      failures := (name ^ ": no write ever committed") :: !failures;
-    if c2s.Obs.count = 0 then
-      failures := (name ^ ": no commit ever reached a serving host") :: !failures;
-    if c2r.Obs.count = 0 then
-      failures := (name ^ ": no commit ever reached a replica") :: !failures;
-    json_add name
-      [
-        ("users", I (Array.length tb.Testbed.built.Population.logins));
-        ("drop_rate", F drop);
-        ("reply_drop_rate", F reply_drop);
-        ("writes_ok", I writes_ok);
-        ("writes_committed", I commits);
-        ("trace_id", S trace_id);
-        ("commits_served", I c2s.Obs.count);
-        ("commit_to_serving_p50_ms", I c2s.Obs.p50);
-        ("commit_to_serving_p99_ms", I c2s.Obs.p99);
-        ("commit_to_serving_max_ms", I c2s.Obs.max);
-        ("commits_replicated", I c2r.Obs.count);
-        ("commit_to_replica_p50_ms", I c2r.Obs.p50);
-        ("commit_to_replica_p99_ms", I c2r.Obs.p99);
-        ("serving_freshness_verdict", S verdict);
-        ("trace_bytes", I (String.length trace));
-      ];
-    Printf.printf "%-15s %7d %9d %9d %9d %9d  %s\n" name c2s.Obs.count
-      (c2s.Obs.p50 / 60_000) (c2s.Obs.p99 / 60_000) (c2r.Obs.p50 / 1000)
-      (c2r.Obs.p99 / 1000) verdict
-  in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  (* fault-free baselines: propagation lag is the service interval *)
-  harvest "prop_1x" ~drop:0.0 ~reply_drop:0.0
-    (prop_run ~scale:1.0 ~drop:0.0 ~reply_drop:0.0 ());
-  harvest "prop_4x" ~drop:0.0 ~reply_drop:0.0
-    (prop_run ~scale:4.0 ~drop:0.0 ~reply_drop:0.0 ());
-  (* the chaos fault level of E12's harshest tier *)
-  let (tb_f, _, _, trace_id, trace) as run_f =
-    prop_run ~scale:1.0 ~drop ~reply_drop ()
-  in
-  let fp1 = prop_fingerprint tb_f trace in
-  harvest "prop_1x_faulty" ~drop ~reply_drop run_f;
-  (* the committed write's trace must span every lane of Figure 1:
-     client call, server handler, replica apply, DCM push, install *)
-  let stages =
-    [
-      ("client span", "\"name\":\"client.query\"");
-      ("server handler span", "\"name\":\"query\"");
-      ("replica apply span", "\"name\":\"repl.apply\"");
-      ("dcm push span", "\"name\":\"dcm.push\"");
-      ("serving-host install span", "\"name\":\"update.exec\"");
-    ]
-  in
-  let missing =
-    List.filter (fun (_, needle) -> not (contains trace needle)) stages
-  in
-  List.iter
-    (fun (what, _) ->
-      failures :=
-        Printf.sprintf "trace %s misses the %s" trace_id what :: !failures)
-    missing;
-  Printf.printf
-    "chaos trace %s: %d bytes, end-to-end stages present: %d/%d\n" trace_id
-    (String.length trace)
-    (List.length stages - List.length missing)
-    (List.length stages);
-  harvest "prop_4x_faulty" ~drop ~reply_drop
-    (prop_run ~scale:4.0 ~drop ~reply_drop ());
-  (* an identical seeded chaos run must reproduce every lane's registry
-     and the extracted trace byte for byte: no wall clock, no global
-     RNG anywhere in the telemetry path *)
-  let tb2, _, _, _, trace2 = prop_run ~scale:1.0 ~drop ~reply_drop () in
-  let deterministic = String.equal fp1 (prop_fingerprint tb2 trace2) in
-  Printf.printf "telemetry identical across two same-seed chaos runs: %b\n"
-    deterministic;
-  if not deterministic then begin
-    let save p s = let oc = open_out p in output_string oc s; close_out oc in
-    save "PROP_fp1.txt" fp1;
-    save "PROP_fp2.txt" (prop_fingerprint tb2 trace2);
-    failures :=
-      "two identical seeded runs produced different telemetry (fingerprints \
-       in PROP_fp1.txt / PROP_fp2.txt)" :: !failures
-  end;
-  json_add "determinism"
-    [
-      ("runs", I 2);
-      ("byte_identical", B deterministic);
-      ("trace_end_to_end", B (missing = []));
-    ];
-  json_write "BENCH_propagation.json";
-  match !failures with
-  | [] ->
-      Printf.printf
-        "every commit reached its replicas and serving hosts, one chaos\n\
-         write traced end to end, telemetry byte-identical across runs\n"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "PROP FAILURE: %s\n" f) fs;
-      exit 1
-
 let experiments =
   [
     ("table1", bench_table1);
@@ -2147,10 +1244,6 @@ let experiments =
     ("dispatch", bench_dispatch);
     ("clusterdb", bench_clusterdb);
     ("scale", bench_scale);
-    ("chaos", bench_chaos);
-    ("obs", bench_obs);
-    ("repl", bench_replication);
-    ("prop", bench_prop);
   ]
 
 let () =

@@ -14,38 +14,6 @@ let gen_to_string = function
   | Dcm.Manager.Gen_failed m -> "FAILED: " ^ m
   | Dcm.Manager.Locked -> "locked"
 
-let schedule_chaos tb =
-  let rng = Sim.Rng.create 4242 in
-  let managed =
-    Population.machines_of tb.Testbed.built.Population.spec
-      tb.Testbed.built
-    |> List.filter
-         (fun m -> m <> tb.Testbed.built.Population.moira_machine)
-  in
-  List.iter
-    (fun machine ->
-      if Sim.Rng.chance rng 0.5 then begin
-        let crash_at = Sim.Rng.in_range rng 30 (20 * 60) in
-        let down_for = Sim.Rng.in_range rng 10 120 in
-        ignore
-          (Sim.Engine.schedule tb.Testbed.engine
-             ~at:(Sim.Engine.now tb.Testbed.engine + (crash_at * 60_000))
-             "chaos-crash"
-             (fun () ->
-               Printf.printf "  [chaos] %s crashes\n" machine;
-               Netsim.Host.crash (Testbed.host tb machine)));
-        ignore
-          (Sim.Engine.schedule tb.Testbed.engine
-             ~at:
-               (Sim.Engine.now tb.Testbed.engine
-               + ((crash_at + down_for) * 60_000))
-             "chaos-boot"
-             (fun () ->
-               Printf.printf "  [chaos] %s reboots\n" machine;
-               Netsim.Host.boot (Testbed.host tb machine)))
-      end)
-    managed
-
 let run users hours verbose chaos =
   let spec =
     if users >= 10_000 then Population.default
@@ -61,8 +29,8 @@ let run users hours verbose chaos =
   let tb = Testbed.create ~spec () in
   Printf.printf "built in %.2f s real time\n%!" (Unix.gettimeofday () -. t0);
   if chaos then begin
-    Printf.printf "chaos mode: random crash/reboot pairs scheduled\n";
-    schedule_chaos tb
+    Printf.printf "chaos mode: random crash/reboot pairs scheduled (seed 4242)\n";
+    Chaos.inject tb (Chaos.random_crashes ~seed:4242)
   end;
   let t0 = Unix.gettimeofday () in
   Testbed.run_hours tb hours;
@@ -137,7 +105,11 @@ let () =
   in
   let chaos =
     Arg.(value & flag & info [ "chaos" ]
-           ~doc:"Randomly crash and reboot managed hosts during the run.")
+           ~doc:
+             "Crash and reboot server machines at random during the run: \
+              each, with probability 0.6, goes down 1 minute to 47 hours \
+              in for 10 to 180 minutes (the chaos harness's seed-4242 \
+              draw).")
   in
   let cmd =
     Cmd.v

@@ -101,7 +101,6 @@ type t = {
   net : Netsim.Net.t;
   moira_host : string;
   glue : Moira.Glue.t;
-  token : string;
   zephyr_to : string option;
   mail_via : (string * string) option;
   generators : Gen.t list;
@@ -298,7 +297,7 @@ let load_retry_state t =
       end)
     (Table.select shosts Pred.True)
 
-let create ~net ~moira_host ~glue ?(token = "krb") ?zephyr_to ?mail_via
+let create ~net ~moira_host ~glue ?zephyr_to ?mail_via
     ?(generators = standard_generators) ?(retry = default_retry_policy) ?obs
     ?slo () =
   let obs = match obs with Some o -> o | None -> Netsim.Net.obs net in
@@ -307,7 +306,6 @@ let create ~net ~moira_host ~glue ?(token = "krb") ?zephyr_to ?mail_via
       net;
       moira_host;
       glue;
-      token;
       zephyr_to;
       mail_via;
       generators;
@@ -787,7 +785,7 @@ let host_phase t gen =
                         let rec attempt n =
                           match
                             Update.push t.net ~src:t.moira_host ~dst:machine
-                              ~token:t.token ~base
+                              ~base
                               ~attempts:t.policy.op_attempts ?parent_ctx
                               ~target ~files ~script ()
                           with

@@ -115,7 +115,6 @@ val create :
   net:Netsim.Net.t ->
   moira_host:string ->
   glue:Moira.Glue.t ->
-  ?token:string ->
   ?zephyr_to:string ->
   ?mail_via:string * string ->
   ?generators:Gen.t list ->

@@ -1,5 +1,7 @@
 (* Ops ride on the GDB wire framing with conn 0; each request's first
    argument is the auth token. *)
+let token = "krb"
+
 let op_script = 33
 let op_flush = 34
 let op_exec = 35
@@ -33,7 +35,6 @@ type script = staged:staged -> (unit, string) result
 
 type server = {
   host : Netsim.Host.t;
-  token : string;
   obs : Obs.t;  (* span lane for this serving host *)
   scripts : (string, script) Hashtbl.t;
   (* The one memo: the Adler-32 of each durable base member, keyed by
@@ -259,7 +260,7 @@ let handle t payload =
   | Error _ -> reply Gdb.Gdb_err.bad_frame []
   | Ok req -> (
       match req.Gdb.Wire.args with
-      | token :: args when token = t.token ->
+      | tok :: args when tok = token ->
           (* Install-side span, parented on the DCM's push span when the
              request carries a context — the serving-host end of the
              commit-to-serving trace. *)
@@ -370,11 +371,10 @@ let handle t payload =
       | _ :: _ -> reply Moira.Mr_err.perm []
       | [] -> reply Moira.Mr_err.args [])
 
-let serve ?(token = "krb") ?(obs = Obs.default) host =
+let serve ?(obs = Obs.default) host =
   let t =
     {
       host;
-      token;
       obs;
       scripts = Hashtbl.create 7;
       adlers = Hashtbl.create 16;
@@ -456,7 +456,7 @@ type push_stats = {
   wasted_bytes : int;
 }
 
-let push net ~src ~dst ?(token = "krb") ?(base = []) ?(attempts = 1)
+let push net ~src ~dst ?(token = token) ?(base = []) ?(attempts = 1)
     ?parent_ctx ~target ~files ~script () =
   let wire = ref 0 and retries = ref 0 and wasted = ref 0 in
   (* Protocol-op accounting on the net's registry.  The invariant the

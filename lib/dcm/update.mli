@@ -58,15 +58,15 @@ type script = staged:staged -> (unit, string) result
 (** An installation instruction sequence: receives the staged file;
     performs the installs. *)
 
-val serve : ?token:string -> ?obs:Obs.t -> Netsim.Host.t -> server
-(** Install the update service on a host.  [token] (default ["krb"])
-    stands in for the Kerberos mutual authentication of section 5.9.2;
-    requests bearing a different token are rejected.  [obs] (default
-    {!Obs.default}) is the registry on which the server records its
-    per-op install spans; giving each serving host its own registry
-    puts it in its own lane of a merged cluster trace.  The server
-    counts every byte it checksums in [update.server.scanned_bytes] on
-    that registry. *)
+val serve : ?obs:Obs.t -> Netsim.Host.t -> server
+(** Install the update service on a host.  It accepts only requests
+    bearing the constant token ["krb"], the stand-in for the Kerberos
+    mutual authentication of section 5.9.2; any other token is
+    rejected.  [obs] (default {!Obs.default}) is the registry on which
+    the server records its per-op install spans; giving each serving
+    host its own registry puts it in its own lane of a merged cluster
+    trace.  The server counts every byte it checksums in
+    [update.server.scanned_bytes] on that registry. *)
 
 val register_script : server -> name:string -> script -> unit
 (** Make a named script available for execution on this host. *)
@@ -127,7 +127,9 @@ val push :
     execute, confirm.  [base] is the previous generation's files (if
     the caller kept them), used only to compute patches; correctness
     never depends on it, since every patch carries its base checksum
-    and the server verifies the whole-archive checksum.
+    and the server verifies the whole-archive checksum.  [token]
+    (default ["krb"], the one {!serve} accepts) is sent as every
+    request's first argument.
 
     [attempts] (default 1) is the number of transport attempts per
     protocol operation: a call that fails at the network layer (timeout,

@@ -51,17 +51,21 @@ let handle t ~src payload =
           reply 0 [ [ string_of_int conn_id ] ]
         end
       end
-      else if req.Wire.op = Wire.op_close then begin
-        Hashtbl.remove t.conns req.Wire.conn;
-        reply 0 []
-      end
       else begin
+        (* a connection belongs to the host that opened it: a frame
+           naming it from any other host finds no connection *)
         match Hashtbl.find_opt t.conns req.Wire.conn with
-        | None -> reply Gdb_err.no_connection []
-        | Some info ->
-            t.served <- t.served + 1;
-            let code, tuples = t.handler info req in
-            reply code tuples
+        | Some info when info.peer = src ->
+            if req.Wire.op = Wire.op_close then begin
+              Hashtbl.remove t.conns req.Wire.conn;
+              reply 0 []
+            end
+            else begin
+              t.served <- t.served + 1;
+              let code, tuples = t.handler info req in
+              reply code tuples
+            end
+        | Some _ | None -> reply Gdb_err.no_connection []
       end
 
 let create ?(max_connections = 64) ?(backend = Per_server 0) ~net ~host

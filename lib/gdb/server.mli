@@ -35,8 +35,10 @@ val create :
 (** Register the server on [host] under [service].  [init] builds the
     per-connection state when a connection opens; [handler] services
     application ops, returning [(error_code, tuples)].  Open/close ops
-    and version checking are handled by this layer.  Default [backend] is
-    [Per_server 0]; [max_connections] defaults to 64. *)
+    and version checking are handled by this layer.  A connection is
+    bound to the host that opened it: a request or close naming it from
+    any other host is answered with [Gdb_err.no_connection].  Default
+    [backend] is [Per_server 0]; [max_connections] defaults to 64. *)
 
 val connections : 'st t -> 'st conn_info list
 (** Live connections, oldest first (feeds Moira's [_list_users]). *)

@@ -22,12 +22,9 @@ let rec cmt_files path =
    definition outside [lib/] is a use that keeps lib code live. *)
 let roots = [ "lib"; "bin"; "test"; "bench"; "examples"; "perfbench" ]
 
-let load_tree facts build_dir =
-  let files =
-    List.concat_map (fun r -> cmt_files (Filename.concat build_dir r)) roots
-  in
-  List.iter (Deep.load_cmt facts) files;
-  List.length files
+let load_tree facts =
+  List.concat_map (fun r -> cmt_files (Filename.concat "_build/default" r)) roots
+  |> List.iter (Deep.load_cmt facts)
 
 (* ---------------- protocol model ---------------- *)
 
@@ -81,11 +78,6 @@ let section md title =
 
 (* ---------------- suppression (lint: allow) ---------------- *)
 
-type allow_state = {
-  als_by_file : (string, Allow.allow list) Hashtbl.t;
-  src_prefix : string;
-}
-
 let read_file path =
   try
     let ic = open_in_bin path in
@@ -95,18 +87,18 @@ let read_file path =
     Some s
   with Sys_error _ -> None
 
-(* Scan every source file the facts mention, eagerly, so stale allows
-   in finding-free files are still detected. *)
-let scan_allow_state ~src_prefix (facts : Deep.facts) =
-  let st = { als_by_file = Hashtbl.create 64; src_prefix } in
+(* The allows of every source file the facts mention, scanned eagerly
+   so stale allows in finding-free files are still detected. *)
+let scan_allow_state (facts : Deep.facts) =
+  let st = Hashtbl.create 64 in
   List.iter
     (fun (fn : Deep.fn) ->
-      if not (Hashtbl.mem st.als_by_file fn.Deep.fn_file) then
-        match read_file (src_prefix ^ fn.Deep.fn_file) with
+      if not (Hashtbl.mem st fn.Deep.fn_file) then
+        match read_file fn.Deep.fn_file with
         | Some src ->
-            Hashtbl.replace st.als_by_file fn.Deep.fn_file
+            Hashtbl.replace st fn.Deep.fn_file
               (fst (Allow.scan_allows src))
-        | None -> Hashtbl.replace st.als_by_file fn.Deep.fn_file [])
+        | None -> Hashtbl.replace st fn.Deep.fn_file [])
     (Deep.sorted_fns facts);
   st
 
@@ -116,7 +108,7 @@ let suppress_of st : Deep.suppress =
  fun ~rule ~kind ~file ~line ->
   Allow.file_allowed ~file kind
   ||
-  match Hashtbl.find_opt st.als_by_file file with
+  match Hashtbl.find_opt st file with
   | None -> false
   | Some allows -> (
       match
@@ -132,8 +124,7 @@ let suppress_of st : Deep.suppress =
           true
       | None -> false)
 
-let suppress ?(src_prefix = "") facts =
-  suppress_of (scan_allow_state ~src_prefix facts)
+let suppress facts = suppress_of (scan_allow_state facts)
 
 (* Stale deep-rule allows, after every check has had its chance to use
    them (the syntactic pass skips these — they are ours to keep honest). *)
@@ -155,7 +146,7 @@ let stale_allow_findings st =
           else None)
         allows
       @ acc)
-    st.als_by_file []
+    st []
   |> List.sort compare
 
 (* ---------------- chaos-day cross-check ---------------- *)
@@ -245,14 +236,13 @@ let json_pairs edges =
 let json_strings l =
   "[" ^ String.concat "," (List.map Deep.json_str l) ^ "]"
 
-let run ?(build_dir = "_build/default") ?(src_prefix = "")
-    ?(protocol_md = "PROTOCOL.md") ?(chaos = true) () =
+let run ?(chaos = true) () =
   let facts = Deep.create () in
-  ignore (load_tree facts build_dir);
-  let st = scan_allow_state ~src_prefix facts in
+  load_tree facts;
+  let st = scan_allow_state facts in
   let suppress = suppress_of st in
   let md =
-    Option.value (read_file (src_prefix ^ protocol_md)) ~default:""
+    Option.value (read_file "PROTOCOL.md") ~default:""
   in
   let ops_doc =
     section md "Major request numbers"

@@ -17,24 +17,18 @@ type report = {
   r_json : string;  (** the machine-readable report *)
 }
 
-val run :
-  ?build_dir:string ->
-  ?src_prefix:string ->
-  ?protocol_md:string ->
-  ?chaos:bool ->
-  unit ->
-  report
+val run : ?chaos:bool -> unit -> report
 (** Analyze every build root: [lib/], [bin/], [test/], [bench/],
-    [examples/] and [perfbench/].  [build_dir] (default ["_build/default"])
-    must hold [.cmt] artifacts — build with [dune build @check] first.
-    [src_prefix] is prepended to source paths when reading allow
-    comments (tests run from inside the sandbox).  [chaos:false] skips
-    the simulated day (the cross-check then trivially passes). *)
+    [examples/] and [perfbench/], from the repository root.
+    [_build/default] must hold [.cmt] artifacts — build with
+    [dune build @check] first — and the protocol model is checked
+    against [PROTOCOL.md].  [chaos:false] skips the simulated day (the
+    cross-check then trivially passes). *)
 
-val suppress : ?src_prefix:string -> Deep.facts -> Deep.suppress
+val suppress : Deep.facts -> Deep.suppress
 (** The suppression {!run} applies: the per-file allowlist, keyed on
     the effect kind, then [lint: allow] comments in the facts' source
-    files (read under [src_prefix]). *)
+    files (read relative to the working directory). *)
 
 val observed_edges_chaos : unit -> (string * string) list
 (** Just the chaos-day run (exposed for the agreement test). *)

@@ -30,9 +30,6 @@ type t = {
           replica — the input {!Obs.merge_trace_json} stitches. *)
 }
 
-val epoch_1988_ms : int
-(** The engine start time: (roughly) January 1988, in ms. *)
-
 val create :
   ?spec:Population.spec ->
   ?backend:Gdb.Server.backend_cost ->
@@ -121,14 +118,12 @@ val send_mail :
 val managed_machines : t -> string list
 (** Every machine the DCM pushes to: hesiod, NFS, mail hub, zephyr. *)
 
-val durable_files : t -> string -> (string * string) list
-(** The (path, contents) of a machine's files, sorted, excluding staging
-    and revert leftovers ([/tmp/*], [*.moira_update], [*.moira_old]) —
-    the state that must end byte-identical between a faulty run and a
-    clean one once the fleet converges. *)
-
 val installed_state : t -> (string * (string * string) list) list
-(** {!durable_files} for every managed machine. *)
+(** The (path, contents) of each managed machine's files, sorted,
+    excluding staging and revert leftovers ([/tmp/*],
+    [*.moira_update], [*.moira_old]) — the state that must end
+    byte-identical between a faulty run and a clean one once the fleet
+    converges. *)
 
 val journal_file : t -> Relation.Journal.t option
 (** Parse the server daemon's on-disk journal file

@@ -1,8 +1,10 @@
-(* Directed fault-tolerance tests for the update pipeline (section
-   5.7.1 / 5.9): crash-recovery sweep, soft-failure quarantine with
-   deduplicated notification, notification fallback, lock hygiene under
-   generator exceptions, and convergence under sustained message loss.
-   The statistical end of the same story runs in `bench chaos`. *)
+(* Fault tolerance of the update pipeline (section 5.7.1 / 5.9).
+   Directed tests first: crash-recovery sweep, soft-failure quarantine
+   with deduplicated notification, notification fallback, lock hygiene
+   under generator exceptions.  Then the chaos configurations: seeded
+   runs of the one harness, [Workload.Chaos], each held to every oracle
+   of [Chaos.check]; and a planted violation per oracle, so none of
+   them passes vacuously. *)
 
 open Workload
 open Relation
@@ -35,28 +37,15 @@ let shost_field tb ~service ~machine col =
   | Some (_, row) -> Table.field shosts row col
   | None -> Alcotest.failf "no serverhosts row %s/%s" service machine
 
-(* Every non-POP serverhosts row except [but] shows success and no
-   hosterror. *)
+(* Every generated serverhosts row except [but] has converged, by the
+   chaos harness's own oracle. *)
 let assert_fleet_converged ?but tb =
-  let shosts = Moira.Mdb.table tb.Testbed.mdb "serverhosts" in
-  Table.fold shosts ~init:() ~f:(fun () _ row ->
-      let service = Value.str (Table.field shosts row "service") in
-      let machine =
-        Option.value
-          (Moira.Lookup.machine_name tb.Testbed.mdb
-             (Value.int (Table.field shosts row "mach_id")))
-          ~default:"?"
-      in
-      if service <> "POP" && but <> Some (service, machine) then begin
-        Alcotest.(check bool)
-          (Printf.sprintf "%s on %s has no hosterror" service machine)
-          true
-          (Value.int (Table.field shosts row "hosterror") = 0);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s on %s succeeded" service machine)
-          true
-          (Value.bool (Table.field shosts row "success"))
-      end)
+  match
+    List.filter (fun (host, _) -> Some host <> but) (Chaos.unconverged tb ~cutoff:0)
+  with
+  | [] -> ()
+  | ((service, machine), what) :: _ ->
+      Alcotest.failf "%s on %s %s" service machine what
 
 (* --- crash-recovery sweep ------------------------------------------- *)
 
@@ -348,66 +337,222 @@ let test_restart_resumes_retry_state () =
     (Value.int
        (shost_field tb ~service:"HESIOD" ~machine:hes_machine "value1"))
 
-(* --- telemetry accounts for every protocol operation ----------------- *)
+(* --- chaos configurations ------------------------------------------ *)
 
-let test_telemetry_accounts_for_every_op () =
-  let tb = Testbed.create () in
-  Netsim.Net.set_drop_rate tb.Testbed.net 0.2;
-  Netsim.Net.set_reply_drop_rate tb.Testbed.net 0.1;
-  ignore
-    (Moira.Glue.query tb.Testbed.glue ~name:"update_user_shell"
-       [ tb.Testbed.built.Population.logins.(0); "/bin/counted" ]);
-  Testbed.run_hours tb 6;
-  let o = Testbed.obs tb in
-  let ctr n = Option.value ~default:0 (Obs.find_counter o n) in
-  let failed =
-    List.fold_left
-      (fun a (n, v) ->
-        if Obs.glob_match "update.ops.failed.*" n then a + v else a)
-      0 (Obs.counters o)
-  in
-  Alcotest.(check bool) "ops were sent" true (ctr "update.ops.sent" > 0);
-  Alcotest.(check bool) "losses forced retries" true
-    (ctr "update.ops.retried" > 0);
-  (* every send ended exactly one way: acknowledged, re-sent, or counted
-     against a named failure kind — nothing vanishes *)
-  Alcotest.(check int) "sent = ok + retried + failed"
-    (ctr "update.ops.sent")
-    (ctr "update.ops.ok" + ctr "update.ops.retried" + failed)
+(* The run's observation, once every oracle holds. *)
+let holds oc =
+  match Chaos.check oc with
+  | [] -> oc.Chaos.observed
+  | vs -> Alcotest.failf "%d violations:\n%s" (List.length vs) (String.concat "\n" vs)
 
-(* --- convergence under sustained loss ------------------------------- *)
+let ctr (o : Chaos.observation) name =
+  Option.value ~default:0 (List.assoc_opt name o.Chaos.counters)
 
+let histogram_count (o : Chaos.observation) name =
+  match List.assoc_opt name o.Chaos.histograms with
+  | Some s -> s.Obs.count
+  | None -> 0
+
+(* one shell write through the privileged handle *)
+let trickle = { Chaos.writes = 1; every_min = 60; via = Chaos.Glue; reads = 0 }
+
+let base =
+  { Chaos.seed = 7; replicas = 0; scale = 1.0; workload = trickle;
+    schedule = Chaos.calm; replay = false }
+
+let lossy drop reply_drop = { Chaos.calm with Chaos.drop; reply_drop }
+
+let client_writes writes every_min =
+  { Chaos.writes; every_min; via = Client; reads = 0 }
+
+(* every other machine the DCM pushes to *)
+let half_the_fleet =
+  Chaos.Partition Chaos.[ Managed 0; Managed 2; Managed 4; Managed 6 ]
+
+(* Loss on the whole time and a partition cutting half the fleet off
+   for 90 minutes: retries and backoff must carry the fleet to
+   convergence anyway. *)
 let test_converges_under_message_loss () =
-  let tb = Testbed.create () in
-  Netsim.Net.set_drop_rate tb.Testbed.net 0.2;
-  Netsim.Net.set_reply_drop_rate tb.Testbed.net 0.1;
-  (* a partition separates half the fleet for 90 minutes mid-run *)
-  let managed = Testbed.managed_machines tb in
-  let half = List.filteri (fun i _ -> i mod 2 = 0) managed in
-  Netsim.Net.partition_window tb.Testbed.net ~hosts:half
-    ~at:(Sim.Engine.now tb.Testbed.engine + (2 * 3600 * 1000))
-    ~duration_ms:(90 * 60 * 1000);
-  ignore
-    (Moira.Glue.query tb.Testbed.glue ~name:"update_user_shell"
-       [ tb.Testbed.built.Population.logins.(0); "/bin/lossy" ]);
-  (* loss stays on the whole time: retries and backoff must carry the
-     fleet to convergence anyway *)
-  Testbed.run_hours tb 30;
-  assert_fleet_converged tb;
-  let _, hes = Testbed.first_hesiod tb in
-  (match
-     Hesiod.Hes_server.resolve_local hes
-       ~name:tb.Testbed.built.Population.logins.(0) ~ty:"passwd"
-   with
-  | [ line ] ->
-      let suffix = "/bin/lossy" in
-      let n = String.length line and m = String.length suffix in
-      Alcotest.(check string) "change propagated despite loss" suffix
-        (String.sub line (n - m) m)
-  | _ -> Alcotest.fail "user missing from hesiod");
-  let stats = Netsim.Net.stats tb.Testbed.net in
+  let o =
+    holds @@ Chaos.run
+      { base with
+        schedule =
+          { (lossy 0.2 0.1) with
+            timed = [ { fault = half_the_fleet; at_min = 120; for_min = 90 } ] } }
+  in
   Alcotest.(check bool) "losses actually happened" true
-    (stats.Netsim.Net.req_dropped > 0 && stats.Netsim.Net.reply_dropped > 0)
+    (ctr o "net.req_dropped" > 0 && ctr o "net.reply_dropped" > 0)
+
+(* Every send ends exactly one way — acknowledged, re-sent, or counted
+   against a named failure kind — and the loss really forced retries. *)
+let test_telemetry_accounts_for_every_op () =
+  let o = holds (Chaos.run { base with schedule = lossy 0.2 0.1 }) in
+  Alcotest.(check bool) "ops were sent" true (ctr o "update.ops.sent" > 0);
+  Alcotest.(check bool) "losses forced retries" true
+    (ctr o "update.ops.retried" > 0)
+
+(* The paper's thesis as a property: random crash/reboot pairs across
+   the servers for two days while changes trickle in every four hours;
+   once the faults stop, every host holds what a fault-free run
+   installs. *)
+let test_random_crashes seed () =
+  ignore @@ holds
+  @@ Chaos.run
+       { base with
+         seed;
+         workload = { trickle with writes = 10; every_min = 240 };
+         schedule = Chaos.random_crashes ~seed }
+
+(* The harshest fault level: 30% request and 20% reply loss throughout,
+   half the fleet partitioned, two outages and a crash in the middle of
+   an install, under a change every two hours. *)
+let test_harsh_faults () =
+  ignore @@ holds
+  @@ Chaos.run
+       { base with
+         workload = { trickle with writes = 8; every_min = 120 };
+         schedule =
+           { (lossy 0.3 0.2) with
+             timed =
+               [ { fault = half_the_fleet; at_min = 300; for_min = 90 };
+                 { fault = Outage (Managed 0); at_min = 480; for_min = 40 };
+                 { fault = Outage (Managed 1); at_min = 660; for_min = 60 } ];
+             crash_point = Some (Managed 0, "mid_install") } }
+
+(* Three replicas under the same loss, one partitioned long enough to
+   need catch-up, and the primary killed mid-propagation for 25
+   minutes; reads every 30 s keep going through the kill. *)
+let test_replicas_survive_primary_kill () =
+  let o =
+    holds @@ Chaos.run
+      { base with
+        replicas = 3;
+        workload = { (client_writes 12 2) with reads = 4 };
+        schedule =
+          { (lossy 0.3 0.2) with
+            timed = [ { fault = Partition [ Replica 0 ]; at_min = 2; for_min = 8 } ];
+            kill_primary = Some (5, 25) } }
+  in
+  Alcotest.(check bool) "a read was served during the primary kill" true
+    (List.exists (fun r -> r.Chaos.during_kill) o.Chaos.reads)
+
+(* Journal-stamped commits reach the replicas and the serving hosts, at
+   1x and 4x population, fault-free and under loss; the lossy 1x run
+   replays byte for byte, and there the first committed write's own
+   trace reaches every stage. *)
+let test_commits_propagate ~scale ~schedule ~replay () =
+  let o =
+    holds @@ Chaos.run
+      { base with
+        replicas = 2; scale; workload = client_writes 4 15; schedule; replay }
+  in
+  Alcotest.(check bool) "a write committed" true (o.Chaos.journal <> []);
+  Alcotest.(check bool) "a commit reached a replica" true
+    (histogram_count o "prop.commit_to_replica_ms" > 0);
+  Alcotest.(check bool) "a commit reached a serving host" true
+    (histogram_count o "prop.commit_to_serving_ms" > 0);
+  if replay then
+    List.iter
+      (fun stage ->
+        Alcotest.(check bool) ("the first commit's trace reaches " ^ stage) true
+          (List.exists
+             (fun s -> s.Obs.sp_trace = List.hd o.Chaos.traces && s.Obs.sp_name = stage)
+             o.Chaos.spans))
+      [ "client.query"; "query"; "repl.apply"; "dcm.push"; "update.exec" ]
+
+(* With a replica and lossy links, the span graph across every lane is
+   well formed (the oracle), the commits crossed machines, and retried
+   update ops show up under their push. *)
+let test_cross_host_trace () =
+  let o =
+    holds @@ Chaos.run
+      { base with
+        replicas = 1; workload = client_writes 6 10; schedule = lossy 0.3 0.2 }
+  in
+  let has f = List.exists f o.Chaos.spans in
+  Alcotest.(check bool) "replica applies present" true
+    (has (fun s -> s.Obs.sp_name = "repl.apply"));
+  Alcotest.(check bool) "loss forced visible retries" true
+    (has (fun s ->
+         s.Obs.sp_name = "update.op"
+         && List.assoc_opt "attempt" s.Obs.sp_attrs <> Some "1"))
+
+(* A fault-free mix of client reads and writes under the DCM cron
+   leaves byte-identical telemetry in every lane when run twice. *)
+let test_calm_replay () =
+  ignore @@ holds
+  @@ Chaos.run
+       { base with workload = { (client_writes 10 8) with reads = 3 }; replay = true }
+
+(* --- no oracle is vacuous ------------------------------------------- *)
+
+(* One fault-free run with every oracle armed: replicas, Glue writes
+   (so a fault-free baseline), reads and a rerun.  Each test below
+   plants one violation in its record and expects [check] to name it. *)
+let planted_base =
+  lazy
+    (Chaos.run
+       { base with
+         replicas = 2;
+         workload = { trickle with writes = 3; every_min = 10; reads = 2 };
+         replay = true })
+
+let test_clean_run_holds () = ignore (holds (Lazy.force planted_base))
+
+let caught ~needle plant () =
+  let oc = Lazy.force planted_base in
+  let observed = plant oc.Chaos.observed in
+  match Chaos.check { oc with Chaos.observed } with
+  | [] -> Alcotest.failf "no violation reported (wanted %S)" needle
+  | vs ->
+      Alcotest.(check bool) (Printf.sprintf "a violation names %S" needle) true
+        (List.exists (fun v -> Test_obs.contains v needle) vs);
+      Alcotest.(check bool) "messages name the seed" true
+        (List.for_all (fun v -> Test_obs.contains v "seed 7") vs)
+
+(* flip one byte: the first after the first line (a record's header),
+   or the very first when there is one line *)
+let perturb s =
+  let at =
+    match String.index_opt s '\n' with
+    | Some i when i + 1 < String.length s -> i + 1
+    | Some _ | None -> 0
+  in
+  String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor 1) else c) s
+
+let tamper_installed o =
+  match o.Chaos.installed with
+  | (m, (path, contents) :: rest) :: machines ->
+      { o with Chaos.installed = (m, (path, perturb contents) :: rest) :: machines }
+  | _ -> Alcotest.fail "nothing installed"
+
+let change_replica_row o =
+  match o.Chaos.replica_dumps with
+  | (m, dump) :: rest -> { o with Chaos.replica_dumps = (m, perturb dump) :: rest }
+  | [] -> Alcotest.fail "no replicas"
+
+let regress_read o =
+  let login = fst (List.hd o.Chaos.acked) in
+  let r v = { Chaos.login; version = v; ryw = None; during_kill = false } in
+  { o with Chaos.reads = o.Chaos.reads @ [ r 1000; r 999 ] }
+
+let drop_journal_entry o =
+  let w = List.hd o.Chaos.acked in
+  { o with Chaos.journal = List.filter (( <> ) w) o.Chaos.journal }
+
+let bump_ops_sent o =
+  let bump (n, v) = if n = "update.ops.sent" then (n, v + 1) else (n, v) in
+  { o with Chaos.counters = List.map bump o.Chaos.counters }
+
+let dangle_span o =
+  let s = List.hd o.Chaos.spans in
+  let orphan =
+    { s with Obs.sp_id = s.Obs.sp_id ^ "-orphan"; sp_parent_id = Some "nowhere#1" }
+  in
+  { o with Chaos.spans = o.Chaos.spans @ [ orphan ] }
+
+(* one byte of the first lane's registry dump *)
+let perturb_lane_dump o = { o with Chaos.fingerprint = perturb o.Chaos.fingerprint }
 
 let suite =
   [
@@ -430,3 +575,45 @@ let suite =
     Alcotest.test_case "converges under message loss" `Quick
       test_converges_under_message_loss;
   ]
+  @ List.map
+      (fun seed ->
+        Alcotest.test_case
+          (Printf.sprintf "random crashes converge (seed %d)" seed)
+          `Quick (test_random_crashes seed))
+      [ 11; 23; 47 ]
+  @ [
+      Alcotest.test_case "harsh faults: files match the fault-free run"
+        `Quick test_harsh_faults;
+      Alcotest.test_case "replicas survive loss and a primary kill" `Quick
+        test_replicas_survive_primary_kill;
+      Alcotest.test_case "commits propagate (1x)" `Quick
+        (test_commits_propagate ~scale:1.0 ~schedule:Chaos.calm ~replay:false);
+      Alcotest.test_case "commits propagate (4x)" `Quick
+        (test_commits_propagate ~scale:4.0 ~schedule:Chaos.calm ~replay:false);
+      Alcotest.test_case "commits propagate (1x, lossy, replayed)" `Quick
+        (test_commits_propagate ~scale:1.0 ~schedule:(lossy 0.3 0.2)
+           ~replay:true);
+      Alcotest.test_case "commits propagate (4x, lossy)" `Quick
+        (test_commits_propagate ~scale:4.0 ~schedule:(lossy 0.3 0.2)
+           ~replay:false);
+      Alcotest.test_case "cross-host trace well-formed under chaos" `Quick
+        test_cross_host_trace;
+      Alcotest.test_case "calm client workload replays byte-identically"
+        `Quick test_calm_replay;
+      Alcotest.test_case "oracles: clean run holds" `Quick
+        test_clean_run_holds;
+      Alcotest.test_case "oracles: tampered installed file" `Quick
+        (caught ~needle:"differs from the fault-free run" tamper_installed);
+      Alcotest.test_case "oracles: changed replica row" `Quick
+        (caught ~needle:"differs from the primary" change_replica_row);
+      Alcotest.test_case "oracles: regressed read" `Quick
+        (caught ~needle:"monotonic reads" regress_read);
+      Alcotest.test_case "oracles: acknowledged write not journaled" `Quick
+        (caught ~needle:"is not in the journal" drop_journal_entry);
+      Alcotest.test_case "oracles: bumped update.ops.sent" `Quick
+        (caught ~needle:"update.ops.sent" bump_ops_sent);
+      Alcotest.test_case "oracles: dangling span parent" `Quick
+        (caught ~needle:"dangling parent" dangle_span);
+      Alcotest.test_case "oracles: perturbed lane dump" `Quick
+        (caught ~needle:"rerun with the same seed" perturb_lane_dump);
+    ]

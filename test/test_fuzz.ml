@@ -243,6 +243,56 @@ let fuzz_replication () =
   | Ok [] -> Alcotest.fail "replica lost the user"
   | Error code -> Alcotest.fail (Comerr.Com_err.error_message code)
 
+(* --- a session belongs to the host that opened it --- *)
+
+(* Raw frames naming the admin's connection id, sent from a second
+   workstation, must neither run as the admin's session nor close it. *)
+let session_bound_to_peer () =
+  let tb = Testbed.create () in
+  let ws = tb.Testbed.built.Population.workstation_machines.(0) in
+  let intruder = tb.Testbed.built.Population.workstation_machines.(1) in
+  let login = tb.Testbed.built.Population.logins.(0) in
+  (* the first network client: the server hands it connection 1 *)
+  let admin = Testbed.admin_client tb ~src:ws in
+  let shell () =
+    match
+      Moira.Mr_client.mr_query_list admin ~name:"get_user_by_login" [ login ]
+    with
+    | Ok ((_ :: _ :: shell :: _) :: _) -> shell
+    | Ok _ -> Alcotest.fail "get_user_by_login: no tuple"
+    | Error code -> Alcotest.fail (Comerr.Com_err.error_message code)
+  in
+  let before = shell () in
+  let raw op args =
+    let frame =
+      Gdb.Wire.encode_request
+        {
+          Gdb.Wire.version = Gdb.Wire.protocol_version;
+          conn = 1;
+          op;
+          args;
+          ctx = "";
+        }
+    in
+    match
+      Netsim.Net.call tb.Testbed.net ~src:intruder
+        ~dst:tb.Testbed.built.Population.moira_machine
+        ~service:Moira.Protocol.moira_service frame
+    with
+    | Error f -> Alcotest.fail (Netsim.Net.failure_to_string f)
+    | Ok reply -> (
+        match Gdb.Wire.decode_reply reply with
+        | Ok r -> r.Gdb.Wire.code
+        | Error e -> Alcotest.fail e)
+  in
+  Alcotest.(check int) "foreign query refused" Gdb.Gdb_err.no_connection
+    (raw Moira.Protocol.op_query
+       [ "update_user_shell"; login; "/bin/hijacked" ]);
+  Alcotest.(check string) "shell unchanged" before (shell ());
+  Alcotest.(check int) "foreign close refused" Gdb.Gdb_err.no_connection
+    (raw Gdb.Wire.op_close []);
+  Alcotest.(check string) "admin session still serves" before (shell ())
+
 let suite =
   [
     Alcotest.test_case "moira port survives garbage" `Quick
@@ -256,4 +306,6 @@ let suite =
       junk_names_mint_no_series;
     Alcotest.test_case "replication port and query2 survive junk" `Quick
       fuzz_replication;
+    Alcotest.test_case "session bound to its peer" `Quick
+      session_bound_to_peer;
   ]

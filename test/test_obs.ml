@@ -288,90 +288,6 @@ let test_merge_lanes () =
   Alcotest.(check bool) "filter drops other traces" false
     (contains only "\"noise\"")
 
-(* ---- cross-host traces under chaos ----
-   With a replica and lossy links, every parent reference across the
-   union of lanes must resolve (or have been clamped), parent chains
-   must be acyclic, and retried update ops must nest under their
-   originating dcm.push with the retries visible. *)
-
-let test_cross_host_chaos_trace () =
-  let tb = Workload.Testbed.create ~replicas:1 ~repl_poll_ms:30_000 () in
-  let net = tb.Workload.Testbed.net in
-  (* replica boot-syncs clean; then the weather starts *)
-  Workload.Testbed.run_minutes tb 2;
-  Netsim.Net.set_drop_rate net 0.3;
-  Netsim.Net.set_reply_drop_rate net 0.2;
-  let ws =
-    tb.Workload.Testbed.built.Workload.Population.workstation_machines.(0)
-  in
-  let c = Workload.Testbed.admin_client tb ~src:ws in
-  let logins = tb.Workload.Testbed.built.Workload.Population.logins in
-  for i = 0 to 5 do
-    ignore
-      (Moira.Mr_client.mr_query_list c ~name:"update_user_shell"
-         [ logins.(i); Printf.sprintf "/bin/chaos%d" i ]);
-    Workload.Testbed.run_minutes tb 10
-  done;
-  (* the HESIOD interval fires and the pushes fight the loss *)
-  Workload.Testbed.run_hours tb 7;
-  let lanes = Workload.Testbed.lanes tb in
-  let spans =
-    List.concat_map (fun (_, o) -> Obs.completed_spans o) lanes
-  in
-  Alcotest.(check bool) "spans recorded" true (List.length spans > 0);
-  let by_uid = Hashtbl.create 256 in
-  List.iter (fun s -> Hashtbl.replace by_uid s.Obs.sp_id s) spans;
-  (* every wire ctx resolves somewhere in the union of lanes *)
-  List.iter
-    (fun s ->
-      match s.Obs.sp_parent_id with
-      | None -> ()
-      | Some u ->
-          if not (Hashtbl.mem by_uid u) then
-            Alcotest.failf "span %s (%s) has unresolvable parent %s"
-              s.Obs.sp_id s.Obs.sp_name u)
-    spans;
-  (* parent chains terminate: no cycles even across lanes *)
-  List.iter
-    (fun s ->
-      let rec walk u steps =
-        if steps > List.length spans then
-          Alcotest.failf "parent chain from %s never terminates" s.Obs.sp_id
-        else
-          match Hashtbl.find_opt by_uid u with
-          | None -> ()
-          | Some p -> (
-              match p.Obs.sp_parent_id with
-              | None -> ()
-              | Some pu -> walk pu (steps + 1))
-      in
-      match s.Obs.sp_parent_id with None -> () | Some u -> walk u 0)
-    spans;
-  (* the commits crossed machines: replica applies joined the traces *)
-  let applies =
-    List.filter (fun s -> s.Obs.sp_name = "repl.apply") spans
-  in
-  Alcotest.(check bool) "replica applies present" true (applies <> []);
-  (* retries stay nested under the push that issued them *)
-  let pushes = Hashtbl.create 32 in
-  List.iter
-    (fun s ->
-      if s.Obs.sp_name = "dcm.push" then Hashtbl.replace pushes s.Obs.sp_id ())
-    spans;
-  let retried = ref 0 in
-  List.iter
-    (fun s ->
-      if s.Obs.sp_name = "update.op" then begin
-        (match s.Obs.sp_parent_id with
-        | Some u when not (Hashtbl.mem pushes u) ->
-            Alcotest.failf "update.op parent %s is not a dcm.push" u
-        | _ -> ());
-        if List.assoc_opt "attempt" s.Obs.sp_attrs <> Some "1" then
-          incr retried
-      end)
-    spans;
-  Alcotest.(check bool) "loss forced visible retries" true (!retried > 0)
-
 let suite =
   [
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
@@ -390,6 +306,4 @@ let suite =
       test_spans_dropped;
     Alcotest.test_case "merged lanes, flow arrows, trace filter" `Quick
       test_merge_lanes;
-    Alcotest.test_case "cross-host trace well-formed under chaos" `Quick
-      test_cross_host_chaos_trace;
   ]

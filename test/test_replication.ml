@@ -107,6 +107,56 @@ let test_read_your_writes_on_lagging_replica () =
   Alcotest.(check bool) "read came from the replica" true
     (counter "client.read.replica" > replica_reads0)
 
+(* --- reads spread over the replicas --- *)
+
+(* Caught-up replicas share a client's reads round-robin and the
+   primary answers none, counted as QUERY2 frames each server receives
+   on the wire. *)
+let test_reads_spread_over_replicas () =
+  let tb = Testbed.create ~replicas:3 () in
+  Testbed.run_minutes tb 1;
+  let head = Journal.head_seq (Moira.Mdb.journal tb.Testbed.mdb) in
+  List.iter
+    (fun (machine, r) ->
+      Alcotest.(check int) (machine ^ " caught up") head
+        (Replicate.applied_seq (Moira.Mr_server.replica_handle r)))
+    tb.Testbed.replicas;
+  let admin = Testbed.admin_client tb ~src:"W20-001.MIT.EDU" in
+  Moira.Mr_client.set_replicas admin (Testbed.replica_machines tb);
+  let queries machine =
+    let n = ref 0 in
+    let host = Testbed.host tb machine in
+    let service = Moira.Protocol.moira_service in
+    match Netsim.Host.lookup host ~service with
+    | None -> Alcotest.failf "%s serves no moira" machine
+    | Some handler ->
+        Netsim.Host.register host ~service (fun ~src payload ->
+            (match Gdb.Wire.decode_request payload with
+            | Ok req when req.Gdb.Wire.op = Moira.Protocol.op_query2 -> incr n
+            | Ok _ | Error _ -> ());
+            handler ~src payload);
+        n
+  in
+  let primary = queries tb.Testbed.built.Population.moira_machine in
+  let replicas = List.map (fun m -> (m, queries m)) (Testbed.replica_machines tb) in
+  let logins = tb.Testbed.built.Population.logins in
+  let replica_reads0 = counter "client.read.replica" in
+  for i = 0 to 29 do
+    ignore
+      (must admin ~name:"get_user_by_login"
+         [ logins.(i mod Array.length logins) ])
+  done;
+  List.iter
+    (fun (m, n) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s answered 10 +- 1 of 30 (got %d)" m !n)
+        true
+        (abs (!n - 10) <= 1))
+    replicas;
+  Alcotest.(check int) "the primary answered none" 0 !primary;
+  Alcotest.(check int) "client.read.replica grew by 30" 30
+    (counter "client.read.replica" - replica_reads0)
+
 (* --- writes bounce off replicas --- *)
 
 let test_replica_refuses_writes () =
@@ -255,6 +305,8 @@ let suite =
       test_quarantine_and_probe_back;
     Alcotest.test_case "retention gap snapshot catch-up" `Quick
       test_retention_gap_snapshot_catchup;
+    Alcotest.test_case "reads spread over the replicas" `Quick
+      test_reads_spread_over_replicas;
     Alcotest.test_case "reads survive primary down" `Quick
       test_reads_survive_primary_down;
   ]
