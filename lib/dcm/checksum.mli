@@ -10,12 +10,6 @@ val adler32_doc : Sink.doc -> int
     on the doc ({!Sink.checksum_memo}): the first call scans the bytes,
     later calls are O(1). *)
 
-val combine : int -> int -> int -> int
-(** [combine cx cy len_y] is the checksum of the concatenation [x ^ y]
-    given [cx = adler32 x], [cy = adler32 y], and [len_y], in O(1).
-    Lets an archive over memoized members be checksummed in time
-    proportional to the member count, not the byte count. *)
-
 val to_hex : int -> string
 (** Render as 8 hex digits. *)
 
@@ -38,13 +32,13 @@ val stream_feed_doc : stream -> Sink.doc -> unit
 
 val stream_absorb : stream -> int -> len:int -> unit
 (** [stream_absorb st v ~len] folds a segment whose checksum [v] and
-    length [len] are already known into the stream via {!combine} —
-    as if the bytes had been fed, in O(1). *)
+    length [len] are already known into the stream in O(1) (Adler-32
+    combination) — as if the bytes had been fed, in O(1). *)
 
 val stream_absorb_doc : stream -> Sink.doc -> unit
 (** As {!stream_feed_doc}, but O(1) when the doc's checksum is already
     memoized (computing and memoizing it otherwise) — the doc's value
-    folds in via {!combine} instead of a byte scan. *)
+    folds in by combination instead of a byte scan. *)
 
 val stream_value : stream -> int
 (** The checksum of everything fed so far (the stream stays usable). *)

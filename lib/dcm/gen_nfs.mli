@@ -8,8 +8,3 @@
 
 val generator : Gen.t
 (** service "NFS". *)
-
-val partition_base : string -> string
-(** File-name stem for a partition directory ("/u1/lockers" ->
-    "u1_lockers"), used to name [<partition>.quotas] /
-    [<partition>.dirs]. *)

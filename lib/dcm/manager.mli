@@ -80,12 +80,6 @@ type retry_policy = {
           [0] disables escalation. *)
 }
 
-val default_retry_policy : retry_policy
-(** 3 transport attempts per op, 2 pushes per cycle, 60 s base backoff
-    doubling to a 1 h cap with ±50% jitter, quarantine after 12
-    consecutive failed cycles — tuned so transient outages of a few
-    hours never quarantine a host. *)
-
 type sweep = {
   services_cleared : int;  (** [servers] rows whose inprogress was stuck. *)
   hosts_cleared : int;  (** [serverhosts] rows whose inprogress was stuck. *)

@@ -28,14 +28,9 @@ val check_quiescent : t -> string list
 val violations : t -> int
 (** Sum of all four violation counters; tests assert 0. *)
 
-val key_class : string -> string
-(** The ordering class of a lock key: the prefix before [':'] —
-    ["service:zephyr"] is class ["service"].  Order discipline is per
-    class; instances within a class are never nested. *)
-
 val observed_lock_edges : t -> (string * string) list
 (** Every (held-class, acquired-class) pair witnessed on a successful
-    acquire, sorted and deduplicated.  [moira_lint --deep] checks this
+    acquire, sorted and deduplicated.  [moira_lint] checks this
     set is a subset of the statically derived lock-order graph: an
     observed edge the static graph lacks means the static analysis is
     unsound; a non-empty observation against an empty static graph

@@ -38,7 +38,7 @@
 (** {1 Wire opcodes}
 
     One request number per atomic operation; PROTOCOL.md's update table
-    documents each, and [moira_lint --deep] checks both stay in sync
+    documents each, and [moira_lint] checks both stay in sync
     with the dispatch below. *)
 
 val op_script : int

@@ -1,8 +1,5 @@
 (** GDB/RPC-layer error codes (com_err table "gdb"). *)
 
-val table : Comerr.Com_err.table
-(** The registered table. *)
-
 val bad_frame : int
 (** Request or reply failed to parse. *)
 

@@ -37,8 +37,12 @@ val create :
     application ops, returning [(error_code, tuples)].  Open/close ops
     and version checking are handled by this layer.  A connection is
     bound to the host that opened it: a request or close naming it from
-    any other host is answered with [Gdb_err.no_connection].  Default
-    [backend] is [Per_server 0]; [max_connections] defaults to 64. *)
+    any other host is answered with [Gdb_err.no_connection].  One host
+    may hold a quarter of [max_connections]: an open from a host at its
+    quota first closes that host's least recently used connection, so
+    connections whose open reply was lost heal by themselves.  A table
+    of fewer than four slots has no per-host bound.  Default [backend] is [Per_server 0];
+    [max_connections] defaults to 64. *)
 
 val connections : 'st t -> 'st conn_info list
 (** Live connections, oldest first (feeds Moira's [_list_users]). *)

@@ -8,17 +8,14 @@
     network service ["hesiod"] with a [name ty] request and one reply
     line per matching record. *)
 
-val db_files : string list
-(** The eleven file basenames, as in section 5.8.2: cluster.db,
-    filsys.db, gid.db, group.db, grplist.db, passwd.db, pobox.db,
-    printcap.db, service.db, sloc.db, uid.db. *)
-
 type t
 
 val start : dir:string -> Netsim.Host.t -> t
-(** Start a server on the host, reading [dir^"/"^file] for every
-    {!db_files} entry present.  Registers the ["hesiod"] network service
-    and a boot hook that reloads the files. *)
+(** Start a server on the host, reading [dir^"/"^file] for each of the
+    eleven section 5.8.2 basenames present (cluster.db, filsys.db,
+    gid.db, group.db, grplist.db, passwd.db, pobox.db, printcap.db,
+    service.db, sloc.db, uid.db).  Registers the ["hesiod"] network
+    service and a boot hook that reloads the files. *)
 
 val restart : t -> unit
 (** Reload data files from disk (what Moira's install script triggers). *)

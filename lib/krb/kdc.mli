@@ -40,9 +40,6 @@ val delete_principal : t -> name:string -> (unit, int) result
 val register_service : t -> string -> string
 (** Create (or fetch) the srvtab key for a service principal. *)
 
-val srvtab : t -> string -> string option
-(** The srvtab key for a service, if registered. *)
-
 (** {1 Client side} *)
 
 type credentials

@@ -1,8 +1,5 @@
 (** Kerberos error codes, registered as a com_err table ("krb"). *)
 
-val table : Comerr.Com_err.table
-(** The registered table. *)
-
 val princ_unknown : int
 (** Principal is not in the KDC database. *)
 

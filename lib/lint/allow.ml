@@ -1,8 +1,6 @@
-(* Shared between the syntactic pass ([Lint]) and the interprocedural
-   one ([Deep_moira]): the rule catalogue, the per-file allowlist, and
-   the [lint: allow] annotation scanner.  Lives below both so the deep
-   pass can honour the same suppression syntax without the library's
-   main module depending on it the wrong way around. *)
+(* The rule catalogue, the per-file allowlist, and the [lint: allow]
+   annotation scanner.  Lives below [Deep] and [Deep_moira] so both can
+   name them. *)
 
 let rules =
   [
@@ -11,24 +9,16 @@ let rules =
     ("lock-protect", "Lock.acquire without Fun.protect in the definition");
     ("schema-ref", "table/column literal unknown to Schema_def");
     ("printf-in-lib", "stdout printing inside lib/ (route through Obs.log)");
-    ("bad-allow", "malformed lint: allow annotation");
-    ("unused-allow", "lint: allow annotation that suppresses nothing");
-  ]
-
-(* Rules owned by the interprocedural pass ([Deep], driven by
-   [moira_lint --deep]).  Known here so [lint: allow] annotations for
-   them validate, but the syntactic pass neither fires them nor reports
-   their allows as stale — the deep pass does its own use-tracking. *)
-let deep_rules =
-  [
     ("deep-effect", "transitive wall-clock/random/unordered-iter reach");
     ("lock-order", "static lock-order violation (cycle or opaque key)");
     ("proto-exhaustive", "opcode/error code without arm or doc row");
     ("dead-export", "lib/ definition nothing outside lib/ reaches");
+    ("internal-export", "lib/ interface value only its own unit names");
+    ("bad-allow", "malformed lint: allow annotation");
+    ("unused-allow", "lint: allow annotation that suppresses nothing");
   ]
 
-let is_deep_rule r = List.mem_assoc r deep_rules
-let rule_known r = List.mem_assoc r rules || is_deep_rule r
+let rule_known r = List.mem_assoc r rules
 
 let find_sub ~start hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -42,10 +32,10 @@ let find_sub ~start hay needle =
 let contains_sub hay needle =
   match find_sub ~start:0 hay needle with Some _ -> true | None -> false
 
-(* Per-file allowlist, keyed on the rule id or the deep effect kind,
-   for uses that are legitimate across a whole file (real-time and
-   memory measurement).  Matched by path suffix so the linter works
-   from any working directory. *)
+(* Per-file allowlist, keyed on the deep effect kind, for uses that are
+   legitimate across a whole file (real-time and memory measurement).
+   Matched by path suffix so the linter works from any working
+   directory. *)
 let file_allowlist =
   [
     ("bench/main.ml", "wall-clock");
@@ -53,12 +43,10 @@ let file_allowlist =
     ("perfbench/bench.ml", "wall-clock");
   ]
 
-let file_allowed ~file rule =
+let file_allowed ~file kind =
   List.exists
-    (fun (suffix, r) -> r = rule && Filename.check_suffix file suffix)
+    (fun (suffix, k) -> k = kind && Filename.check_suffix file suffix)
     file_allowlist
-  || (rule = "schema-ref"
-     && List.exists (fun dir -> contains_sub file dir) [ "test/"; "bench/" ])
 
 (* ---------------- allow annotations ---------------- *)
 

@@ -1,28 +1,34 @@
-(* Deep (interprocedural) analysis over the compiler's typed ASTs.
+(* The static analysis engine, over the compiler's typed ASTs.
 
-   A syntactic pass sees one expression at a time, so a wall-clock read
-   or an unsorted hashtable walk wrapped in a helper leaks through every
-   caller unseen; this module is the one engine for such effects.  It
-   loads the [.cmt] files dune leaves next to the objects
+   It loads the [.cmt] files dune leaves next to the objects
    ([Cmt_format]), walks them with [Tast_iterator], and reduces every
    compilation unit to a table of per-definition facts: which names it
-   references, which string constants it mentions, which effects it
-   performs directly, which lock classes it acquires.  Everything else
-   — effect propagation along the call graph, dead exports, the static
-   lock-order graph, the protocol exhaustiveness checks — is plain
-   graph algebra over those facts, shared between the real tree
-   ([Deep_moira]) and the test fixtures (which typecheck snippets
-   in-process via [Typemod]).
+   references (resolved paths, so [module O = Obj] then [O.magic] is
+   [Obj.magic]), which string constants it mentions, which effects it
+   performs directly, which lock classes it acquires, and the rule
+   sites one expression shows (a handler that discards its exception,
+   a literal in a table or column position).  Every rule is a query
+   over those facts, shared between the real tree ([Deep_moira]) and
+   the test fixtures (which typecheck snippets in-process via
+   [Typemod]).  Interfaces ([.cmti]) contribute their toplevel [val]s.
 
-   Rule ids reported here: [deep-effect] (a transitive wall-clock /
-   global-random / unordered-iteration reach, with the call chain),
-   [lock-order] (an acquisition-order cycle or an acquire whose key the
-   analysis cannot classify), [proto-exhaustive] (an opcode, verb or
-   error code without both endpoints of a dispatch or its PROTOCOL.md
-   row), [dead-export] (a library definition nothing outside the
-   library reaches).  Suppression decisions are delegated to a
-   caller-supplied [suppress] callback so the driver can reuse the
-   allow-comment scanner and per-file allowlist. *)
+   Rule ids reported here:
+   - per definition: [obj-magic], [swallow-exn], [lock-protect] (a
+     [Lock.acquire] in a definition that never names [Fun.protect]),
+     [schema-ref] (a table or column literal the schema does not
+     know) and [printf-in-lib] (a stdout printer);
+   - along the call graph: [deep-effect] (a transitive wall-clock /
+     global-random / unordered-iteration reach, with the call chain),
+     [lock-order] (an acquisition-order cycle or an acquire whose key
+     the analysis cannot classify), [dead-export] (a library
+     definition nothing outside the library reaches) and
+     [internal-export] (an interface value no other unit names);
+   - against the protocol document: [proto-exhaustive] (an opcode,
+     verb or error code without both endpoints of a dispatch or its
+     PROTOCOL.md row).
+   Scoping and suppression are delegated to caller-supplied callbacks
+   so [Deep_moira] can apply its file roots, the allow-comment scanner
+   and the per-file allowlist. *)
 
 type effect_ =
   | WallClock
@@ -38,6 +44,12 @@ let effect_name = function
   | Io -> "io"
   | TakesLock c -> "takes-lock:" ^ c
 
+(* What one expression shows, for the per-definition rules. *)
+type site =
+  | Swallow  (* a handler whose pattern discards the exception *)
+  | Table_lit of string  (* a literal in a table position *)
+  | Column_lit of string  (* a literal in a column position *)
+
 type fn = {
   fn_name : string;  (* fully qualified: "Dcm.Manager.host_phase" *)
   fn_unit : string;  (* enclosing unit, normalized: "Dcm.Manager" *)
@@ -48,6 +60,7 @@ type fn = {
   mutable fn_direct : (effect_ * int) list;  (* direct effect, line *)
   mutable fn_acquires : (string * int) list;  (* lock class or "?", line *)
   mutable fn_code_idx : int option;  (* body is [code <int>] *)
+  mutable fn_sites : (site * int) list;  (* rule site, line *)
 }
 
 type facts = (string, fn) Hashtbl.t
@@ -67,6 +80,7 @@ let make_fn ~name ~unit_name ~file ~line =
     fn_direct = [];
     fn_acquires = [];
     fn_code_idx = None;
+    fn_sites = [];
   }
 
 (* ---------------- name normalization ---------------- *)
@@ -118,14 +132,22 @@ let wall_clock_names =
     "Gc.counters"; "Gc.allocated_bytes";
   ]
 
-let io_sink_names =
+(* stdout printers, which [printf-in-lib] keeps out of lib/; stderr is
+   left to com_err's reporting convention *)
+let stdout_printers =
   [
     "print_string"; "print_endline"; "print_newline"; "print_int";
-    "print_char"; "print_float"; "print_bytes"; "prerr_string";
-    "prerr_endline"; "prerr_newline"; "output_string"; "output_char";
-    "output_bytes"; "Printf.printf"; "Printf.eprintf"; "Printf.fprintf";
-    "Format.printf"; "Format.eprintf"; "Format.fprintf";
+    "print_char"; "print_float"; "print_bytes"; "Printf.printf";
+    "Format.printf";
   ]
+
+let io_sink_names =
+  stdout_printers
+  @ [
+      "prerr_string"; "prerr_endline"; "prerr_newline"; "output_string";
+      "output_char"; "output_bytes"; "Printf.eprintf"; "Printf.fprintf";
+      "Format.eprintf"; "Format.fprintf";
+    ]
 
 let classify_ref n =
   if List.mem n wall_clock_names then Some WallClock
@@ -154,27 +176,29 @@ open Typedtree
 
 let line_of (e : expression) = e.exp_loc.Location.loc_start.Lexing.pos_lnum
 
-(* First string constant in a subtree, in syntactic order.  Format
-   literals decompose into CamlinternalFormat constants, but the
-   leading literal chunk ("host:" of "host:%s/%s") still shows up as a
-   plain string constant, which is all the key classifier needs. *)
-let first_string_in e =
-  let found = ref None in
+(* Every string constant in a subtree with its line, in syntactic
+   order.  Format literals decompose into CamlinternalFormat constants,
+   but the leading literal chunk ("host:" of "host:%s/%s") still shows
+   up first as a plain string constant, which is all the lock-key
+   classifier needs. *)
+let strings_in e =
+  let acc = ref [] in
   let it =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun it e ->
           (match e.exp_desc with
-          | Texp_constant (Asttypes.Const_string (s, _, _))
-            when !found = None ->
-              found := Some s
+          | Texp_constant (Asttypes.Const_string (s, _, _)) ->
+              acc := (s, line_of e) :: !acc
           | _ -> ());
           Tast_iterator.default_iterator.expr it e);
     }
   in
   it.expr it e;
-  !found
+  List.rev !acc
+
+let first_string_in e = Option.map fst (List.nth_opt (strings_in e) 0)
 
 (* Does a lambda body accumulate order-sensitively (list cons, string
    append, buffer append)?  Iterating a hashtable with such a lambda
@@ -199,6 +223,68 @@ let order_sensitive_lambda e =
   in
   it.expr it e;
   !found
+
+(* [with _ ->] discards the exception, and so does [with _e ->]: the
+   underscore declares the handler will not look at it. *)
+let rec swallows (p : pattern) =
+  match p.pat_desc with
+  | Tpat_any -> true
+  | Tpat_var (_, name) -> String.starts_with ~prefix:"_" name.Location.txt
+  | Tpat_or (a, b, _) -> swallows a || swallows b
+  | Tpat_alias (p, _, _) -> swallows p
+  | _ -> false
+
+let pat_line (p : _ general_pattern) =
+  p.pat_loc.Location.loc_start.Lexing.pos_lnum
+
+(* Whether a resolved name is one of [paths] or ends with one of them
+   at a module boundary ("Moira.Mdb.table" is "Mdb.table"). *)
+let names_one_of paths n =
+  List.exists (fun p -> n = p || String.ends_with ~suffix:("." ^ p) n) paths
+
+(* Schema positions of known calls.  Every unlabelled literal argument
+   of a table function names a table.  The first group of column
+   functions also takes a string value, so only their first unlabelled
+   argument is a column; in the second no other argument is a string.
+   [Gen.watch] takes a table and [~columns] of it. *)
+let table_fns = [ "Mdb.table"; "Db.table" ]
+let column_fns_first = [ "Pred.eq_str"; "Pred.name_match" ]
+
+let column_fns_any =
+  [ "Pred.eq_int"; "Pred.eq_bool"; "Table.field"; "Schema.index_of"; "seti";
+    "setb" ]
+
+let schema_sites n args =
+  let literal = function
+    | ( Asttypes.Nolabel,
+        Some
+          ({ exp_desc = Texp_constant (Asttypes.Const_string (s, _, _)); _ }
+           as e) ) ->
+        Some (s, line_of e)
+    | _ -> None
+  in
+  let tables = List.map (fun (s, ln) -> (Table_lit s, ln))
+  and columns = List.map (fun (s, ln) -> (Column_lit s, ln)) in
+  let unlabelled = List.filter_map literal args in
+  if names_one_of table_fns n then tables unlabelled
+  else if names_one_of [ "Gen.watch" ] n then
+    tables unlabelled
+    @ List.concat_map
+        (function
+          | ( (Asttypes.Labelled "columns" | Asttypes.Optional "columns"),
+              Some a ) ->
+              columns (strings_in a)
+          | _ -> [])
+        args
+  else if names_one_of column_fns_first n then
+    (* the first unlabelled argument, whether a literal or not *)
+    match
+      List.find_opt (fun (l, a) -> l = Asttypes.Nolabel && a <> None) args
+    with
+    | Some arg -> columns (Option.to_list (literal arg))
+    | None -> []
+  else if names_one_of column_fns_any n then columns unlabelled
+  else []
 
 (* Walk one toplevel binding's body, filling [fn]'s fact lists.
    [name_of] names a referenced path as the facts do, or gives [None]
@@ -253,10 +339,26 @@ let walk_binding ~name_of fn body =
                       | None -> ())
                   | _ -> ())
                 vbs
+          | Texp_try (_, cases) ->
+              List.iter
+                (fun c ->
+                  if swallows c.c_lhs then
+                    fn.fn_sites <- (Swallow, pat_line c.c_lhs) :: fn.fn_sites)
+                cases
+          | Texp_match (_, cases, _) ->
+              List.iter
+                (fun c ->
+                  match split_pattern c.c_lhs with
+                  | _, Some exn when swallows exn ->
+                      fn.fn_sites <- (Swallow, pat_line exn) :: fn.fn_sites
+                  | _ -> ())
+                cases
           | Texp_apply (f, args) -> (
               match f.exp_desc with
               | Texp_ident (p, _, _) -> (
                   let n = Option.value (name_of p) ~default:"" in
+                  fn.fn_sites <-
+                    List.rev_append (schema_sites n args) fn.fn_sites;
                   if String.ends_with ~suffix:"Lock.acquire" n then begin
                     let key =
                       List.find_map
@@ -325,7 +427,8 @@ let walk_binding ~name_of fn body =
   fn.fn_refs <- List.rev fn.fn_refs;
   fn.fn_strings <- List.rev fn.fn_strings;
   fn.fn_direct <- List.rev fn.fn_direct;
-  fn.fn_acquires <- List.rev fn.fn_acquires
+  fn.fn_acquires <- List.rev fn.fn_acquires;
+  fn.fn_sites <- List.rev fn.fn_sites
 
 let collect_binding facts ~unit_name ~file ~prefix ~name_of
     (vb : value_binding) =
@@ -730,6 +833,59 @@ let effect_findings ?(suppress = no_suppress) (facts : facts) =
     entries
   |> sort_findings
 
+(* ---------------- per-definition rules ---------------- *)
+
+(* The rules one definition's facts decide.  [applies] scopes each rule
+   to files; [known] says whether a table or column literal names a real
+   one. *)
+let rule_findings ?(suppress = no_suppress) ~applies ~known (facts : facts) =
+  List.concat_map
+    (fun fn ->
+      let refs_to paths =
+        List.filter_map
+          (fun (r, ln) -> if List.mem r paths then Some ln else None)
+          fn.fn_refs
+      in
+      let unprotected =
+        if refs_to [ "Fun.protect" ] <> [] then []
+        else List.map snd fn.fn_acquires
+      in
+      let site = function
+        | Swallow, ln ->
+            Some
+              ( "swallow-exn",
+                ln,
+                "wildcard handler discards the exception; match the \
+                 exceptions you mean to handle" )
+        | (Table_lit s as lit), ln when not (known lit) ->
+            Some ("schema-ref", ln, Printf.sprintf "unknown table %S" s)
+        | (Column_lit s as lit), ln when not (known lit) ->
+            Some ("schema-ref", ln, Printf.sprintf "unknown column %S" s)
+        | _ -> None
+      in
+      let all rule msg lines = List.map (fun ln -> (rule, ln, msg)) lines in
+      all "obj-magic" "Obj.magic defeats the type system"
+        (refs_to [ "Obj.magic" ])
+      @ all "printf-in-lib"
+          "stdout print inside lib/; route through an Obs log channel"
+          (refs_to stdout_printers)
+      @ all "lock-protect"
+          "Lock.acquire without Fun.protect: an exception path can leak the \
+           lock"
+          unprotected
+      @ List.filter_map site fn.fn_sites
+      |> List.filter_map (fun (rule, ln, msg) ->
+             if
+               applies ~rule ~file:fn.fn_file
+               && not (suppress ~rule ~kind:rule ~file:fn.fn_file ~line:ln)
+             then
+               Some
+                 { f_rule = rule; f_file = fn.fn_file; f_line = ln;
+                   f_msg = msg; f_chain = [] }
+             else None))
+    (sorted_fns facts)
+  |> sort_findings
+
 (* ---------------- dead exports ---------------- *)
 
 (* dead-export: a named definition under [lib] that no root reaches.
@@ -774,6 +930,67 @@ let dead_findings ?(suppress = no_suppress) (facts : facts) ~lib =
             f_chain = [];
           })
     fns
+  |> sort_findings
+
+(* ---------------- internal exports ---------------- *)
+
+(* The toplevel [val]s of one [.cmti], as blank fact records (nested
+   signatures are not looked into). *)
+let load_cmti path =
+  let cmt = Cmt_format.read_cmt path in
+  match cmt.Cmt_format.cmt_annots with
+  | Cmt_format.Interface sg ->
+      let unit_name = norm_path cmt.Cmt_format.cmt_modname in
+      let file =
+        Option.value cmt.Cmt_format.cmt_sourcefile ~default:unit_name
+      in
+      List.filter_map
+        (fun (si : signature_item) ->
+          match si.sig_desc with
+          | Tsig_value vd ->
+              Some
+                (make_fn ~unit_name ~file
+                   ~name:(unit_name ^ "." ^ vd.val_name.Location.txt)
+                   ~line:vd.val_loc.Location.loc_start.Lexing.pos_lnum)
+          | _ -> None)
+        sg.sig_items
+  | _ -> []
+
+(* internal-export: an interface value no definition outside its own
+   unit names, as written or resolved.  Error-table bindings are
+   exempt, as they are roots for dead-export. *)
+let internal_findings ?(suppress = no_suppress) (facts : facts) vals =
+  let g = graph facts in
+  let namers = Hashtbl.create 4096 in
+  Hashtbl.iter
+    (fun n fn ->
+      List.iter
+        (fun t -> Hashtbl.add namers t fn.fn_unit)
+        (succs g n @ List.map fst fn.fn_refs))
+    facts;
+  let exempt v =
+    List.exists (fun u -> u <> v.fn_unit) (Hashtbl.find_all namers v.fn_name)
+    || (match Hashtbl.find_opt facts v.fn_name with
+       | Some fn -> fn.fn_code_idx <> None
+       | None -> false)
+    || suppress ~rule:"internal-export" ~kind:"val" ~file:v.fn_file
+         ~line:v.fn_line
+  in
+  List.filter_map
+    (fun v ->
+      if exempt v then None
+      else
+        Some
+          {
+            f_rule = "internal-export";
+            f_file = v.fn_file;
+            f_line = v.fn_line;
+            f_msg =
+              Printf.sprintf "%s is named only inside %s: drop it from the \
+                              interface" v.fn_name v.fn_unit;
+            f_chain = [];
+          })
+    vals
   |> sort_findings
 
 (* ---------------- static lock-order graph ---------------- *)

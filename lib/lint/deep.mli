@@ -1,8 +1,9 @@
-(** Interprocedural analysis over [.cmt] typed ASTs: effect
-    propagation along the whole-program call graph, the static
-    lock-order graph, and protocol exhaustiveness — the engine behind
-    [moira_lint --deep].  See the header of [deep.ml] for the design;
-    [Deep_moira] binds it to this repository's tree. *)
+(** The static analysis engine over [.cmt] typed ASTs: per-definition
+    rules, effect propagation along the whole-program call graph, dead
+    and internal exports, the static lock-order graph, and protocol
+    exhaustiveness — the engine behind [moira_lint].  See the header of
+    [deep.ml] for the design; [Deep_moira] binds it to this
+    repository's tree. *)
 
 type effect_ =
   | WallClock  (** [Unix.gettimeofday]/[Sys.time]/Gc measurement reads *)
@@ -16,6 +17,12 @@ type effect_ =
   | TakesLock of string  (** acquires a lock of this class *)
 
 val effect_name : effect_ -> string
+
+(** What one expression shows, for the per-definition rules. *)
+type site =
+  | Swallow  (** a handler whose pattern discards the exception *)
+  | Table_lit of string  (** a literal in a table position *)
+  | Column_lit of string  (** a literal in a column position *)
 
 (** Per-definition facts extracted from the typedtree.  One record per
     toplevel [let] (nested lets are attributed to their enclosing
@@ -31,6 +38,7 @@ type fn = {
   mutable fn_direct : (effect_ * int) list;
   mutable fn_acquires : (string * int) list;
   mutable fn_code_idx : int option;
+  mutable fn_sites : (site * int) list;
 }
 
 type facts = (string, fn) Hashtbl.t
@@ -83,17 +91,40 @@ type suppress = rule:string -> kind:string -> file:string -> line:int -> bool
 
 val pp_finding : finding -> string
 
+val sort_findings : finding list -> finding list
+(** Deduplicated, ordered by file, line, rule and message. *)
+
 val effect_findings : ?suppress:suppress -> facts -> finding list
 (** [deep-effect]: one finding per (entry point, source definition,
     effect kind) triple for {!WallClock}/{!GlobalRandom}/
     {!UnorderedIter}, located at the direct site, carrying the call
     chain from the entry. *)
 
+val rule_findings :
+  ?suppress:suppress ->
+  applies:(rule:string -> file:string -> bool) ->
+  known:(site -> bool) ->
+  facts ->
+  finding list
+(** [obj-magic], [printf-in-lib] (a stdout printer), [lock-protect] (each
+    acquire of a definition that never names [Fun.protect]),
+    [swallow-exn] and [schema-ref] (a literal [known] rejects), each
+    where [applies] says the rule covers the definition's file. *)
+
 val dead_findings : ?suppress:suppress -> facts -> lib:string -> finding list
 (** [dead-export]: each definition whose file is under the [lib]
     prefix that no root reaches.  The roots are every definition
     outside [lib], every toplevel effect, every error-table binding
     ([fn_code_idx] set) and every definition [suppress] keeps. *)
+
+val load_cmti : string -> fn list
+(** The toplevel values one [.cmti] declares, as blank fact records
+    named like the definitions that implement them. *)
+
+val internal_findings : ?suppress:suppress -> facts -> fn list -> finding list
+(** [internal-export]: each interface value (from {!load_cmti}) no
+    definition outside its own unit names.  Error-table bindings
+    ([fn_code_idx] set) are exempt. *)
 
 type lock_edge = {
   le_from : string;

@@ -1,30 +1,69 @@
 (* Deep_moira: the [Deep] engine bound to this repository.
 
-   Knows where dune leaves the [.cmt] files, which opcodes / verbs /
-   error tables make up the wire protocol (read off the linked
-   libraries themselves, so the model can never drift from the code),
-   which PROTOCOL.md sections document them, and how to spin the
-   simulated chaos day whose sanitizer-observed lock acquisitions
-   cross-check the static lock-order graph.  The driver is
-   [bin/moira_lint.ml --deep]; the suppression syntax is [Lint]'s
-   [lint: allow <rule> -- <reason>] with the deep rule ids. *)
+   Knows where dune leaves the [.cmt] and [.cmti] files, which files
+   each per-definition rule covers, the schema [schema-ref] checks
+   literals against, which opcodes / verbs / error tables make up the
+   wire protocol (read off the linked libraries themselves, so the
+   model can never drift from the code), which PROTOCOL.md sections
+   document them, and how to spin the simulated chaos day whose
+   sanitizer-observed lock acquisitions cross-check the static
+   lock-order graph.  [bin/moira_lint.ml] runs it; the
+   suppression syntax is [lint: allow <rule> -- <reason>] with any
+   rule id of [Allow.rules]. *)
 
 (* ---------------- .cmt discovery ---------------- *)
 
-let rec cmt_files path =
+let rec build_files ~suffix path =
   if Sys.file_exists path && Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.concat_map (fun e -> cmt_files (Filename.concat path e))
-  else if Filename.check_suffix path ".cmt" then [ path ]
+    |> List.concat_map (fun e -> build_files ~suffix (Filename.concat path e))
+  else if Filename.check_suffix path suffix then [ path ]
   else []
 
 (* Every build root: the library and everything linking it, so a
    definition outside [lib/] is a use that keeps lib code live. *)
 let roots = [ "lib"; "bin"; "test"; "bench"; "examples"; "perfbench" ]
 
-let load_tree facts =
-  List.concat_map (fun r -> cmt_files (Filename.concat "_build/default" r)) roots
+let load_dirs facts dirs =
+  List.concat_map (build_files ~suffix:".cmt") dirs
   |> List.iter (Deep.load_cmt facts)
+
+(* The toplevel values of every [lib/] interface. *)
+let lib_interfaces () =
+  build_files ~suffix:".cmti" "_build/default/lib"
+  |> List.concat_map Deep.load_cmti
+
+(* ---------------- per-definition rule scope ---------------- *)
+
+let under dirs file =
+  List.exists (fun d -> String.starts_with ~prefix:(d ^ "/") file) dirs
+
+(* The per-definition rules cover lib bin test bench examples:
+   perfbench/ is a root for the call-graph rules only.  [schema-ref]
+   skips test/ and bench/, which build ad-hoc relations with local
+   schemas; [printf-in-lib] covers lib/, since executables own their
+   stdout. *)
+let applies ~rule ~file =
+  under [ "lib"; "bin"; "test"; "bench"; "examples" ] file
+  &&
+  match rule with
+  | "schema-ref" -> under [ "lib"; "bin"; "examples" ] file
+  | "printf-in-lib" -> under [ "lib" ] file
+  | _ -> true
+
+let table_names = List.map Relation.Schema.name Moira.Schema_def.all
+
+let column_names =
+  List.concat_map
+    (fun s ->
+      Array.to_list (Relation.Schema.columns s)
+      |> List.map (fun c -> c.Relation.Schema.cname))
+    Moira.Schema_def.all
+
+let known = function
+  | Deep.Table_lit t -> List.mem t table_names
+  | Deep.Column_lit c -> List.mem c column_names
+  | Deep.Swallow -> true
 
 (* ---------------- protocol model ---------------- *)
 
@@ -79,28 +118,26 @@ let section md title =
 (* ---------------- suppression (lint: allow) ---------------- *)
 
 let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
+  try Some (In_channel.with_open_bin path In_channel.input_all)
   with Sys_error _ -> None
 
-(* The allows of every source file the facts mention, scanned eagerly
-   so stale allows in finding-free files are still detected. *)
-let scan_allow_state (facts : Deep.facts) =
+(* The annotations of every given file, scanned eagerly so stale allows
+   in finding-free files are still detected: per file, the well-formed
+   ones and the malformed ones' (line, message). *)
+let scan_allow_state ~read files =
   let st = Hashtbl.create 64 in
   List.iter
-    (fun (fn : Deep.fn) ->
-      if not (Hashtbl.mem st fn.Deep.fn_file) then
-        match read_file fn.Deep.fn_file with
-        | Some src ->
-            Hashtbl.replace st fn.Deep.fn_file
-              (fst (Allow.scan_allows src))
-        | None -> Hashtbl.replace st fn.Deep.fn_file [])
-    (Deep.sorted_fns facts);
+    (fun file ->
+      if not (Hashtbl.mem st file) then
+        Hashtbl.replace st file
+          (match read file with
+          | Some src -> Allow.scan_allows src
+          | None -> ([], [])))
+    files;
   st
+
+let fact_files facts =
+  List.map (fun (fn : Deep.fn) -> fn.Deep.fn_file) (Deep.sorted_fns facts)
 
 (* The per-file allowlist keys on the effect kind: a file allowed to
    read the wall clock is allowed to leak it. *)
@@ -110,7 +147,7 @@ let suppress_of st : Deep.suppress =
   ||
   match Hashtbl.find_opt st file with
   | None -> false
-  | Some allows -> (
+  | Some (allows, _) -> (
       match
         List.find_opt
           (fun (a : Allow.allow) ->
@@ -124,30 +161,45 @@ let suppress_of st : Deep.suppress =
           true
       | None -> false)
 
-let suppress facts = suppress_of (scan_allow_state facts)
+let suppress facts =
+  suppress_of (scan_allow_state ~read:read_file (fact_files facts))
 
-(* Stale deep-rule allows, after every check has had its chance to use
-   them (the syntactic pass skips these — they are ours to keep honest). *)
-let stale_allow_findings st =
+(* Malformed allows, and stale ones once every check has had its chance
+   to use them. *)
+let allow_findings st =
   Hashtbl.fold
-    (fun file allows acc ->
-      List.filter_map
-        (fun (a : Allow.allow) ->
-          if Allow.is_deep_rule a.Allow.a_rule && not a.Allow.a_used then
-            Some
-              {
-                Deep.f_rule = "unused-allow";
-                f_file = file;
-                f_line = a.Allow.a_line;
-                f_msg =
-                  Printf.sprintf "allow %s suppresses nothing" a.Allow.a_rule;
-                f_chain = [];
-              }
-          else None)
-        allows
+    (fun file (allows, bad) acc ->
+      let finding f_rule f_line f_msg =
+        { Deep.f_rule; f_file = file; f_line; f_msg; f_chain = [] }
+      in
+      List.map (fun (line, msg) -> finding "bad-allow" line msg) bad
+      @ List.filter_map
+          (fun (a : Allow.allow) ->
+            if a.Allow.a_used then None
+            else
+              Some
+                (finding "unused-allow" a.Allow.a_line
+                   (Printf.sprintf "allow %s suppresses nothing"
+                      a.Allow.a_rule)))
+          allows
       @ acc)
     st []
-  |> List.sort compare
+
+(* The rules every fact table answers, then [whole]'s tree-wide ones,
+   then allow hygiene, under one allow scan. *)
+let check ~read ~files ~whole facts =
+  let st = scan_allow_state ~read (files @ fact_files facts) in
+  let suppress = suppress_of st in
+  let fs =
+    Deep.rule_findings ~suppress ~applies ~known facts
+    @ Deep.effect_findings ~suppress facts
+    @ Deep.lock_findings ~suppress facts
+    @ whole suppress
+  in
+  Deep.sort_findings (fs @ allow_findings st)
+
+let findings ~read facts =
+  check ~read ~files:[] ~whole:(fun _ -> []) facts
 
 (* ---------------- chaos-day cross-check ---------------- *)
 
@@ -238,9 +290,8 @@ let json_strings l =
 
 let run ?(chaos = true) () =
   let facts = Deep.create () in
-  load_tree facts;
-  let st = scan_allow_state facts in
-  let suppress = suppress_of st in
+  load_dirs facts (List.map (Filename.concat "_build/default") roots);
+  let vals = lib_interfaces () in
   let md =
     Option.value (read_file "PROTOCOL.md") ~default:""
   in
@@ -259,10 +310,9 @@ let run ?(chaos = true) () =
     |> List.sort_uniq compare
   in
   let observed = if chaos then observed_edges_chaos () else [] in
-  let findings =
-    Deep.effect_findings ~suppress facts
-    @ Deep.dead_findings ~suppress facts ~lib:"lib/"
-    @ Deep.lock_findings ~suppress facts
+  let whole suppress =
+    Deep.dead_findings ~suppress facts ~lib:"lib/"
+    @ Deep.internal_findings ~suppress facts vals
     @ Deep.proto_op_findings ~suppress facts ~doc:ops_doc (ops ())
     @ Deep.proto_verb_findings ~suppress facts ~doc:verbs_doc
         ~unit_name:"Relation.Replicate" verbs
@@ -272,8 +322,11 @@ let run ?(chaos = true) () =
         ()
     @ cross_check_findings ~static:static_edges ~observed
   in
-  (* stale allows last: every check above has marked its uses *)
-  let findings = findings @ stale_allow_findings st in
+  let findings =
+    check ~read:read_file
+      ~files:(List.map (fun (v : Deep.fn) -> v.Deep.fn_file) vals)
+      ~whole facts
+  in
   let unreferenced =
     List.filter_map
       (fun (name, _) ->

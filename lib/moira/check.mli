@@ -28,17 +28,10 @@ val probe_queries : Mdb.t -> Query.t list -> finding list
 val capacls : Mdb.t -> Query.t list -> finding list
 (** Every [capacls] capability row must name a registered query. *)
 
-val schema_self : unit -> finding list
-(** [Schema_def] self-consistency: unique table names and
-    [indexed_columns] referring only to real columns. *)
-
 val watch_ref :
   subject:string -> table:string -> columns:string list -> finding list
 (** Validate one DCM generator watch: the table exists in [Schema_def]
     and each watched column exists and is an int (modtime) column.  Used
     by [Dcm.Manager.check_generators]. *)
-
-val queries : Mdb.t -> Query.t list -> finding list
-(** All of the above over a query list. *)
 
 val registry : Mdb.t -> Query.registry -> finding list

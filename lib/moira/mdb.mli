@@ -43,9 +43,6 @@ val alloc_id : t -> string -> int
 val intern_string : t -> string -> int
 (** Id of the given string in the strings relation, inserting if new. *)
 
-val find_string : t -> string -> int option
-(** Id of the string if already interned. *)
-
 val string_of_id : t -> int -> string option
 (** The string with the given id. *)
 

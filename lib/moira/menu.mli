@@ -23,9 +23,6 @@ val submenu : key:string -> help:string -> t -> t -> t
 val create : title:string -> t
 (** An empty menu. *)
 
-val entries : t -> (string * string) list
-(** The (keyword, help) pairs, in addition order — what [?] prints. *)
-
 val run :
   t -> input:(unit -> string option) -> output:(string -> unit) -> unit
 (** Drive the menu: prompt with ["title> "], read one line per

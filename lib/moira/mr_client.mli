@@ -24,11 +24,6 @@ val mr_auth : t -> kdc:Krb.Kdc.t -> principal:string -> password:string ->
     the user.  Errors: Kerberos failures (local or remote),
     [Mr_err.not_connected], [Mr_err.aborted]. *)
 
-val mr_auth_creds : t -> kdc:Krb.Kdc.t -> creds:Krb.Kdc.credentials ->
-  clientname:string -> int
-(** Like {!mr_auth} with credentials already in hand (e.g. cached
-    tickets). *)
-
 val mr_disconnect : t -> int
 (** Drop the connection.  [Mr_err.not_connected] if there is none. *)
 
@@ -69,9 +64,6 @@ type failover = {
   backoff_max_ms : int;  (** backoff cap *)
   backoff_jitter : float;  (** uniform jitter fraction on the backoff *)
 }
-
-val default_failover : failover
-(** 3 failures, 2 s base, 60 s cap, 0.5 jitter. *)
 
 val set_replicas : ?failover:failover -> t -> string list -> unit
 (** Configure the read replicas (hostnames running a replica server).

@@ -18,12 +18,10 @@ val trilean_arg : string -> ([ `True | `False | `Dontcare ], int) result
 val bool_str : bool -> string
 (** Render a boolean the way the protocol expects ("0"/"1"). *)
 
-val name_ok : string -> bool
-(** Whether a string is acceptable as an object name: nonempty, printable
-    ASCII, no [:] (the dump delimiter), no whitespace, no wildcards. *)
-
 val check_name : string -> (unit, int) result
-(** [Mr_err.bad_char] unless {!name_ok}. *)
+(** [Mr_err.bad_char] unless the string is acceptable as an object
+    name: nonempty, printable ASCII, no [:] (the dump delimiter), no
+    whitespace, no wildcards. *)
 
 val projector :
   Relation.Table.t -> string list -> Relation.Value.t array -> string list

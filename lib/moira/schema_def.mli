@@ -5,30 +5,6 @@
 val all : Relation.Schema.t list
 (** Every relation schema, in creation order. *)
 
-val users : Relation.Schema.t
-(** Account + finger + pobox information (one row per person). *)
-
-val machine : Relation.Schema.t
-val cluster : Relation.Schema.t
-val mcmap : Relation.Schema.t
-val svc : Relation.Schema.t
-val list : Relation.Schema.t
-val members : Relation.Schema.t
-val servers : Relation.Schema.t
-val serverhosts : Relation.Schema.t
-val filesys : Relation.Schema.t
-val nfsphys : Relation.Schema.t
-val nfsquota : Relation.Schema.t
-val zephyr : Relation.Schema.t
-val hostaccess : Relation.Schema.t
-val strings : Relation.Schema.t
-val services : Relation.Schema.t
-val printcap : Relation.Schema.t
-val capacls : Relation.Schema.t
-val alias : Relation.Schema.t
-val values : Relation.Schema.t
-val tblstats : Relation.Schema.t
-
 val indexed_columns : string -> string list
 (** Hash-indexed columns for a relation name (lookup keys used by the
     query catalogue). *)

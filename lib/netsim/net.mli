@@ -72,9 +72,6 @@ val add_host : t -> string -> Host.t
 val host : t -> string -> Host.t
 (** Look up a host.  @raise Not_found if absent. *)
 
-val host_opt : t -> string -> Host.t option
-(** Like {!host} but total. *)
-
 val hosts : t -> Host.t list
 (** All hosts, in registration order. *)
 

@@ -31,10 +31,6 @@ val start :
     Registers the network service ["smtp"] accepting
     ["sender\nrcpt\nbody"]. *)
 
-val route : t -> sender:string -> rcpt:string -> body:string -> delivery list
-(** Route one message, performing the deliveries; the returned list
-    says where every copy went. *)
-
 val log : t -> delivery list
 (** Every delivery ever made, oldest first. *)
 

@@ -20,9 +20,6 @@ val start : Netsim.Host.t -> t
     rebuilt empty on boot (period-appropriate: the paper's POs were
     drained frequently by clients). *)
 
-val deliver_local : t -> sender:string -> rcpt:string -> string -> unit
-(** Drop a message straight into a local mailbox. *)
-
 val mailbox : t -> user:string -> message list
 (** Current contents of a user's box, oldest first. *)
 

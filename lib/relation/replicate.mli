@@ -63,10 +63,7 @@ val poll : replica -> unit
     ends the round.  Gaps and retention misses trigger snapshot
     catch-up. *)
 
-val poll_and_observe : replica -> unit
-(** {!poll}, then a heartbeat that records replication lag (entries
-    behind head) in the [repl.lag_entries] histogram. *)
-
 val start : replica -> Sim.Engine.t -> every_ms:int -> unit
-(** Schedule {!poll_and_observe} every [every_ms] simulated
-    milliseconds. *)
+(** Schedule a {!poll} every [every_ms] simulated milliseconds, each
+    followed by a heartbeat that records replication lag (entries
+    behind head) in the [repl.lag_entries] histogram. *)

@@ -57,10 +57,6 @@ val every : t -> interval:int -> ?phase:int -> string -> (unit -> unit) -> event
     [interval]) and then every [interval] seconds until cancelled.
     Returns the id of the *series*: {!cancel} stops future firings. *)
 
-val step : t -> bool
-(** Run the next pending event, advancing the clock to its time.
-    Returns [false] if the queue is empty. *)
-
 val run_until : t -> int -> unit
 (** Run every event scheduled at time [<= limit], then set the clock to
     [limit]. *)

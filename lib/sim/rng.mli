@@ -25,9 +25,6 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p] (clamped to [0,1]). *)
 
-val float : t -> float
-(** Uniform in [[0, 1)]. *)
-
 val jitter : t -> frac:float -> int -> int
 (** [jitter t ~frac x] is [x] scaled by a uniform factor in
     [[1 -. frac, 1 +. frac]], clamped to be non-negative — used to

@@ -26,17 +26,10 @@ val load_registrar_tape :
 
 (** {1 Authenticators} *)
 
-val make_authenticator :
-  first:string -> last:string -> id_number:string -> extra:string list ->
-  string
-(** The client-side authenticator: the ID (hyphens stripped), its crypt
-    hash, and any extra arguments (login or password), all encrypted
-    under the hash. *)
-
 (** {1 The registration server} *)
 
 (** The three request numbers on the userreg UDP port (PROTOCOL.md's
-    registration section; checked by [moira_lint --deep]). *)
+    registration section; checked by [moira_lint]). *)
 
 val op_verify : int
 val op_grab : int

@@ -17,10 +17,6 @@ type filsys = {
   mount : string;  (** Default client mount point. *)
 }
 
-val parse_filsys : string -> filsys option
-(** Parse one filsys.db data string, e.g.
-    ["NFS /u1/lockers/aab nfs-1 w /mit/aab"]. *)
-
 type error =
   | Unknown_locker  (** Hesiod has no filsys entry of that name. *)
   | Bad_entry of string  (** The hesiod record did not parse. *)

@@ -3,21 +3,12 @@
     backups on line", rotating [/site/sms/backup_3 <- _2 <- _1].  The
     journal is dumped alongside so a restore can replay past the dump. *)
 
-val backup_prefix : int -> string
-(** ["/site/sms/backup_<n>/"] for n in 1..3. *)
-
-val run_once : Testbed.t -> unit
-(** Rotate the on-line backups and take a fresh dump into backup_1. *)
-
 val install : Testbed.t -> every_hours:int -> Sim.Engine.event_id
-(** Schedule {!run_once} periodically (the paper runs it nightly). *)
+(** Schedule the job periodically (the paper runs it nightly): each run
+    rotates the on-line backups and takes a fresh dump into backup_1. *)
 
 val generations : Testbed.t -> int
 (** How many backup generations are currently on line (0–3). *)
-
-val latest : Testbed.t -> (string * string) list
-(** The relation files of backup_1 ([(name, contents)]), empty if no
-    backup has been taken. *)
 
 val latest_journal : Testbed.t -> Relation.Journal.t option
 (** The journal dumped with backup_1. *)

@@ -1,10 +1,10 @@
-(* The interprocedural pass ([Lint.Deep] / [Lint.Deep_moira]): effect
-   propagation with call chains, call-graph resolution, dead exports,
-   the static lock-order graph and its agreement with the runtime
-   sanitizer over a simulated chaos day, and the protocol
-   exhaustiveness checks.  Source fixtures are typechecked in-process
-   ([Deep.load_source]), so they only use the stdlib and unix; graph
-   fixtures are hand-built fact records. *)
+(* The analysis engine ([Lint.Deep] / [Lint.Deep_moira]): rules that
+   need resolved paths, effect propagation with call chains, call-graph
+   resolution, dead and internal exports, the static lock-order graph
+   and its agreement with the runtime sanitizer over a simulated chaos
+   day, and the protocol exhaustiveness checks.  Source fixtures are
+   typechecked in-process ([Deep.load_source]), so they only use the
+   stdlib and unix; graph fixtures are hand-built fact records. *)
 
 module Deep = Lint.Deep
 module Deep_moira = Lint.Deep_moira
@@ -26,6 +26,31 @@ let has_msg fs sub =
       in
       go 0)
     fs
+
+(* ---- per-definition rules on resolved paths ---- *)
+
+let rule_ids name src =
+  rules
+    (Deep.rule_findings
+       ~applies:(fun ~rule:_ ~file:_ -> true)
+       ~known:(fun _ -> true) (load name src))
+
+let test_obj_magic_alias () =
+  Alcotest.(check (list string))
+    "O.magic is Obj.magic" [ "obj-magic" ]
+    (rule_ids "fix_alias" "module O = Obj\nlet y x = O.magic x\n")
+
+let test_exception_pattern () =
+  let prelude = "let f () = 1\n" in
+  Alcotest.(check (list string))
+    "exception _ discards" [ "swallow-exn" ]
+    (rule_ids "fix_exn"
+       (prelude ^ "let v = match f () with exception _ -> 0 | v -> v\n"));
+  Alcotest.(check (list string))
+    "a named exception is handled" []
+    (rule_ids "fix_exn"
+       (prelude
+       ^ "let v = match f () with exception Not_found -> 0 | v -> v\n"))
 
 (* ---- deep-effect ---- *)
 
@@ -257,6 +282,33 @@ let test_dead_export () =
   Alcotest.(check int) "a kept definition keeps its callees" 0
     (List.length (Deep.dead_findings ~suppress facts ~lib:"lib/"))
 
+(* ---- internal exports ---- *)
+
+let test_internal_export () =
+  let facts = Deep.create () in
+  Deep.load_source facts ~file:"lib/fix_int.ml"
+    "let helper () = 1\n\
+     let used () = helper ()\n\
+     let code i = i\n\
+     let mr_kept = code 3\n";
+  let main =
+    Deep.make_fn ~name:"Main.main" ~unit_name:"Main" ~file:"bin/main.ml"
+      ~line:1
+  in
+  main.Deep.fn_refs <- [ ("Fix_int.used", 1) ];
+  Deep.add_fn facts main;
+  let v name line =
+    Deep.make_fn ~name:("Fix_int." ^ name) ~unit_name:"Fix_int"
+      ~file:"lib/fix_int.mli" ~line
+  in
+  let fs =
+    Deep.internal_findings facts [ v "helper" 1; v "used" 2; v "mr_kept" 3 ]
+  in
+  (* helper is named only by its own unit; used is named from Main; an
+     error-table binding stays whoever names it *)
+  Alcotest.(check (list string)) "rule" [ "internal-export" ] (rules fs);
+  Alcotest.(check (list int)) "helper only" [ 1 ] (lines fs)
+
 (* ---- lock order ---- *)
 
 let lock_prelude =
@@ -447,6 +499,10 @@ let test_json () =
 
 let suite =
   [
+    Alcotest.test_case "obj-magic through an alias" `Quick
+      test_obj_magic_alias;
+    Alcotest.test_case "swallow-exn exception pattern" `Quick
+      test_exception_pattern;
     Alcotest.test_case "effect chain" `Quick test_effect_chain;
     Alcotest.test_case "effect kinds" `Quick test_effect_kinds;
     Alcotest.test_case "unordered iter + sort discharge" `Quick
@@ -463,6 +519,7 @@ let suite =
     Alcotest.test_case "binding operators" `Quick test_binding_operators;
     Alcotest.test_case "functor argument" `Quick test_functor_argument;
     Alcotest.test_case "dead export" `Quick test_dead_export;
+    Alcotest.test_case "internal export" `Quick test_internal_export;
     Alcotest.test_case "lock edges" `Quick test_lock_edges;
     Alcotest.test_case "lock cycle" `Quick test_lock_cycle;
     Alcotest.test_case "opaque lock key" `Quick test_lock_opaque_key;

@@ -293,6 +293,29 @@ let session_bound_to_peer () =
     (raw Gdb.Wire.op_close []);
   Alcotest.(check string) "admin session still serves" before (shell ())
 
+(* One host cannot fill the connection table: 63 raw opens from a
+   workstation, none closed, leave it holding its quota (a quarter of
+   the 64 slots) and an admin on another workstation still connects. *)
+let peer_quota () =
+  let tb = Testbed.create () in
+  let flooder = tb.Testbed.built.Population.workstation_machines.(0) in
+  let ws = tb.Testbed.built.Population.workstation_machines.(1) in
+  let dst = tb.Testbed.built.Population.moira_machine in
+  for _ = 1 to 63 do
+    ignore (open_conn tb ~src:flooder ~dst)
+  done;
+  let admin = Testbed.admin_client tb ~src:ws in
+  match Moira.Mr_client.mr_query_list admin ~name:"_list_users" [] with
+  | Error code -> Alcotest.fail (Comerr.Com_err.error_message code)
+  | Ok rows ->
+      let held =
+        List.length
+          (List.filter
+             (function _ :: peer :: _ -> peer = flooder | [] | [ _ ] -> false)
+             rows)
+      in
+      Alcotest.(check int) "flooder holds its quota" 16 held
+
 let suite =
   [
     Alcotest.test_case "moira port survives garbage" `Quick
@@ -308,4 +331,5 @@ let suite =
       fuzz_replication;
     Alcotest.test_case "session bound to its peer" `Quick
       session_bound_to_peer;
+    Alcotest.test_case "one peer holds at most its quota" `Quick peer_quota;
   ]

@@ -1,9 +1,28 @@
-(* The linter's own tests: a known-bad fixture snippet per rule, the
-   matching clean variant, and the suppression machinery.  Fixtures are
-   linted in memory under a lib/ path so every rule (including
-   schema-ref, which is scoped to lib/ and bin/) applies. *)
+(* The per-definition rules and allow hygiene: a known-bad fixture per
+   rule, the matching clean variant, and the suppression machinery.
+   Fixtures are typechecked in-process ([Deep.load_source]) under a
+   lib/ path so every rule (including schema-ref, which is scoped to
+   lib/ bin/ examples/) applies; a stub prelude stands in for the
+   [Lock], [Pred], [Mdb] and [Gen] modules they call. *)
+
+module Deep = Lint.Deep
+module Deep_moira = Lint.Deep_moira
 
 let lib_file = "lib/moira/q_fixture.ml"
+
+let prelude =
+  "module Lock = struct\n\
+  \  type mode = Exclusive\n\
+  \  let acquire _ ~key ~owner (_ : mode) = ignore (key, owner); true\n\
+  \  let release _ ~key ~owner = ignore (key, owner)\n\
+   end\n\
+   module Pred = struct let eq_str (_ : string) (_ : string) = () end\n\
+   module Mdb = struct let table () (_ : string) = () end\n\
+   module Gen = struct let watch ?columns (_ : string) = ignore columns end\n\
+   let f () = 1\n\
+   let log _ = ()\n\
+   let prefix = \"p\"\n\
+   let mdb = ()\n"
 
 (* Build an allow comment without this test file ever containing the
    literal marker (the scanner is line-based and would otherwise read
@@ -11,14 +30,18 @@ let lib_file = "lib/moira/q_fixture.ml"
 let allow rule reason = "(*" ^ " lint: allow " ^ rule ^ " -- " ^ reason ^ " *)"
 
 let rules_of ?(file = lib_file) src =
-  List.map (fun v -> v.Lint.v_rule) (Lint.lint_source ~file src)
+  let src = prelude ^ src in
+  let facts = Deep.create () in
+  Deep.load_source facts ~file src;
+  Deep_moira.findings ~read:(fun _ -> Some src) facts
+  |> List.map (fun f -> f.Deep.f_rule)
 
 let check_rules what expected src =
   Alcotest.(check (list string)) what expected (rules_of src)
 
 let test_obj_magic () =
-  check_rules "Obj.magic flagged" [ "obj-magic" ] "let y = Obj.magic x";
-  check_rules "Obj.repr not flagged" [] "let y = Obj.repr x"
+  check_rules "Obj.magic flagged" [ "obj-magic" ] "let y x = Obj.magic x";
+  check_rules "Obj.repr not flagged" [] "let y x = Obj.repr x"
 
 let test_swallow_exn () =
   check_rules "wildcard handler flagged" [ "swallow-exn" ]
@@ -32,9 +55,9 @@ let test_swallow_exn () =
 
 let test_lock_protect () =
   check_rules "bare acquire flagged" [ "lock-protect" ]
-    "let f l = ignore (Lock.acquire l ~key:\"k\" ~owner:\"o\" Lock.Exclusive)";
+    "let g l = ignore (Lock.acquire l ~key:\"k\" ~owner:\"o\" Lock.Exclusive)";
   check_rules "protected acquire clean" []
-    "let f l =\n\
+    "let g l run =\n\
     \  if Lock.acquire l ~key:\"k\" ~owner:\"o\" Lock.Exclusive then\n\
     \    Fun.protect\n\
     \      ~finally:(fun () -> Lock.release l ~key:\"k\" ~owner:\"o\")\n\
@@ -78,14 +101,16 @@ let test_printf_in_lib () =
 let test_suppression () =
   Alcotest.(check (list string))
     "eol annotation suppresses" []
-    (rules_of ("let y = Obj.magic x  " ^ allow "obj-magic" "fixture needs it"));
+    (rules_of
+       ("let y x = Obj.magic x  " ^ allow "obj-magic" "fixture needs it"));
   Alcotest.(check (list string))
     "solo line above suppresses" []
-    (rules_of (allow "obj-magic" "fixture needs it" ^ "\nlet y = Obj.magic x"));
+    (rules_of
+       (allow "obj-magic" "fixture needs it" ^ "\nlet y x = Obj.magic x"));
   Alcotest.(check (list string))
     "annotation for another rule does not suppress"
     [ "obj-magic"; "unused-allow" ]
-    (rules_of ("let y = Obj.magic x  " ^ allow "swallow-exn" "wrong rule"))
+    (rules_of ("let y x = Obj.magic x  " ^ allow "swallow-exn" "wrong rule"))
 
 let test_allow_hygiene () =
   Alcotest.(check (list string))
@@ -93,33 +118,41 @@ let test_allow_hygiene () =
     (rules_of (allow "obj-magic" "nothing here anymore" ^ "\nlet x = 1"));
   Alcotest.(check (list string))
     "missing reason rejected" [ "bad-allow"; "obj-magic" ]
-    (rules_of ("let y = Obj.magic x  " ^ "(*" ^ " lint: allow obj-magic *)"));
+    (rules_of ("let y x = Obj.magic x  " ^ "(*" ^ " lint: allow obj-magic *)"));
   Alcotest.(check (list string))
     "unknown rule rejected" [ "bad-allow"; "obj-magic" ]
-    (rules_of ("let y = Obj.magic x  " ^ allow "no-such-rule" "why"));
-  (* the syntactic effect rules are retired in favour of deep-effect:
-     an allow still naming one is malformed, not silently inert *)
+    (rules_of ("let y x = Obj.magic x  " ^ allow "no-such-rule" "why"));
+  (* the retired syntactic effect rules are deep-effect kinds now: an
+     allow still naming one is malformed, not silently inert *)
   List.iter
     (fun retired ->
       Alcotest.(check (list string))
         (retired ^ " is no longer a rule") [ "bad-allow" ]
         (rules_of (allow retired "old annotation" ^ "\nlet x = 1")))
     [ "wall-clock"; "global-random"; "unsorted-fold" ];
-  (* deep-rule allows validate here but their use-tracking belongs to
-     the deep pass: never reported stale by the syntactic one *)
+  (* one scan judges every rule's allows: a call-graph rule's allow is
+     used where it suppresses, and stale where it does not *)
   Alcotest.(check (list string))
-    "deep-rule allow left for the deep pass" []
-    (rules_of
-       (allow "deep-effect" "verified by moira_lint --deep" ^ "\nlet x = 1"))
+    "deep-effect allow used" []
+    (rules_of ("let now () = Sys.time ()  " ^ allow "deep-effect" "fixture"));
+  Alcotest.(check (list string))
+    "deep-effect allow stale" [ "unused-allow" ]
+    (rules_of (allow "deep-effect" "nothing reads a clock" ^ "\nlet x = 1"))
 
+(* The acceptance criterion, run from _build/default/test by dune: the
+   [.cmt] files of lib/ and bin/ are rebuilt first (test/dune). *)
 let test_repo_is_clean () =
-  (* the acceptance criterion, run from the repo root by dune *)
-  let files = List.concat_map Lint.files_under [ "../lib"; "../bin" ] in
-  Alcotest.(check bool) "some files found" true (List.length files > 50);
-  let violations = List.concat_map Lint.lint_file files in
+  let facts = Deep.create () in
+  Deep_moira.load_dirs facts [ "../lib"; "../bin" ];
+  Alcotest.(check bool) "some definitions found" true
+    (Hashtbl.length facts > 500);
+  let read file =
+    try Some (In_channel.with_open_bin ("../" ^ file) In_channel.input_all)
+    with Sys_error _ -> None
+  in
   Alcotest.(check (list string))
     "lib/ and bin/ lint clean" []
-    (List.map Lint.pp_violation violations)
+    (List.map Deep.pp_finding (Deep_moira.findings ~read facts))
 
 let suite =
   [
