@@ -1129,15 +1129,6 @@ let bench_qry () =
       let pick i = logins.(i * Array.length logins / 8) in
       let mid = pick 4 in
       let prefix = String.sub mid 0 (min 3 (String.length mid)) in
-      (* a uid window covering roughly 1% of the population *)
-      let uids =
-        List.sort Int.compare
-          (Relation.Table.fold users ~init:[] ~f:(fun acc _ row ->
-               Relation.Value.int row.(2) :: acc))
-      in
-      let nth_uid n = List.nth uids (min n (List.length uids - 1)) in
-      let uid_lo = nth_uid (n_users / 4) in
-      let uid_hi = nth_uid ((n_users / 4) + max 4 (n_users / 100)) in
       let open Relation in
       let queries =
         [
@@ -1150,11 +1141,6 @@ let bench_qry () =
                 Pred.eq_str "login" mid;
               ] );
           ("prefix_glob", Pred.Glob ("login", prefix ^ "*"));
-          ( "range_uid",
-            Pred.And
-              (Pred.Ge ("uid", Value.Int uid_lo),
-               Pred.Lt ("uid", Value.Int uid_hi)) );
-          ("fold_eq", Pred.Glob_fold ("login", String.uppercase_ascii mid));
         ]
       in
       Printf.printf "%-12s %5s | %10s %10s %10s | %7s %7s | %s\n" "query"

@@ -447,7 +447,6 @@ type failure =
 type push_stats = {
   wire_bytes : int;
   archive_bytes : int;
-  members_total : int;
   members_full : int;
   members_patched : int;
   members_kept : int;
@@ -623,7 +622,6 @@ let push net ~src ~dst ?(token = token) ?(base = []) ?(attempts = 1)
     {
       wire_bytes = !wire;
       archive_bytes;
-      members_total = nfiles;
       members_full = full_members;
       members_patched = patched;
       members_kept = kept;

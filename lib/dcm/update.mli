@@ -103,7 +103,6 @@ type push_stats = {
   wire_bytes : int;
       (** Request and reply payload bytes exchanged during the push. *)
   archive_bytes : int;  (** Size of the full packed archive. *)
-  members_total : int;
   members_full : int;  (** Members shipped with full contents. *)
   members_patched : int;  (** Members shipped as patches. *)
   members_kept : int;  (** Members the host already had (not resent). *)

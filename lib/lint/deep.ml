@@ -200,9 +200,9 @@ let strings_in e =
 
 let first_string_in e = Option.map fst (List.nth_opt (strings_in e) 0)
 
-(* Does a lambda body accumulate order-sensitively (list cons, string
-   append, buffer append)?  Iterating a hashtable with such a lambda
-   and no sort in the same definition leaks hash order. *)
+(* Does a lambda body accumulate order-sensitively (list cons or
+   append, string append, buffer append)?  Iterating a hashtable with
+   such a lambda and no sort in the same definition leaks hash order. *)
 let order_sensitive_lambda e =
   let found = ref false in
   let it =
@@ -215,7 +215,9 @@ let order_sensitive_lambda e =
               found := true
           | Texp_ident (p, _, _) -> (
               match norm_path (Path.name p) with
-              | "^" | "Buffer.add_string" | "Buffer.add_char" -> found := true
+              | "^" | "@" | "List.append" | "List.rev_append"
+              | "Buffer.add_string" | "Buffer.add_char" ->
+                  found := true
               | _ -> ())
           | _ -> ());
           Tast_iterator.default_iterator.expr it e);

@@ -165,25 +165,24 @@ let suppress facts =
   suppress_of (scan_allow_state ~read:read_file (fact_files facts))
 
 (* Malformed allows, and stale ones once every check has had its chance
-   to use them. *)
+   to use them, file by file in name order. *)
 let allow_findings st =
-  Hashtbl.fold
-    (fun file (allows, bad) acc ->
-      let finding f_rule f_line f_msg =
-        { Deep.f_rule; f_file = file; f_line; f_msg; f_chain = [] }
-      in
-      List.map (fun (line, msg) -> finding "bad-allow" line msg) bad
-      @ List.filter_map
-          (fun (a : Allow.allow) ->
-            if a.Allow.a_used then None
-            else
-              Some
-                (finding "unused-allow" a.Allow.a_line
-                   (Printf.sprintf "allow %s suppresses nothing"
-                      a.Allow.a_rule)))
-          allows
-      @ acc)
-    st []
+  Hashtbl.fold (fun file v acc -> (file, v) :: acc) st []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.concat_map (fun (file, (allows, bad)) ->
+         let finding f_rule f_line f_msg =
+           { Deep.f_rule; f_file = file; f_line; f_msg; f_chain = [] }
+         in
+         List.map (fun (line, msg) -> finding "bad-allow" line msg) bad
+         @ List.filter_map
+             (fun (a : Allow.allow) ->
+               if a.Allow.a_used then None
+               else
+                 Some
+                   (finding "unused-allow" a.Allow.a_line
+                      (Printf.sprintf "allow %s suppresses nothing"
+                         a.Allow.a_rule)))
+             allows)
 
 (* The rules every fact table answers, then [whole]'s tree-wide ones,
    then allow hygiene, under one allow scan. *)

@@ -29,7 +29,10 @@ let q_get_machine =
       (fun ctx args ->
         match args with
         | [ name ] ->
-            let pred = Pred.name_match ~case_fold:true "name" name in
+            (* machine names are stored upper-case *)
+            let pred =
+              Pred.name_match "name" (String.uppercase_ascii name)
+            in
             let* rows = rows_or_no_match (Table.select (machines ctx) pred) in
             Ok
               (List.map
@@ -269,6 +272,7 @@ let q_get_machine_to_cluster_map =
         match args with
         | [ machine; cluster ] ->
             let mdb = ctx.mdb in
+            let machine = String.uppercase_ascii machine in
             let pairs =
               Table.select (mcmap ctx) Pred.True
               |> List.filter_map (fun (_, row) ->
@@ -280,7 +284,7 @@ let q_get_machine_to_cluster_map =
                      | Some mname, Some cname -> Some (mname, cname)
                      | _ -> None)
               |> List.filter (fun (mname, cname) ->
-                     Glob.matches ~case_fold:true ~pattern:machine mname
+                     Glob.matches ~pattern:machine mname
                      && Glob.matches ~pattern:cluster cname)
             in
             let* pairs =

@@ -23,6 +23,7 @@ let q_get_server_host_access =
         match args with
         | [ machine ] ->
             let tbl = hostaccess ctx in
+            let machine = String.uppercase_ascii machine in
             let rows =
               Table.select tbl Pred.True
               |> List.filter_map (fun (_, row) ->
@@ -30,9 +31,7 @@ let q_get_server_host_access =
                        Lookup.machine_name ctx.mdb
                          (Value.int (Table.field tbl row "mach_id"))
                      with
-                     | Some name
-                       when Glob.matches ~case_fold:true ~pattern:machine name
-                       ->
+                     | Some name when Glob.matches ~pattern:machine name ->
                          Some (name, row)
                      | _ -> None)
             in

@@ -334,6 +334,7 @@ let q_get_server_host_info =
         match args with
         | [ service; machine ] ->
             let tbl = shosts ctx in
+            let machine = String.uppercase_ascii machine in
             let rows =
               Table.select tbl
                 (Pred.name_match "service" (canon_service service))
@@ -344,7 +345,7 @@ let q_get_server_host_info =
                             (Value.int (Table.field tbl row "mach_id")))
                          ~default:"?"
                      in
-                     Glob.matches ~case_fold:true ~pattern:machine m)
+                     Glob.matches ~pattern:machine m)
             in
             let* rows = rows_or_no_match rows in
             Ok (List.map (fun (_, row) -> render_shost ctx row) rows)

@@ -2,8 +2,7 @@ let is_pattern s = String.exists (fun c -> c = '*' || c = '?') s
 
 (* Iterative glob with backtracking on the last '*': classic two-pointer
    algorithm, linear in practice and immune to pathological recursion. *)
-let matches ?(case_fold = false) ~pattern s =
-  let norm c = if case_fold then Char.lowercase_ascii c else c in
+let matches ~pattern s =
   let plen = String.length pattern and slen = String.length s in
   let rec go p i star_p star_i =
     if i >= slen then
@@ -15,7 +14,7 @@ let matches ?(case_fold = false) ~pattern s =
       in
       only_stars p
     else if p < plen && pattern.[p] = '*' then go (p + 1) i (p + 1) i
-    else if p < plen && (pattern.[p] = '?' || norm pattern.[p] = norm s.[i])
+    else if p < plen && (pattern.[p] = '?' || pattern.[p] = s.[i])
     then go (p + 1) (i + 1) star_p star_i
     else if star_p >= 0 then go star_p (star_i + 1) star_p (star_i + 1)
     else false

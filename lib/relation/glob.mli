@@ -7,8 +7,8 @@
 val is_pattern : string -> bool
 (** [is_pattern s] is true when [s] contains an unescaped wildcard. *)
 
-val matches : ?case_fold:bool -> pattern:string -> string -> bool
+val matches : pattern:string -> string -> bool
 (** [matches ~pattern s] tests [s] against [pattern].  [*] matches zero or
-    more characters, [?] matches exactly one.  With [case_fold] (default
-    [false]) matching ignores ASCII case — used for machine and service
-    names, which Moira stores upper-case. *)
+    more characters, [?] matches exactly one.  Matching is case-sensitive:
+    machine names are stored upper-case, so their callers upper-case the
+    pattern. *)

@@ -2,11 +2,6 @@ type t =
   | True
   | Eq of string * Value.t
   | Glob of string * string
-  | Glob_fold of string * string
-  | Lt of string * Value.t
-  | Le of string * Value.t
-  | Gt of string * Value.t
-  | Ge of string * Value.t
   | And of t * t
   | Or of t * t
   | Not of t
@@ -23,11 +18,8 @@ let eq_str col s = Eq (col, Value.Str s)
 let eq_int col i = Eq (col, Value.Int i)
 let eq_bool col b = Eq (col, Value.Bool b)
 
-let name_match ?(case_fold = false) col arg =
-  if Glob.is_pattern arg then
-    if case_fold then Glob_fold (col, arg) else Glob (col, arg)
-  else if case_fold then Glob_fold (col, arg)
-  else Eq (col, Value.Str arg)
+let name_match col arg =
+  if Glob.is_pattern arg then Glob (col, arg) else Eq (col, Value.Str arg)
 
 let rec eval schema p tuple =
   let col c = tuple.(Schema.index_of schema c) in
@@ -35,29 +27,19 @@ let rec eval schema p tuple =
   | True -> true
   | Eq (c, v) -> Value.equal (col c) v
   | Glob (c, pat) -> Glob.matches ~pattern:pat (Value.to_string (col c))
-  | Glob_fold (c, pat) ->
-      Glob.matches ~case_fold:true ~pattern:pat (Value.to_string (col c))
-  | Lt (c, v) -> Value.compare (col c) v < 0
-  | Le (c, v) -> Value.compare (col c) v <= 0
-  | Gt (c, v) -> Value.compare (col c) v > 0
-  | Ge (c, v) -> Value.compare (col c) v >= 0
   | And (a, b) -> eval schema a tuple && eval schema b tuple
   | Or (a, b) -> eval schema a tuple || eval schema b tuple
   | Not a -> not (eval schema a tuple)
-
-type cmp = Clt | Cle | Cgt | Cge
 
 type shape =
   | S_true
   | S_eq of string * int
   | S_glob of string * string
-  | S_glob_fold of string * string
-  | S_cmp of cmp * string * int
   | S_and of shape * shape
   | S_or of shape * shape
   | S_not of shape
 
-(* Comparison constants become parameter slots (numbered left to right);
+(* Equality constants become parameter slots (numbered left to right);
    glob patterns stay in the shape because the access path depends on
    their literal text (prefix, wildcard position). *)
 let split p =
@@ -73,11 +55,6 @@ let split p =
     | True -> S_true
     | Eq (c, v) -> S_eq (c, slot v)
     | Glob (c, pat) -> S_glob (c, pat)
-    | Glob_fold (c, pat) -> S_glob_fold (c, pat)
-    | Lt (c, v) -> S_cmp (Clt, c, slot v)
-    | Le (c, v) -> S_cmp (Cle, c, slot v)
-    | Gt (c, v) -> S_cmp (Cgt, c, slot v)
-    | Ge (c, v) -> S_cmp (Cge, c, slot v)
     | And (a, b) ->
         let a' = go a in
         let b' = go b in
@@ -96,11 +73,6 @@ let fill s params =
     | S_true -> True
     | S_eq (c, i) -> Eq (c, params.(i))
     | S_glob (c, pat) -> Glob (c, pat)
-    | S_glob_fold (c, pat) -> Glob_fold (c, pat)
-    | S_cmp (Clt, c, i) -> Lt (c, params.(i))
-    | S_cmp (Cle, c, i) -> Le (c, params.(i))
-    | S_cmp (Cgt, c, i) -> Gt (c, params.(i))
-    | S_cmp (Cge, c, i) -> Ge (c, params.(i))
     | S_and (a, b) -> And (go a, go b)
     | S_or (a, b) -> Or (go a, go b)
     | S_not a -> Not (go a)
@@ -110,18 +82,12 @@ let fill s params =
 let rec indexable_eqs = function
   | Eq (c, v) -> [ (c, v) ]
   | And (a, b) -> indexable_eqs a @ indexable_eqs b
-  | True | Glob _ | Glob_fold _ | Lt _ | Le _ | Gt _ | Ge _ | Or _ | Not _ ->
-      []
+  | True | Glob _ | Or _ | Not _ -> []
 
 let rec pp fmt = function
   | True -> Format.fprintf fmt "true"
   | Eq (c, v) -> Format.fprintf fmt "%s = %a" c Value.pp v
   | Glob (c, p) -> Format.fprintf fmt "%s ~ %S" c p
-  | Glob_fold (c, p) -> Format.fprintf fmt "%s ~~ %S" c p
-  | Lt (c, v) -> Format.fprintf fmt "%s < %a" c Value.pp v
-  | Le (c, v) -> Format.fprintf fmt "%s <= %a" c Value.pp v
-  | Gt (c, v) -> Format.fprintf fmt "%s > %a" c Value.pp v
-  | Ge (c, v) -> Format.fprintf fmt "%s >= %a" c Value.pp v
   | And (a, b) -> Format.fprintf fmt "(%a && %a)" pp a pp b
   | Or (a, b) -> Format.fprintf fmt "(%a || %a)" pp a pp b
   | Not a -> Format.fprintf fmt "!(%a)" pp a

@@ -8,11 +8,6 @@ type t =
   | True  (** Matches every row. *)
   | Eq of string * Value.t  (** Column equals value. *)
   | Glob of string * string  (** Column matches wildcard pattern. *)
-  | Glob_fold of string * string  (** Case-insensitive wildcard match. *)
-  | Lt of string * Value.t  (** Column strictly less than value. *)
-  | Le of string * Value.t  (** Column at most value. *)
-  | Gt of string * Value.t  (** Column strictly greater than value. *)
-  | Ge of string * Value.t  (** Column at least value. *)
   | And of t * t
   | Or of t * t
   | Not of t
@@ -32,10 +27,11 @@ val eq_int : string -> int -> t
 val eq_bool : string -> bool -> t
 (** [eq_bool col b] — column equals boolean [b]. *)
 
-val name_match : ?case_fold:bool -> string -> string -> t
+val name_match : string -> string -> t
 (** [name_match col arg] is the standard Moira name-argument semantics:
     a wildcard match if [arg] contains [*] or [?], an exact comparison
-    otherwise (case-folded when [case_fold]). *)
+    otherwise.  Matching is case-sensitive: callers querying a column
+    Moira stores upper-case (machine names) upper-case [arg] first. *)
 
 val eval : Schema.t -> t -> Value.t array -> bool
 (** Evaluate against one tuple.
@@ -44,7 +40,7 @@ val eval : Schema.t -> t -> Value.t array -> bool
 
 (** {2 Shapes — prepared-statement skeletons}
 
-    A shape is a predicate with its comparison constants replaced by
+    A shape is a predicate with its equality constants replaced by
     numbered parameter slots.  Two calls of the same named query with
     different arguments produce the same shape, so the planner can
     compile a shape once and reuse the plan for every argument vector
@@ -52,14 +48,10 @@ val eval : Schema.t -> t -> Value.t array -> bool
     shape: the access path chosen at compile time depends on their
     text. *)
 
-type cmp = Clt | Cle | Cgt | Cge  (** Comparison operators in shapes. *)
-
 type shape =
   | S_true
   | S_eq of string * int  (** Column equals parameter slot. *)
   | S_glob of string * string
-  | S_glob_fold of string * string
-  | S_cmp of cmp * string * int  (** Column compared to parameter slot. *)
   | S_and of shape * shape
   | S_or of shape * shape
   | S_not of shape

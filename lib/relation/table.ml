@@ -26,32 +26,28 @@ type index = {
          memoized projections on the versions of exactly the columns
          they read, so e.g. a shell edit leaves a login-sorted user
          projection warm. *)
-  mutable sorted : (Value.t * bucket) array;
-      (* key-ordered view for range/prefix scans, rebuilt lazily *)
+  mutable sorted : (string * bucket) array;
+      (* raw bucket keys in [String.compare] order, serving prefix globs;
+         rebuilt lazily *)
   mutable sorted_version : int;  (* [version] it was built at; -1 = never *)
   dirty : (string, unit) Hashtbl.t;
       (* keys whose buckets changed since [sorted] was built; lets the
-         next range query splice the delta into the existing array
+         next prefix query splice the delta into the existing array
          instead of re-sorting all n keys.  Only tracked once a sorted
          view exists (bulk load pays nothing). *)
   mutable dirty_overflow : bool;
       (* too many dirty keys to bother: next view does a full rebuild *)
-  mutable folded : (string, bucket) Hashtbl.t;
-      (* lowercase-keyed buckets serving case-folded equality *)
-  mutable folded_version : int;
 }
 
 (* Access paths of a compiled plan; see "Compiled plans" below. *)
 type candidate =
   | C_slot of index * int  (* probe by the rendered slot value *)
   | C_key of index * string  (* probe by a literal key (non-pattern glob) *)
-  | C_fold of index * string  (* folded-bucket probe, lowercased key *)
   | C_union of candidate list  (* OR of probeable atoms *)
 
 type path =
   | P_scan
   | P_probe of candidate list  (* And-reachable; runtime picks smallest *)
-  | P_range of index * (Pred.cmp * int) list  (* cmps on one indexed column *)
   | P_prefix of index * string * string option
       (* literal glob prefix on a string column: half-open key range
          [prefix, successor); [None] = no finite successor (all 0xff) *)
@@ -110,8 +106,6 @@ let create ?(indexed = []) ~clock schema =
           sorted_version = -1;
           dirty = Hashtbl.create 0;
           dirty_overflow = false;
-          folded = Hashtbl.create 0;
-          folded_version = -1;
         })
       indexed
   in
@@ -176,21 +170,18 @@ let bucket_remove ix k id =
         note_dirty ix k
       end
 
-(* Lazy derived views, keyed on the index version.  [clear]/restore need
-   no special-casing: they bump [version], which invalidates both. *)
+(* The lazy sorted view, keyed on the index version.  [clear]/restore
+   need no special-casing: they bump [version], which invalidates it. *)
 
 let sorted_rebuilds = Obs.Counter.make Obs.default "table.sorted.rebuild"
 let sorted_merges = Obs.Counter.make Obs.default "table.sorted.merge"
 
 let rebuild_sorted ix =
   Obs.Counter.incr sorted_rebuilds;
-  let acc =
-    Hashtbl.fold
-      (fun k b l -> (Value.of_string ix.ctype k, b) :: l)
-      ix.buckets []
+  let a =
+    Array.of_list (Hashtbl.fold (fun k b l -> (k, b) :: l) ix.buckets [])
   in
-  let a = Array.of_list acc in
-  Array.sort (fun (u, _) (v, _) -> Value.compare u v) a;
+  Array.sort (fun (u, _) (v, _) -> String.compare u v) a;
   ix.sorted <- a
 
 (* Splice the dirty keys into the existing key-ordered array:
@@ -203,16 +194,15 @@ let merge_sorted ix =
   let d =
     Array.of_list
       (Hashtbl.fold
-         (fun k () l ->
-           (Value.of_string ix.ctype k, Hashtbl.find_opt ix.buckets k) :: l)
+         (fun k () l -> (k, Hashtbl.find_opt ix.buckets k) :: l)
          ix.dirty [])
   in
-  Array.sort (fun (u, _) (v, _) -> Value.compare u v) d;
+  Array.sort (fun (u, _) (v, _) -> String.compare u v) d;
   let old = ix.sorted in
   let n = Array.length old and k = Array.length d in
   if n + k = 0 then ix.sorted <- [||]
   else begin
-    let out = Array.make (n + k) (Value.Int 0, empty_bucket) in
+    let out = Array.make (n + k) ("", empty_bucket) in
     let oi = ref 0 and di = ref 0 and w = ref 0 in
     let put e = out.(!w) <- e; incr w in
     let put_delta (v, b) = match b with Some b -> put (v, b) | None -> () in
@@ -221,7 +211,7 @@ let merge_sorted ix =
       else if !oi >= n then begin put_delta d.(!di); incr di end
       else begin
         let ov, _ = old.(!oi) and dv, _ = d.(!di) in
-        let c = Value.compare ov dv in
+        let c = String.compare ov dv in
         if c < 0 then begin put old.(!oi); incr oi end
         else if c > 0 then begin put_delta d.(!di); incr di end
         else begin
@@ -247,21 +237,6 @@ let sorted_view ix =
     ix.dirty_overflow <- false
   end;
   ix.sorted
-
-let folded_view ix =
-  if ix.folded_version <> ix.version then begin
-    let tbl = Hashtbl.create (max 16 (Hashtbl.length ix.buckets)) in
-    Hashtbl.iter
-      (fun k b ->
-        let fk = String.lowercase_ascii k in
-        let prev = Option.value (Hashtbl.find_opt tbl fk) ~default:empty_bucket in
-        Hashtbl.replace tbl fk
-          { bset = Int_set.union prev.bset b.bset; bsize = prev.bsize + b.bsize })
-      ix.buckets;
-    ix.folded <- tbl;
-    ix.folded_version <- ix.version
-  end;
-  ix.folded
 
 let index_add t id row =
   List.iter
@@ -346,17 +321,6 @@ let compile_eval t shape =
     | Pred.S_glob (c, pat) ->
         let g = getter c in
         fun _ row -> Glob.matches ~pattern:pat (Value.to_string (g row))
-    | Pred.S_glob_fold (c, pat) ->
-        let g = getter c in
-        fun _ row ->
-          Glob.matches ~case_fold:true ~pattern:pat (Value.to_string (g row))
-    | Pred.S_cmp (op, c, s) -> (
-        let g = getter c in
-        match op with
-        | Pred.Clt -> fun p row -> Value.compare (g row) p.(s) < 0
-        | Pred.Cle -> fun p row -> Value.compare (g row) p.(s) <= 0
-        | Pred.Cgt -> fun p row -> Value.compare (g row) p.(s) > 0
-        | Pred.Cge -> fun p row -> Value.compare (g row) p.(s) >= 0)
     | Pred.S_and (a, b) ->
         let fa = go a and fb = go b in
         fun p row -> fa p row && fb p row
@@ -378,17 +342,13 @@ let rec conjuncts = function
   | Pred.S_and (a, b) -> conjuncts a @ conjuncts b
   | s -> [ s ]
 
-(* An atom the hash (or fold) buckets can serve directly. *)
+(* An atom the hash buckets can serve directly. *)
 let atom_candidate t = function
   | Pred.S_eq (c, slot) ->
       Option.map (fun ix -> C_slot (ix, slot)) (find_index t c)
   | Pred.S_glob (c, lit) when not (Glob.is_pattern lit) ->
       (* non-pattern glob is exact match on the rendered value *)
       Option.map (fun ix -> C_key (ix, lit)) (find_index t c)
-  | Pred.S_glob_fold (c, lit) when not (Glob.is_pattern lit) ->
-      Option.map
-        (fun ix -> C_fold (ix, String.lowercase_ascii lit))
-        (find_index t c)
   | _ -> None
 
 (* An Or-tree whose every leaf is probeable: union of buckets. *)
@@ -435,39 +395,20 @@ let choose_path t shape =
   in
   if probes <> [] then P_probe probes
   else
-    let cmps =
-      List.filter_map
-        (function
-          | Pred.S_cmp (op, c, slot) ->
-              Option.map (fun ix -> (ix, (op, slot))) (find_index t c)
-          | _ -> None)
-        cs
+    let rec prefix_path = function
+      | [] -> P_scan
+      | Pred.S_glob (c, pat) :: rest when Glob.is_pattern pat -> (
+          match find_index t c with
+          (* a string column's bucket keys are its values verbatim, so
+             the glob's literal prefix is a key range of the sorted view *)
+          | Some ix when ix.ctype = Value.TStr ->
+              let p = glob_prefix pat in
+              if p = "" then prefix_path rest
+              else P_prefix (ix, p, prefix_successor p)
+          | _ -> prefix_path rest)
+      | _ :: rest -> prefix_path rest
     in
-    match cmps with
-    | (ix0, _) :: _ ->
-        (* all comparisons on the first indexed comparison column; the
-           rest stay in the residual predicate *)
-        let mine =
-          List.filter_map
-            (fun (ix, os) -> if ix == ix0 then Some os else None)
-            cmps
-        in
-        P_range (ix0, mine)
-    | [] ->
-        let rec prefix_path = function
-          | [] -> P_scan
-          | Pred.S_glob (c, pat) :: rest when Glob.is_pattern pat -> (
-              match find_index t c with
-              (* glob compares rendered strings, which only agree with
-                 [Value.compare] order on string columns *)
-              | Some ix when ix.ctype = Value.TStr ->
-                  let p = glob_prefix pat in
-                  if p = "" then prefix_path rest
-                  else P_prefix (ix, p, prefix_successor p)
-              | _ -> prefix_path rest)
-          | _ :: rest -> prefix_path rest
-        in
-        prefix_path cs
+    prefix_path cs
 
 let compile t shape =
   { ceval = compile_eval t shape; cpath = choose_path t shape }
@@ -477,8 +418,8 @@ let compile t shape =
    a small set of plans and a select costs a shape split, one probe of
    this table's cache, and the plan body.  Plans stay valid for the
    table's whole lifetime (schemas are immutable, the index structures
-   they capture are updated in place, and the ordered/folded views are
-   rebuilt off the index versions), so no write or [clear] touches the
+   they capture are updated in place, and the sorted view is rebuilt off
+   the index versions), so no write or [clear] touches the
    cache.  Glob patterns stay literal in a shape, so client-supplied
    patterns make new entries: the cache is bounded and resets wholesale
    when full. *)
@@ -503,32 +444,27 @@ let reset_plans t = Hashtbl.reset t.plans
 
 let probe ix k = Option.value (Hashtbl.find_opt ix.buckets k) ~default:empty_bucket
 
-let probe_fold ix fk =
-  Option.value (Hashtbl.find_opt (folded_view ix) fk) ~default:empty_bucket
-
 let rec candidate_size params = function
   | C_slot (ix, slot) -> (probe ix (key_of params.(slot))).bsize
   | C_key (ix, k) -> (probe ix k).bsize
-  | C_fold (ix, fk) -> (probe_fold ix fk).bsize
   | C_union l -> List.fold_left (fun a c -> a + candidate_size params c) 0 l
 
 let rec candidate_ids params = function
   | C_slot (ix, slot) -> (probe ix (key_of params.(slot))).bset
   | C_key (ix, k) -> (probe ix k).bset
-  | C_fold (ix, fk) -> (probe_fold ix fk).bset
   | C_union l ->
       (* union keeps ascending-rowid iteration and dedupes Or overlap *)
       List.fold_left
         (fun acc c -> Int_set.union acc (candidate_ids params c))
         Int_set.empty l
 
-(* first i in [0, length a) with [pred (key a.(i))], or length a *)
-let lower_bound a pred =
+(* first i in [0, length a) whose key is >= [key], or length a *)
+let lower_bound a key =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     let k, _ = a.(mid) in
-    if pred k then hi := mid else lo := mid + 1
+    if String.compare k key >= 0 then hi := mid else lo := mid + 1
   done;
   !lo
 
@@ -540,68 +476,10 @@ let union_slice a start stop =
   done;
   !acc
 
-let range_ids ix cmps params =
-  (* tightest bounds: (value, strict) options folded over the cmps *)
-  let tighten_lo lo v strict =
-    match lo with
-    | None -> Some (v, strict)
-    | Some (u, s) ->
-        let c = Value.compare v u in
-        if c > 0 then Some (v, strict)
-        else if c < 0 then lo
-        else Some (u, s || strict)
-  in
-  let tighten_hi hi v strict =
-    match hi with
-    | None -> Some (v, strict)
-    | Some (u, s) ->
-        let c = Value.compare v u in
-        if c < 0 then Some (v, strict)
-        else if c > 0 then hi
-        else Some (u, s || strict)
-  in
-  let lo, hi =
-    List.fold_left
-      (fun (lo, hi) (op, slot) ->
-        let v = params.(slot) in
-        match op with
-        | Pred.Cgt -> (tighten_lo lo v true, hi)
-        | Pred.Cge -> (tighten_lo lo v false, hi)
-        | Pred.Clt -> (lo, tighten_hi hi v true)
-        | Pred.Cle -> (lo, tighten_hi hi v false))
-      (None, None) cmps
-  in
-  let a = sorted_view ix in
-  let start =
-    match lo with
-    | None -> 0
-    | Some (v, strict) ->
-        lower_bound a (fun k ->
-            let c = Value.compare k v in
-            if strict then c > 0 else c >= 0)
-  in
-  let stop =
-    match hi with
-    | None -> Array.length a
-    | Some (v, strict) ->
-        lower_bound a (fun k ->
-            let c = Value.compare k v in
-            if strict then c >= 0 else c > 0)
-  in
-  union_slice a start stop
-
 let prefix_ids ix lo hi =
   let a = sorted_view ix in
-  let vlo = Value.Str lo in
-  let start = lower_bound a (fun k -> Value.compare k vlo >= 0) in
-  let stop =
-    match hi with
-    | None -> Array.length a
-    | Some h ->
-        let vh = Value.Str h in
-        lower_bound a (fun k -> Value.compare k vh >= 0)
-  in
-  union_slice a start stop
+  let stop = match hi with None -> Array.length a | Some h -> lower_bound a h in
+  union_slice a (lower_bound a lo) stop
 
 let best_candidate params = function
   | [] -> assert false
@@ -619,7 +497,6 @@ let best_candidate params = function
    shape actually runs (module-level handles survive registry resets). *)
 let path_scan = Obs.Counter.make Obs.default "plan.path.scan"
 let path_probe = Obs.Counter.make Obs.default "plan.path.probe"
-let path_range = Obs.Counter.make Obs.default "plan.path.range"
 let path_prefix = Obs.Counter.make Obs.default "plan.path.prefix"
 
 let run t c params =
@@ -627,7 +504,6 @@ let run t c params =
   (match c.cpath with
   | P_scan -> Obs.Counter.incr path_scan
   | P_probe _ -> Obs.Counter.incr path_probe
-  | P_range _ -> Obs.Counter.incr path_range
   | P_prefix _ -> Obs.Counter.incr path_prefix);
   let from_set set =
     Int_set.fold
@@ -650,7 +526,6 @@ let run t c params =
       done;
       !acc
   | P_probe cands -> from_set (candidate_ids params (best_candidate params cands))
-  | P_range (ix, cmps) -> from_set (range_ids ix cmps params)
   | P_prefix (ix, lo, hi) -> from_set (prefix_ids ix lo hi)
 
 let explain t pred =
@@ -659,13 +534,11 @@ let explain t pred =
   let rec cand = function
     | C_slot (ix, _) -> Printf.sprintf "eq(%s)" (colname ix)
     | C_key (ix, k) -> Printf.sprintf "key(%s=%S)" (colname ix) k
-    | C_fold (ix, k) -> Printf.sprintf "fold(%s=%S)" (colname ix) k
     | C_union l -> "union(" ^ String.concat "|" (List.map cand l) ^ ")"
   in
   match c.cpath with
   | P_scan -> "scan"
   | P_probe cands -> "probe(" ^ String.concat "," (List.map cand cands) ^ ")"
-  | P_range (ix, _) -> Printf.sprintf "range(%s)" (colname ix)
   | P_prefix (ix, p, _) -> Printf.sprintf "prefix(%s,%S)" (colname ix) p
 
 let matching t pred =

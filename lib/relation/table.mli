@@ -118,11 +118,11 @@ val field : t -> Value.t array -> string -> Value.t
 
     {!select}, {!select_one}, {!count}, {!exists}, {!update},
     {!set_fields} and {!delete} run through a plan built from the
-    predicate's {!Pred.shape}: column names resolve to offsets once, and an access
-    path — bucket probe, union of buckets, ordered range scan, prefix
-    range, or full scan — is chosen from the shape.  Each table caches
-    its plans by shape, so every call of a named query with any argument
-    values reuses one plan.  The cache needs no invalidation: schemas are
+    predicate's {!Pred.shape}: column names resolve to offsets once, and
+    an access path — bucket probe, union of buckets, literal-prefix range
+    over the index's sorted keys, or full scan — is chosen from the
+    shape.  Each table caches its plans by shape, so every call of a
+    named query with any argument values reuses one plan.  The cache needs no invalidation: schemas are
     immutable and a plan reads the table's live indexes.  It holds a
     bounded number of plans and resets wholesale when full.  Hits and
     misses count on [plan.cache.hits] and [plan.cache.misses] in
@@ -130,7 +130,7 @@ val field : t -> Value.t array -> string -> Value.t
 
 val explain : t -> Pred.t -> string
 (** The access path a plan for this predicate takes, for tests and
-    diagnostics, e.g. ["probe(eq(login))"], ["range(uid)"],
+    diagnostics, e.g. ["probe(eq(login))"], ["probe(key(name=\"X\"))"],
     ["prefix(login,\"jis\")"], ["scan"].  Does not touch the cache. *)
 
 val reset_plans : t -> unit

@@ -15,15 +15,6 @@ let equal a b =
   | Bool x, Bool y -> x = y
   | (Int _ | Str _ | Bool _), _ -> false
 
-let rank = function Int _ -> 0 | Str _ -> 1 | Bool _ -> 2
-
-let compare a b =
-  match a, b with
-  | Int x, Int y -> Int.compare x y
-  | Str x, Str y -> String.compare x y
-  | Bool x, Bool y -> Bool.compare x y
-  | _ -> Int.compare (rank a) (rank b)
-
 let to_string = function
   | Int i -> string_of_int i
   | Str s -> s

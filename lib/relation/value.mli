@@ -22,9 +22,6 @@ val ctype_name : ctype -> string
 val equal : t -> t -> bool
 (** Structural equality. *)
 
-val compare : t -> t -> int
-(** Total order (by constructor, then payload); used for sorting results. *)
-
 val to_string : t -> string
 (** Render for protocol transmission: ints in decimal, bools as [0]/[1],
     strings verbatim. *)

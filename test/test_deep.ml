@@ -125,7 +125,7 @@ let test_unordered_iter () =
     (has_msg fs "unordered-iter")
 
 (* A fold only leaks order when what it accumulates is order-sensitive:
-   a list fed to String.concat is, a sum is not. *)
+   a list built by cons or append is, a sum is not. *)
 let test_unsorted_fold () =
   let facts =
     load "fix_fold"
@@ -137,7 +137,19 @@ let test_unsorted_fold () =
   in
   let fs = Deep.effect_findings facts in
   Alcotest.(check (list int)) "fold into concat flagged" [ 1 ] (lines fs);
-  Alcotest.(check bool) "as unordered-iter" true (has_msg fs "unordered-iter")
+  Alcotest.(check bool) "as unordered-iter" true (has_msg fs "unordered-iter");
+  (* list append accumulates in visit order just as [::] does *)
+  let facts =
+    load "fix_append"
+      "let keys h = Hashtbl.fold (fun k _ acc -> [ k ] @ acc) h []\n\
+       let vals h = Hashtbl.fold (fun _ v acc -> v @ acc) h []\n\
+       let app h = Hashtbl.fold (fun _ v acc -> List.append v acc) h []\n\
+       let rev h = Hashtbl.fold (fun _ v acc -> List.rev_append v acc) h []\n\
+       let sorted h =\n\
+      \  List.sort compare (Hashtbl.fold (fun _ v acc -> v @ acc) h [])\n"
+  in
+  Alcotest.(check (list int)) "unsorted appends flagged" [ 1; 2; 3; 4 ]
+    (lines (Deep.effect_findings facts))
 
 (* The direct sources, one per definition so each is its own site. *)
 let test_wall_clock () =

@@ -141,8 +141,9 @@ let naive t p =
     (Table.fold t ~init:[] ~f:(fun acc id row ->
          if Pred.eval (Table.schema t) p row then (id, row) :: acc else acc))
 
-let age_window lo hi =
-  Pred.And (Pred.Ge ("age", Value.Int lo), Pred.Lt ("age", Value.Int hi))
+(* a literal-prefix glob on the indexed name column: the sorted view's
+   one client *)
+let name_prefix p = Pred.Glob ("name", p ^ "*")
 
 let test_sorted_merge_after_small_change () =
   let t = fresh_table () in
@@ -152,25 +153,26 @@ let test_sorted_merge_after_small_change () =
          [| Value.Str (Printf.sprintf "u%03d" i); Value.Int (i mod 50);
             Value.Str "/bin/csh" |])
   done;
-  let q = age_window 10 20 in
-  (* first range query builds the sorted view from scratch *)
-  Alcotest.(check bool) "initial range correct" true
+  let q = name_prefix "u01" in
+  (* first prefix query builds the sorted view from scratch *)
+  Alcotest.(check bool) "initial prefix correct" true
     (Table.select t q = naive t q);
   let merges0 = counter "table.sorted.merge" in
   let rebuilds0 = counter "table.sorted.rebuild" in
-  (* touch a handful of keys: update, delete, insert *)
+  (* touch a handful of name keys: rename, delete, insert *)
   ignore
-    (Table.set_fields t (Pred.eq_str "name" "u007") [ ("age", Value.Int 11) ]);
+    (Table.set_fields t (Pred.eq_str "name" "u007")
+       [ ("name", Value.Str "u01x") ]);
   ignore (Table.delete t (Pred.eq_str "name" "u013"));
-  ignore (Table.insert t [| Value.Str "zed"; Value.Int 15; Value.Str "/bin/sh" |]);
-  Alcotest.(check bool) "merged range correct" true
+  ignore (Table.insert t [| Value.Str "u01z"; Value.Int 15; Value.Str "/bin/sh" |]);
+  Alcotest.(check bool) "merged prefix correct" true
     (Table.select t q = naive t q);
   Alcotest.(check bool) "took the merge path" true
     (counter "table.sorted.merge" > merges0);
   Alcotest.(check int) "no full rebuild" rebuilds0
     (counter "table.sorted.rebuild");
   (* and the merged view keeps answering correctly as changes continue *)
-  ignore (Table.delete t (Pred.eq_str "name" "zed"));
+  ignore (Table.delete t (Pred.eq_str "name" "u01z"));
   Alcotest.(check bool) "still correct after delete" true
     (Table.select t q = naive t q)
 
@@ -182,7 +184,7 @@ let test_sorted_overflow_falls_back_to_rebuild () =
          [| Value.Str (Printf.sprintf "u%04d" i); Value.Int i;
             Value.Str "/bin/csh" |])
   done;
-  let q = age_window 0 5_000 in
+  let q = name_prefix "u" in
   ignore (Table.select t q);
   (* dirty more distinct keys than the tracker's cap: the next view must
      rebuild (merge would need the discarded delta set) *)
@@ -193,7 +195,7 @@ let test_sorted_overflow_falls_back_to_rebuild () =
             Value.Str "/bin/csh" |])
   done;
   let rebuilds0 = counter "table.sorted.rebuild" in
-  Alcotest.(check bool) "overflowed range correct" true
+  Alcotest.(check bool) "overflowed prefix correct" true
     (Table.select t q = naive t q);
   Alcotest.(check bool) "took the rebuild path" true
     (counter "table.sorted.rebuild" > rebuilds0)
@@ -206,20 +208,20 @@ let test_sorted_after_clear () =
          [| Value.Str (Printf.sprintf "u%02d" i); Value.Int i;
             Value.Str "/bin/csh" |])
   done;
-  let q = age_window 0 100 in
+  let q = name_prefix "u" in
   Alcotest.(check int) "before clear" 50 (List.length (Table.select t q));
   Table.clear t;
-  ignore (Table.insert t [| Value.Str "solo"; Value.Int 7; Value.Str "/bin/sh" |]);
+  ignore (Table.insert t [| Value.Str "usolo"; Value.Int 7; Value.Str "/bin/sh" |]);
   (* clear discards delta tracking wholesale: the view must not resurrect
      pre-clear rows via a stale merge *)
   match Table.select t q with
   | [ (_, row) ] ->
-      Alcotest.(check string) "only the post-clear row" "solo"
+      Alcotest.(check string) "only the post-clear row" "usolo"
         (Value.str row.(0))
   | l -> Alcotest.failf "expected 1 row after clear, got %d" (List.length l)
 
 let prop_sorted_merge_model =
-  (* random edit scripts over an indexed table: every range answer must
+  (* random edit scripts over an indexed table: every prefix answer must
      match naive evaluation no matter how merges and rebuilds interleave *)
   QCheck.Test.make ~name:"sorted view: merge path matches naive eval"
     ~count:60
@@ -234,21 +236,22 @@ let prop_sorted_merge_model =
              [| Value.Str (Printf.sprintf "u%02d" i); Value.Int i;
                 Value.Str "/bin/csh" |])
       done;
-      let q = age_window 5 25 in
+      let q = name_prefix "u1" in
       ignore (Table.select t q);
       List.for_all
-        (fun (op, who, age) ->
+        (fun (op, who, n) ->
           (match op with
           | 0 ->
               ignore
                 (Table.insert t
-                   [| Value.Str (Printf.sprintf "n%02d-%02d" who age);
-                      Value.Int age; Value.Str "/bin/sh" |])
+                   [| Value.Str (Printf.sprintf "u%02d-%02d" who n);
+                      Value.Int n; Value.Str "/bin/sh" |])
           | 1 ->
+              (* renames move rows into and out of the prefix *)
               ignore
                 (Table.set_fields t
                    (Pred.eq_str "name" (Printf.sprintf "u%02d" who))
-                   [ ("age", Value.Int age) ])
+                   [ ("name", Value.Str (Printf.sprintf "u%02d" n)) ])
           | _ ->
               ignore
                 (Table.delete t

@@ -27,7 +27,7 @@ type op =
   | Set_n of string * int (* n := v where k = key *)
   | Rename of string * string (* k := b where k = a *)
   | Delete of string
-  | Delete_lt of int
+  | Delete_n of int
   | Clear
 
 let key_pool = [| "ab"; "aB"; "AB"; "ax"; "bx"; "b?"; "ca"; "cb"; "\xff\xff" |]
@@ -47,7 +47,7 @@ let op_gen =
       (2, map2 (fun k v -> Set_n (k, v)) key num);
       (1, map2 (fun a b -> Rename (a, b)) key key);
       (2, map (fun k -> Delete k) key);
-      (1, map (fun v -> Delete_lt v) num);
+      (1, map (fun v -> Delete_n v) num);
       (1, return Clear);
     ]
 
@@ -56,7 +56,7 @@ let show_op = function
   | Set_n (k, v) -> Printf.sprintf "Set_n(%S,%d)" k v
   | Rename (a, b) -> Printf.sprintf "Ren(%S,%S)" a b
   | Delete k -> Printf.sprintf "Del(%S)" k
-  | Delete_lt v -> Printf.sprintf "Del_lt(%d)" v
+  | Delete_n v -> Printf.sprintf "Del_n(%d)" v
   | Clear -> "Clear"
 
 let apply t = function
@@ -69,7 +69,7 @@ let apply t = function
   | Rename (a, b) ->
       ignore (Table.set_fields t (Pred.eq_str "k" a) [ ("k", Value.Str b) ])
   | Delete k -> ignore (Table.delete t (Pred.eq_str "k" k))
-  | Delete_lt v -> ignore (Table.delete t (Pred.Lt ("n", Value.Int v)))
+  | Delete_n v -> ignore (Table.delete t (Pred.eq_int "n" v))
   | Clear -> Table.clear t
 
 (* --- random predicate trees ---------------------------------------- *)
@@ -77,7 +77,6 @@ let apply t = function
 let pred_gen =
   let open QCheck.Gen in
   let str_col = oneofl [ "k"; "s" ] in
-  let int_col = oneofl [ "n"; "m" ] in
   let any_col = oneofl [ "k"; "s"; "n"; "m"; "b" ] in
   let pattern =
     oneofl
@@ -100,17 +99,6 @@ let pred_gen =
         (1, return Pred.True);
         (4, map2 (fun c v -> Pred.Eq (c, v)) any_col value);
         (3, map2 (fun c p -> Pred.Glob (c, p)) str_col pattern);
-        (2, map2 (fun c p -> Pred.Glob_fold (c, p)) str_col pattern);
-        ( 3,
-          map3
-            (fun op c v ->
-              match op with
-              | 0 -> Pred.Lt (c, Value.Int v)
-              | 1 -> Pred.Le (c, Value.Int v)
-              | 2 -> Pred.Gt (c, Value.Int v)
-              | _ -> Pred.Ge (c, Value.Int v))
-            (int_range 0 3) int_col
-            (int_range (-5) 30) );
       ]
   in
   fix
@@ -206,15 +194,12 @@ let test_paths () =
   in
   check "indexed equality" (Pred.eq_str "k" "ab") "probe(eq(k)";
   check "non-pattern glob" (Pred.Glob ("k", "ab")) "probe(key(k";
-  check "folded equality" (Pred.Glob_fold ("k", "AB")) "probe(fold(k";
   check "or of equalities"
     (Pred.disj [ Pred.eq_str "k" "ab"; Pred.eq_str "k" "bx" ])
     "probe(union(";
   check "conjunct picks probe"
     (Pred.And (Pred.Glob ("s", "a*"), Pred.eq_str "k" "ab"))
     "probe(";
-  check "range" (Pred.And (Pred.Ge ("n", Value.Int 2), Pred.Lt ("n", Value.Int 11)))
-    "range(n)";
   check "prefix glob" (Pred.Glob ("k", "a*")) "prefix(k,\"a\")";
   check "unindexed equality" (Pred.eq_str "s" "ab") "scan";
   check "suffix glob" (Pred.Glob ("k", "*b")) "scan";
@@ -225,9 +210,7 @@ let test_paths () =
     [
       Pred.eq_str "k" "ab";
       Pred.Glob ("k", "a*");
-      Pred.Glob_fold ("k", "AB");
       Pred.disj [ Pred.eq_str "k" "ab"; Pred.eq_str "k" "bx" ];
-      Pred.And (Pred.Ge ("n", Value.Int 2), Pred.Lt ("n", Value.Int 11));
       Pred.Glob ("n", "1*");
       Pred.Glob ("k", "\xff*");
     ]
@@ -299,7 +282,7 @@ let test_every_run_cached () =
   let tb = Testbed.create ~dcm_every_min:1_000_000 () in
   let paths () =
     List.fold_left (fun a p -> a + counter ("plan.path." ^ p)) 0
-      [ "scan"; "probe"; "range"; "prefix" ]
+      [ "scan"; "probe"; "prefix" ]
   in
   let lookups () = counter "plan.cache.hits" + counter "plan.cache.misses" in
   let paths0 = paths () and lookups0 = lookups () in
@@ -323,26 +306,11 @@ let test_every_run_cached () =
   Alcotest.(check bool) "plans ran" true (runs > 0);
   Alcotest.(check int) "runs = cache lookups" runs (lookups () - lookups0)
 
-let test_int_range_order () =
-  (* int bucket keys sort numerically in the ordered view, not as
-     strings ("10" < "9" lexically would drop rows from ranges) *)
-  let t = fresh_table () in
-  List.iter
-    (fun n ->
-      ignore
-        (Table.insert t
-           [| Value.Str "k"; Value.Str "s"; Value.Int n; Value.Int n;
-              Value.Bool true |]))
-    [ 1; 5; 9; 10; 11; 20; 100 ];
-  let p = Pred.And (Pred.Ge ("n", Value.Int 9), Pred.Le ("n", Value.Int 20)) in
-  Alcotest.(check int) "numeric range" 4 (Table.count t p);
-  Alcotest.(check bool) "agrees with brute force" true (plans_agree t p)
-
 let test_split_roundtrip () =
   let p =
     Pred.And
       ( Pred.Or (Pred.eq_str "k" "ab", Pred.Glob ("s", "a*")),
-        Pred.Not (Pred.Lt ("n", Value.Int 7)) )
+        Pred.Not (Pred.eq_int "n" 7) )
   in
   let shape, params = Pred.split p in
   Alcotest.(check string) "fill inverts split" (show_pred p)
@@ -356,6 +324,5 @@ let suite =
     Alcotest.test_case "plan cache" `Quick test_cache;
     Alcotest.test_case "plan cache bounded" `Quick test_cache_bounded;
     Alcotest.test_case "every plan run is cached" `Quick test_every_run_cached;
-    Alcotest.test_case "int range order" `Quick test_int_range_order;
     Alcotest.test_case "split/fill roundtrip" `Quick test_split_roundtrip;
   ]

@@ -6,7 +6,60 @@ let test_machine_case_insensitive () =
     Fix.expect_ok "gmac" (Fix.as_user t "bob" "get_machine" [ "charon*" ])
   in
   Alcotest.(check string) "stored uppercase" "CHARON.MIT.EDU"
-    (Fix.first_field rows)
+    (Fix.first_field rows);
+  ignore (Fix.must t "add_cluster" [ "c1"; "d"; "l" ]);
+  ignore (Fix.must t "add_machine_to_cluster" [ "CHARON.MIT.EDU"; "c1" ]);
+  ignore
+    (Fix.must t "add_server_info"
+       [ "nfs"; "360"; "/tmp/nfs"; "nfs.sh"; "UNIQUE"; "1"; "LIST";
+         "moira-admins" ]);
+  ignore
+    (Fix.must t "add_server_host_info"
+       [ "NFS"; "NFS-1.MIT.EDU"; "1"; "5"; "10"; "extra" ]);
+  ignore
+    (Fix.must t "add_server_host_access" [ "CHARON.MIT.EDU"; "USER"; "ann" ]);
+  (* every case variant of a machine argument, exact or wildcard,
+     answers the same rows as the upper-case argument *)
+  let same name upper variants =
+    let expected = Fix.expect_ok name (Fix.as_admin t name upper) in
+    Alcotest.(check bool) (name ^ " finds rows") true (expected <> []);
+    List.iter
+      (fun args ->
+        Alcotest.(check (list (list string)))
+          (Printf.sprintf "%s(%s)" name (String.concat "," args))
+          expected
+          (Fix.expect_ok name (Fix.as_admin t name args)))
+      variants
+  in
+  same "get_machine" [ "CHARON.MIT.EDU" ]
+    [ [ "charon.mit.edu" ]; [ "Charon.MIT.edu" ] ];
+  same "get_machine" [ "CHARON*" ] [ [ "charon*" ]; [ "Charon.?IT*" ] ];
+  same "get_machine_to_cluster_map" [ "CHARON*"; "*" ]
+    [ [ "charon*"; "*" ]; [ "charon.mit.edu"; "c1" ] ];
+  same "get_server_host_info" [ "NFS"; "NFS-1*" ]
+    [ [ "NFS"; "nfs-1*" ]; [ "NFS"; "Nfs-1.mit.edu" ] ];
+  same "get_server_host_access" [ "CHARON*" ]
+    [ [ "charon*" ]; [ "charon.mit.edu" ] ];
+  (* what makes upper-casing the argument enough: every stored machine
+     name is already canonical, in the fixture and in a built campus *)
+  let all_canonical what mdb =
+    let machines = Moira.Mdb.table mdb "machine" in
+    Alcotest.(check bool) (what ^ " has machines") true
+      (Relation.Table.cardinal machines > 0);
+    Relation.Table.iter machines (fun _ row ->
+        let name =
+          Relation.Value.str (Relation.Table.field machines row "name")
+        in
+        Alcotest.(check string) (what ^ " machine canonical")
+          (Moira.Lookup.canon_host name) name)
+  in
+  all_canonical "fixture" t.Fix.mdb;
+  let clock () = 568_000_000 in
+  let mdb = Moira.Mdb.create ~clock in
+  let kdc = Krb.Kdc.create ~clock () in
+  let glue = Moira.Glue.create ~mdb ~registry:(Moira.Catalog.make ()) () in
+  ignore (Workload.Population.build ~glue ~kdc Workload.Population.small);
+  all_canonical "Population.small" mdb
 
 let test_machine_anyone_may_read () =
   let t = Fix.create () in
