@@ -42,3 +42,46 @@ val stream_absorb_doc : stream -> Sink.doc -> unit
 
 val stream_value : stream -> int
 (** The checksum of everything fed so far (the stream stays usable). *)
+
+(** {2 Segment checksums}
+
+    The checksum of a member the update server holds, kept as the
+    [(length, Adler-32)] of each of its segments so that a patch costs
+    the bytes it changes, not the member. *)
+
+type t
+
+val segment_size : int
+(** The longest segment, a few KB.  A patch rescans at most one
+    segment's worth of base bytes on each side of its middle. *)
+
+val scan : (string * int * int) list -> t
+(** The segments of the concatenation of the [(s, pos, len)] pieces,
+    built by one scan. *)
+
+val value : t -> int
+(** The Adler-32 of the whole string. *)
+
+val length : t -> int
+
+val count : t -> int
+(** The number of segments: below [2 * length t / segment_size + 1]
+    after any sequence of {!splice}s. *)
+
+val region :
+  t -> base:string -> prefix:int -> suffix:int -> string * int * int -> t
+(** [region t ~base ~prefix ~suffix middle]: the segments of the part
+    of the patched member that a patch keeping [prefix] and [suffix]
+    bytes of [base] (whose checksum is [t]) rewrites — the base's edge
+    pieces out to the nearest segment boundaries around the replaced
+    bytes, with [middle] between them, scanned once. *)
+
+val splice : t -> prefix:int -> suffix:int -> t -> t
+(** [splice t ~prefix ~suffix r]: the patched member's checksum, the
+    base's segments outside the rewritten part with the {!region} [r]
+    in its place; neighbouring small segments are merged.  O(segments),
+    no byte is read. *)
+
+val encode : t -> string
+val decode : string -> t option
+(** The segment list as text, for the staged file. *)

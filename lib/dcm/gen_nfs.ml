@@ -102,7 +102,8 @@ let quotas_and_dirs mdb ~nfsphys_id ~dir =
   ]
 
 (* Both parts fan out per enabled NFS serverhost; [pick] selects which of
-   the host's files the part produces. *)
+   the host's files the part produces.  The files are keyed by machine
+   name, so both parts watch [machine]: a rename must rekey them. *)
 let per_nfs_host mdb pick =
   let shosts = Moira.Mdb.table mdb "serverhosts" in
   let sh_mach_id = col shosts "mach_id" in
@@ -149,6 +150,7 @@ let parts =
           Gen.watch ~columns:[ "modtime" ] "users";
           Gen.watch "list";
           Gen.watch ~columns:[ "modtime" ] "serverhosts";
+          Gen.watch "machine";
         ]
       credentials_part;
     Gen.part ~name:"partitions"
@@ -160,6 +162,7 @@ let parts =
           Gen.watch "list";
           Gen.watch ~columns:[ "modtime" ] "users";
           Gen.watch ~columns:[ "modtime" ] "serverhosts";
+          Gen.watch "machine";
         ]
       partitions_part;
   ]

@@ -334,14 +334,17 @@ let create ~net ~moira_host ~glue ?zephyr_to ?mail_via
 let reports t = List.rev t.history
 
 (* The generated data files live on the Moira host's disk (the real
-   DCM's /u1/sms/ spool), one file per member under a per-service
-   directory with names "common/<file>" and "host/<machine>/<file>" and
-   an [_index] listing the members in output order.  A restarted DCM
-   recovers them from there.  [store_output] writes only the members
-   whose doc is not physically the previous generation's — the part
-   splicer and the keyed incremental builders preserve doc identity for
-   unchanged files, so a steady-state cycle's spool traffic is
-   proportional to what changed, not to the campus. *)
+   DCM's /u1/sms/ spool) under a per-service directory, each member
+   ("common/<file>" or "host/<machine>/<file>") as its doc's chunks,
+   "<member>/<k>", and an [_index] listing "<chunks> <member>" in output
+   order.  A restarted DCM recovers them from there.  A member is
+   spooled as the chunk strings its doc already holds, so a changed
+   multi-megabyte file is never copied into one string here.
+   [store_output] writes only the members whose doc is not physically
+   the previous generation's — the part splicer and the keyed
+   incremental builders preserve doc identity for unchanged files, so a
+   steady-state cycle's spool traffic is proportional to what changed,
+   not to the campus. *)
 let spool_dir service = "/u1/sms/dcm/" ^ service ^ ".d"
 let spool_index service = spool_dir service ^ "/_index"
 
@@ -379,6 +382,30 @@ let output_of_members members =
 
 let moira_fs t = Netsim.Host.fs (Netsim.Net.host t.net t.moira_host)
 
+let chunk_path dir n k = dir ^ "/" ^ n ^ "/" ^ string_of_int k
+
+let chunks_of d =
+  let cs = ref [] in
+  Sink.iter d (fun c -> cs := c :: !cs);
+  List.rev !cs
+
+(* The spooled members as (name, chunk count), in index order; [None]
+   when there is no index or a line of it does not parse. *)
+let spool_entries fs ~service =
+  let entry line =
+    match String.index_opt line ' ' with
+    | Some sp -> (
+        match int_of_string_opt (String.sub line 0 sp) with
+        | Some c when c >= 0 ->
+            Some (String.sub line (sp + 1) (String.length line - sp - 1), c)
+        | _ -> None)
+    | None -> None
+  in
+  Option.bind (Netsim.Vfs.read fs ~path:(spool_index service)) (fun idx ->
+      let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' idx) in
+      let entries = List.filter_map entry lines in
+      if List.length entries = List.length lines then Some entries else None)
+
 let store_output t ~service output =
   let prev = Hashtbl.find_opt t.outputs service in
   (match prev with
@@ -396,41 +423,58 @@ let store_output t ~service output =
   | Some old ->
       List.iter (fun (n, d) -> Hashtbl.replace prev_docs n d) (members_of old)
   | None -> ());
+  let spooled = Hashtbl.create 64 in
   List.iter
-    (fun (n, d) ->
-      let unchanged =
-        match Hashtbl.find_opt prev_docs n with
-        | Some pd -> pd == d
-        | None -> false
-      in
-      Hashtbl.remove prev_docs n;
-      if not unchanged then
-        Netsim.Vfs.write fs ~path:(dir ^ "/" ^ n) (Sink.to_string d))
-    members;
+    (fun (n, c) -> Hashtbl.replace spooled n c)
+    (Option.value (spool_entries fs ~service) ~default:[]);
+  let drop n ~from =
+    for k = from to Option.value (Hashtbl.find_opt spooled n) ~default:0 - 1 do
+      Netsim.Vfs.remove fs ~path:(chunk_path dir n k)
+    done
+  in
+  let counts =
+    List.map
+      (fun (n, d) ->
+        let unchanged =
+          match Hashtbl.find_opt prev_docs n with
+          | Some pd -> pd == d
+          | None -> false
+        in
+        let chunks = chunks_of d in
+        if not unchanged then begin
+          List.iteri (fun k c -> Netsim.Vfs.write fs ~path:(chunk_path dir n k) c) chunks;
+          drop n ~from:(List.length chunks)
+        end;
+        Hashtbl.remove spooled n;
+        (n, List.length chunks))
+      members
+  in
   (* members gone from the output leave the spool with it (removals in
      name order so the vfs trace is stable) *)
-  Hashtbl.fold (fun n _ acc -> n :: acc) prev_docs []
+  Hashtbl.fold (fun n _ acc -> n :: acc) spooled []
   |> List.sort String.compare
-  |> List.iter (fun n -> Netsim.Vfs.remove fs ~path:(dir ^ "/" ^ n));
+  |> List.iter (fun n -> drop n ~from:0);
   Netsim.Vfs.write fs ~path:(spool_index service)
-    (String.concat "" (List.map (fun (n, _) -> n ^ "\n") members));
+    (String.concat "" (List.map (fun (n, c) -> Printf.sprintf "%d %s\n" c n) counts));
   Netsim.Vfs.flush fs
 
 let read_spool fs ~service =
-  match Netsim.Vfs.read fs ~path:(spool_index service) with
-  | None -> None
-  | Some idx ->
-      let names =
-        List.filter (fun s -> s <> "") (String.split_on_char '\n' idx)
-      in
-      let rec collect acc = function
-        | [] -> Some (List.rev acc)
-        | n :: rest -> (
-            match Netsim.Vfs.read fs ~path:(spool_dir service ^ "/" ^ n) with
-            | Some c -> collect ((n, Sink.of_string c) :: acc) rest
-            | None -> None)
-      in
-      Option.map output_of_members (collect [] names)
+  let rec chunks n k c acc =
+    if k = c then Some (Sink.concat (List.rev acc))
+    else
+      match Netsim.Vfs.read fs ~path:(chunk_path (spool_dir service) n k) with
+      | Some s -> chunks n (k + 1) c (Sink.of_string s :: acc)
+      | None -> None
+  in
+  let rec collect acc = function
+    | [] -> Some (List.rev acc)
+    | (n, c) :: rest -> (
+        match chunks n 0 c [] with
+        | Some d -> collect ((n, d) :: acc) rest
+        | None -> None)
+  in
+  Option.map output_of_members
+    (Option.bind (spool_entries fs ~service) (collect []))
 
 let last_output t ~service =
   match Hashtbl.find_opt t.outputs service with

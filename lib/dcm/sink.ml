@@ -92,108 +92,84 @@ let sub d pos len =
   end
 
 (* Longest common prefix/suffix of two docs, compared chunk-aware so
-   identical tails of multi-megabyte files never materialize.  [get]'s
-   per-byte chunk walk restarts from chunk 0, so these keep their own
-   cursors. *)
+   identical tails of multi-megabyte files never materialize.  Both
+   scans take a physical-equality shortcut: when the two walks sit at
+   the same offset of the SAME heap string, the rest of that chunk
+   matches by identity and is skipped in O(1).  Docs built by splicing
+   share unchanged chunks with their base ([concat] copies no bytes), so
+   trimming a 4 MB file whose middle changed touches only the chunks
+   around the change, and those are compared 8 bytes at a time. *)
 
-type cursor = { cdoc : doc; mutable ci : int; mutable off : int }
+(* Unboxed 8-byte loads, so the compares allocate nothing. *)
+external get64 : string -> int -> int64 = "%caml_string_get64"
 
-let cursor_at d i =
-  (* position a cursor on absolute byte [i] (must be < length) *)
-  let rec go ci i =
-    let n = String.length d.chunks.(ci) in
-    if i < n then { cdoc = d; ci; off = i } else go (ci + 1) (i - n)
-  in
-  go 0 i
+(* How many of the [n] bytes from [x.[i]] and [y.[j]] on match. *)
+let match_forward x i y j n =
+  let k = ref 0 in
+  while !k + 8 <= n && (get64 x (i + !k) : int64) = get64 y (j + !k) do
+    k := !k + 8
+  done;
+  while !k < n && x.[i + !k] = y.[j + !k] do
+    incr k
+  done;
+  !k
 
-let cursor_next cu =
-  let c = cu.cdoc.chunks.(cu.ci) in
-  let ch = c.[cu.off] in
-  if cu.off + 1 < String.length c then cu.off <- cu.off + 1
-  else begin
-    cu.ci <- cu.ci + 1;
-    cu.off <- 0
-  end;
-  ch
+(* How many of the [n] bytes ending just before [x.[i]] and [y.[j]]
+   match, counted backwards. *)
+let match_backward x i y j n =
+  let k = ref 0 in
+  while !k + 8 <= n && (get64 x (i - !k - 8) : int64) = get64 y (j - !k - 8) do
+    k := !k + 8
+  done;
+  while !k < n && x.[i - !k - 1] = y.[j - !k - 1] do
+    incr k
+  done;
+  !k
 
-let cursor_prev cu =
-  (* moving backwards: cursor sits ON the byte to read next *)
-  let ch = cu.cdoc.chunks.(cu.ci).[cu.off] in
-  if cu.off > 0 then cu.off <- cu.off - 1
-  else if cu.ci > 0 then begin
-    cu.ci <- cu.ci - 1;
-    cu.off <- String.length cu.cdoc.chunks.(cu.ci) - 1
-  end;
-  ch
-
-(* Both scans take a physical-equality shortcut at chunk boundaries:
-   when the two cursors sit at the edge of the SAME heap string, the
-   whole chunk matches by identity and is skipped in O(1).  Docs built
-   by splicing share unchanged chunks with their base ([concat] copies
-   no bytes), so trimming a 4 MB file whose middle changed touches only
-   the chunks around the change. *)
-
+(* Each walk holds a chunk index and an offset into that chunk: for the
+   prefix the next byte to compare, for the suffix the end of the bytes
+   still to compare. *)
 let common_prefix a b =
   let limit = min a.len b.len in
-  if limit = 0 then 0
-  else begin
-    let ca = cursor_at a 0 and cb = cursor_at b 0 in
-    let p = ref 0 in
-    let continue = ref true in
-    while !continue && !p < limit do
-      if
-        ca.off = 0 && cb.off = 0
-        && ca.ci < Array.length a.chunks
-        && cb.ci < Array.length b.chunks
-        && a.chunks.(ca.ci) == b.chunks.(cb.ci)
-        && !p + String.length a.chunks.(ca.ci) <= limit
-      then begin
-        p := !p + String.length a.chunks.(ca.ci);
-        ca.ci <- ca.ci + 1;
-        cb.ci <- cb.ci + 1
-      end
-      else if cursor_next ca = cursor_next cb then incr p
-      else continue := false
-    done;
-    !p
-  end
+  let p = ref 0 and ia = ref 0 and oa = ref 0 and ib = ref 0 and ob = ref 0 in
+  let continue = ref true in
+  while !continue && !p < limit do
+    let ca = a.chunks.(!ia) and cb = b.chunks.(!ib) in
+    let n = min (String.length ca - !oa) (String.length cb - !ob) in
+    let n = min n (limit - !p) in
+    let k = if ca == cb && !oa = !ob then n else match_forward ca !oa cb !ob n in
+    p := !p + k;
+    if k < n then continue := false
+    else begin
+      oa := !oa + k;
+      ob := !ob + k;
+      if !oa = String.length ca then (incr ia; oa := 0);
+      if !ob = String.length cb then (incr ib; ob := 0)
+    end
+  done;
+  !p
 
 let common_suffix ~limit a b =
   let limit = min limit (min a.len b.len) in
-  if limit = 0 then 0
-  else begin
-    let ca = cursor_at a (a.len - 1) and cb = cursor_at b (b.len - 1) in
-    let s = ref 0 in
-    let continue = ref true in
-    (* backward skip: cursors sit ON the byte to read, so "at a chunk's
-       last byte" means the whole chunk is still unread.  Consuming
-       chunk 0 entirely leaves off = -1, which is safe: the skip only
-       fires under the limit, and a fully consumed doc forces [s >=
-       limit] and exits the loop before any read. *)
-    let skip_back (cu : cursor) =
-      if cu.ci > 0 then begin
-        cu.ci <- cu.ci - 1;
-        cu.off <- String.length cu.cdoc.chunks.(cu.ci) - 1
-      end
-      else cu.off <- -1
-    in
-    while !continue && !s < limit do
-      let cha = a.chunks.(ca.ci) in
-      if
-        ca.off = String.length cha - 1
-        && cb.off = String.length b.chunks.(cb.ci) - 1
-        && cha == b.chunks.(cb.ci)
-        && !s + String.length cha <= limit
-      then begin
-        s := !s + String.length cha;
-        skip_back ca;
-        skip_back cb
-      end
-      else if cursor_prev ca = cursor_prev cb then incr s
-      else continue := false
-    done;
-    !s
-  end
+  let s = ref 0 in
+  let ia = ref (Array.length a.chunks - 1) and ib = ref (Array.length b.chunks - 1) in
+  let ea = ref (if !ia < 0 then 0 else String.length a.chunks.(!ia)) in
+  let eb = ref (if !ib < 0 then 0 else String.length b.chunks.(!ib)) in
+  let continue = ref true in
+  while !continue && !s < limit do
+    let ca = a.chunks.(!ia) and cb = b.chunks.(!ib) in
+    let n = min (min !ea !eb) (limit - !s) in
+    let k = if ca == cb && !ea = !eb then n else match_backward ca !ea cb !eb n in
+    s := !s + k;
+    if k < n then continue := false
+    else begin
+      ea := !ea - k;
+      eb := !eb - k;
+      if !ea = 0 && !ia > 0 then (decr ia; ea := String.length a.chunks.(!ia));
+      if !eb = 0 && !ib > 0 then (decr ib; eb := String.length b.chunks.(!ib))
+    end
+  done;
+  !s
 
 let equal a b = a == b || (a.len = b.len && common_prefix a b = a.len)
 

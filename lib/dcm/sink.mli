@@ -34,7 +34,8 @@ val sub : doc -> int -> int -> string
 
 val common_prefix : doc -> doc -> int
 (** Length of the longest common prefix, compared without
-    materializing. *)
+    materializing: a chunk both docs hold at the same offset is skipped
+    by identity, and other bytes are compared 8 at a time. *)
 
 val common_suffix : limit:int -> doc -> doc -> int
 (** Length of the longest common suffix, capped at [limit] (callers cap

@@ -21,10 +21,9 @@ let staged_suffix = ".moira_update"
 let base_suffix = ".last.d"
 let script_staging = "/tmp/moira_inst"
 
-(* A resolved member: kept from the durable base ([bytes = None]) or
-   new contents.  Its Adler-32 and length are always known, so the
-   whole-archive checksum never needs the kept bytes. *)
-type member = { name : string; adler : int; len : int; bytes : string option }
+(* A member as EXEC resolved it: kept from the durable base
+   ([fresh = None]) or new contents with their segment checksums. *)
+type member = { name : string; fresh : (string * Checksum.t) option }
 
 (* The staged file as EXEC decoded it.  The script and the base advance
    share this one decode, so an installed file and its base copy are the
@@ -37,12 +36,13 @@ type server = {
   host : Netsim.Host.t;
   obs : Obs.t;  (* span lane for this serving host *)
   scripts : (string, script) Hashtbl.t;
-  (* The one memo: the Adler-32 of each durable base member, keyed by
-     its path and valid while the contents are equal.  Without it every
-     manifest re-scans every member — all of HESIOD's maps, every cycle.
-     Vfs hands stored strings back by reference, so the check is O(1)
-     in the steady state. *)
-  adlers : (string, string * int) Hashtbl.t;
+  (* The one memo: the segment checksums of each durable base member,
+     keyed by its path and valid while the contents are equal.  Without
+     it every manifest re-scans every member — all of HESIOD's maps,
+     every cycle — and every patch re-scans the member it patches.  Vfs
+     hands stored strings back by reference, so the check is O(1) in
+     the steady state. *)
+  sums : (string, string * Checksum.t) Hashtbl.t;
   scanned : Obs.Counter.counter;  (* update.server.scanned_bytes *)
 }
 
@@ -77,88 +77,52 @@ let patch_encode ~base contents =
   Printf.sprintf "P%d %d %s\n%s" p s (doc_cksum base)
     (Sink.sub contents p (lc - p - s))
 
-(* [base_adler] is the base member's known checksum: the patch is
-   checked against it, never by re-scanning the base.  The result is
-   assembled with one copy. *)
-let patch_apply ~base ~base_adler enc =
-  match String.index_opt enc '\n' with
-  | None -> Error "malformed patch"
-  | Some nl -> (
-      match String.split_on_char ' ' (String.sub enc 1 (nl - 1)) with
-      | [ p; s; bck ] -> (
-          match (int_of_string_opt p, int_of_string_opt s) with
-          | Some p, Some s
-            when p >= 0 && s >= 0
-                 && p + s <= String.length base
-                 && String.equal (Checksum.to_hex base_adler) bck ->
-              let m = String.length enc - nl - 1 in
-              let out = Bytes.create (p + m + s) in
-              Bytes.blit_string base 0 out 0 p;
-              Bytes.blit_string enc (nl + 1) out p m;
-              Bytes.blit_string base (String.length base - s) out (p + m) s;
-              Ok (Bytes.unsafe_to_string out)
-          | _ -> Error "patch base mismatch")
-      | _ -> Error "malformed patch")
-
 (* The adler of the archive [Tarlike.pack] would produce for these
    members, streamed from the per-member checksums — the wire checksum
    the DCM sends with DELTA and EXEC, computed in O(members). *)
 let archive_cksum members =
   let st = Checksum.stream_start () in
   List.iter
-    (fun m ->
-      Checksum.stream_feed st (string_of_int (String.length m.name));
+    (fun (name, sums) ->
+      Checksum.stream_feed st (string_of_int (String.length name));
       Checksum.stream_feed st " ";
-      Checksum.stream_feed st (string_of_int m.len);
+      Checksum.stream_feed st (string_of_int (Checksum.length sums));
       Checksum.stream_feed st "\n";
-      Checksum.stream_feed st m.name;
-      Checksum.stream_absorb st m.adler ~len:m.len)
+      Checksum.stream_feed st name;
+      Checksum.stream_absorb st (Checksum.value sums) ~len:(Checksum.length sums))
     members;
   Checksum.to_hex (Checksum.stream_value st)
 
-(* The staged file is self-contained: a [Tarlike] archive whose first
-   entry lists every member in order, one "<K|F> <adler> <len> <name>"
-   line each, followed by the full bytes of each [F] member — every
-   member not kept from the base — in list order.  EXEC decodes it once
-   for the install script and the base advance. *)
-let encode_staged members =
-  let line m =
+(* A member as DELTA stages it: kept, its full bytes, or the patch as
+   it came on the wire (without its tag) with the segments of the
+   region it rewrites — so neither staging nor EXEC copies a patched
+   member more than once. *)
+type entry = Keep | Full of string | Patch of Checksum.t * string
+
+(* The staged file is a [Tarlike] archive whose first entry lists every
+   member in order, one "<K|F|P> <adler> <len> <name>" line each,
+   followed by one body per F or P member in list order: a segment list
+   on one line, then the member's bytes (F) or its patch (P, the
+   segments being the rewritten region's).  EXEC decodes it once for the
+   install script and the base advance. *)
+let encode_staged entries =
+  let line (name, sums, e) =
     Printf.sprintf "%c %08x %d %s\n"
-      (if Option.is_some m.bytes then 'F' else 'K')
-      m.adler m.len m.name
+      (match e with Keep -> 'K' | Full _ -> 'F' | Patch _ -> 'P')
+      (Checksum.value sums) (Checksum.length sums) name
+  in
+  let body segs payload =
+    Sink.concat [ Sink.of_string (Checksum.encode segs ^ "\n"); Sink.of_string payload ]
   in
   Tarlike.pack_docs
-    (("", Sink.of_string (String.concat "" (List.map line members)))
+    (("", Sink.of_string (String.concat "" (List.map line entries)))
     :: List.filter_map
-         (fun m -> Option.map (fun c -> (m.name, Sink.of_string c)) m.bytes)
-         members)
-
-let decode_staged data =
-  let rec go acc bodies lines =
-    match (lines, bodies) with
-    | [], [] -> Ok (List.rev acc)
-    | [], _ :: _ -> Error "staged: member bytes left over"
-    | line :: lines, _ -> (
-        let bad = Error ("bad staged entry " ^ line) in
-        match String.split_on_char ' ' line with
-        | tag :: hex :: len :: name -> (
-            let name = String.concat " " name in
-            let adler = int_of_string_opt ("0x" ^ hex) in
-            match (tag, adler, int_of_string_opt len, bodies) with
-            | "K", Some adler, Some len, _ ->
-                go ({ name; adler; len; bytes = None } :: acc) bodies lines
-            | "F", Some adler, Some len, (n, c) :: bodies
-              when n = name && String.length c = len ->
-                go ({ name; adler; len; bytes = Some c } :: acc) bodies lines
-            | _ -> bad)
-        | _ -> bad)
-  in
-  match Tarlike.unpack data with
-  | Ok (("", index) :: bodies) ->
-      go [] bodies
-        (List.filter (fun l -> l <> "") (String.split_on_char '\n' index))
-  | Ok _ -> Error "staged: no member list"
-  | Error e -> Error e
+         (fun (name, sums, e) ->
+           match e with
+           | Keep -> None
+           | Full c -> Some (name, body sums c)
+           | Patch (region, patch) -> Some (name, body region patch))
+         entries)
 
 (* The durable base: [<target>.last.d/] holds one file per installed
    member plus an [_index] naming them in order. *)
@@ -170,20 +134,21 @@ let index_names fs dir =
   | Some index ->
       Some (List.filter (fun s -> s <> "") (String.split_on_char '\n' index))
 
-(* Every byte the server checksums goes through here. *)
-let scan t contents =
-  Obs.Counter.add t.scanned (String.length contents);
-  Checksum.adler32 contents
+(* Every byte the server checksums is scanned by [Checksum.scan] or
+   [Checksum.region] and counted here. *)
+let counted t sums =
+  Obs.Counter.add t.scanned (Checksum.length sums);
+  sums
 
-let base_adler t path contents =
-  match Hashtbl.find_opt t.adlers path with
-  | Some (c, ck) when String.equal c contents -> ck
+let base_sums t path contents =
+  match Hashtbl.find_opt t.sums path with
+  | Some (c, sums) when String.equal c contents -> sums
   | _ ->
-      let ck = scan t contents in
-      Hashtbl.replace t.adlers path (contents, ck);
-      ck
+      let sums = counted t (Checksum.scan [ (contents, 0, String.length contents) ]) in
+      Hashtbl.replace t.sums path (contents, sums);
+      sums
 
-(* The base as (name, contents, adler), read from disk each time so the
+(* The base as (name, contents, sums), read from disk each time so the
    manifest reports what is actually there; [None] when absent or torn
    (a name in [_index] with no file). *)
 let read_base t fs target =
@@ -194,55 +159,165 @@ let read_base t fs target =
         let path = dir ^ "/" ^ n in
         match Netsim.Vfs.read fs ~path with
         | None -> None
-        | Some c -> go ((n, c, base_adler t path c) :: acc) rest)
+        | Some c -> go ((n, c, base_sums t path c) :: acc) rest)
   in
   Option.bind (index_names fs dir) (go [])
 
-(* Resolve every delta entry once against the base: kept members take
-   the base's known checksum, and each new member — full or patched —
-   is scanned exactly once. *)
+(* The first line of the [len] bytes at [off] in [s] and the span after
+   it. *)
+let split_header s off len =
+  match String.index_from_opt s off '\n' with
+  | Some nl when nl < off + len ->
+      Some (String.sub s off (nl - off), nl + 1, off + len - nl - 1)
+  | _ -> None
+
+(* A patch without its tag, "<prefix> <suffix> <base checksum>\n<middle>",
+   at [off] in [s]: the trims, the base checksum and the middle's span. *)
+let parse_patch s off len =
+  match split_header s off len with
+  | Some (header, mpos, mlen) -> (
+      match String.split_on_char ' ' header with
+      | [ p; sfx; bck ] -> (
+          match (int_of_string_opt p, int_of_string_opt sfx) with
+          | Some p, Some sfx when p >= 0 && sfx >= 0 -> Some (p, sfx, bck, mpos, mlen)
+          | _ -> None)
+      | _ -> None)
+  | None -> None
+
+(* Does the patch apply to a base of [bsums]? *)
+let fits bsums ~prefix ~suffix bck =
+  prefix + suffix <= Checksum.length bsums
+  && String.equal (Checksum.to_hex (Checksum.value bsums)) bck
+
+(* Resolve every delta entry once against the base into the staged
+   entries and the new members' checksums: kept members take the
+   base's known segments, a full member is scanned once, and a patch
+   scans only its middle and the base's edge pieces around it. *)
 let resolve t fs target blob =
   let* entries = Tarlike.spans blob in
   let base = Option.value (read_base t fs target) ~default:[] in
   let from_base name =
     match List.find_opt (fun (n, _, _) -> String.equal n name) base with
-    | Some (_, c, ck) -> Ok (c, ck)
+    | Some (_, c, sums) -> Ok (c, sums)
     | None -> Error ("no base member " ^ name)
-  in
-  let fresh name c =
-    Ok { name; adler = scan t c; len = String.length c; bytes = Some c }
   in
   let entry (name, off, len) =
     if len = 0 then Error ("empty delta entry " ^ name)
     else
       match blob.[off] with
       | 'K' ->
-          let* c, ck = from_base name in
-          Ok { name; adler = ck; len = String.length c; bytes = None }
-      | 'F' -> fresh name (String.sub blob (off + 1) (len - 1))
+          let* _, sums = from_base name in
+          Ok (name, sums, Keep)
+      | 'F' ->
+          let sums = counted t (Checksum.scan [ (blob, off + 1, len - 1) ]) in
+          Ok (name, sums, Full (String.sub blob (off + 1) (len - 1)))
       | 'P' -> (
-          let* b, ck = from_base name in
-          let enc = String.sub blob off len in
-          match patch_apply ~base:b ~base_adler:ck enc with
-          | Ok c -> fresh name c
-          | Error e -> Error (e ^ " for " ^ name))
+          let* b, bsums = from_base name in
+          match parse_patch blob (off + 1) (len - 1) with
+          | Some (prefix, suffix, bck, mpos, mlen) when fits bsums ~prefix ~suffix bck ->
+              let region =
+                counted t
+                  (Checksum.region bsums ~base:b ~prefix ~suffix (blob, mpos, mlen))
+              in
+              Ok
+                ( name,
+                  Checksum.splice bsums ~prefix ~suffix region,
+                  Patch (region, String.sub blob (off + 1) (len - 1)) )
+          | Some _ -> Error ("patch base mismatch for " ^ name)
+          | None -> Error ("malformed patch for " ^ name))
       | _ -> Error ("bad delta entry " ^ name)
   in
   map_result entry entries
 
+(* EXEC's one decode of the staged file.  A patch is applied to the base
+   exactly once, after its base is checked against the patch's base
+   checksum and the patched member's checksum — the base's segments
+   spliced with the staged region's — against the staged one; no byte
+   is scanned again.  A disagreement is a checksum error, which the DCM
+   answers by resending; a malformed file is a script error. *)
+let decode_staged t fs target data =
+  let malformed what = Error (Moira.Mr_err.update_script, "bad staged entry " ^ what) in
+  let mismatch name =
+    Error (Moira.Mr_err.update_checksum, "staged checksum mismatch for " ^ name)
+  in
+  (* the member an F body holds, or the base with a P body's patch
+     applied; either body starts with a segment list *)
+  let fresh tag name adler len (_, off, blen) =
+    match split_header data off blen with
+    | None -> malformed name
+    | Some (segs, pos, n) -> (
+        match (tag, Checksum.decode segs) with
+        | _, None -> malformed name
+        | "F", Some sums ->
+            if n = len && Checksum.length sums = len && Checksum.value sums = adler
+            then Ok { name; fresh = Some (String.sub data pos n, sums) }
+            else mismatch name
+        | _, Some region -> (
+            match parse_patch data pos n with
+            | None -> malformed name
+            | Some (prefix, suffix, bck, mpos, mlen) -> (
+                let path = base_dir target ^ "/" ^ name in
+                match Netsim.Vfs.read fs ~path with
+                | None -> mismatch name
+                | Some b ->
+                    let bsums = base_sums t path b in
+                    if not (fits bsums ~prefix ~suffix bck) then mismatch name
+                    else
+                      let sums = Checksum.splice bsums ~prefix ~suffix region in
+                      if
+                        Checksum.length sums <> len
+                        || Checksum.value sums <> adler
+                        || prefix + mlen + suffix <> len
+                      then mismatch name
+                      else begin
+                        let out = Bytes.create len in
+                        Bytes.blit_string b 0 out 0 prefix;
+                        Bytes.blit_string data mpos out prefix mlen;
+                        Bytes.blit_string b (String.length b - suffix) out
+                          (prefix + mlen) suffix;
+                        Ok { name; fresh = Some (Bytes.unsafe_to_string out, sums) }
+                      end)))
+  in
+  let rec go acc bodies lines =
+    match (lines, bodies) with
+    | [], [] -> Ok (List.rev acc)
+    | [], _ :: _ -> malformed "(member bytes left over)"
+    | line :: lines, _ -> (
+        match String.split_on_char ' ' line with
+        | tag :: hex :: len :: name -> (
+            let name = String.concat " " name in
+            let next m bodies =
+              let* m = m in
+              go (m :: acc) bodies lines
+            in
+            match (tag, int_of_string_opt ("0x" ^ hex), int_of_string_opt len, bodies) with
+            | "K", Some _, Some _, _ -> next (Ok { name; fresh = None }) bodies
+            | ("F" | "P"), Some adler, Some len, ((n, _, _) as body) :: bodies
+              when n = name ->
+                next (fresh tag name adler len body) bodies
+            | _ -> malformed line)
+        | _ -> malformed line)
+  in
+  match Tarlike.spans data with
+  | Ok (("", off, len) :: bodies) ->
+      go [] bodies
+        (List.filter (fun l -> l <> "") (String.split_on_char '\n' (String.sub data off len)))
+  | Ok _ -> malformed "(no member list)"
+  | Error e -> malformed e
+
 (* Advance the durable base to the staged members: write the new ones
-   (recording their known checksums), drop members that disappeared,
+   (recording their known segments), drop members that disappeared,
    refresh [_index].  Kept members are already on disk. *)
 let advance_base t fs target members =
   let dir = base_dir target in
   List.iter
     (fun m ->
-      match m.bytes with
+      match m.fresh with
       | None -> ()
-      | Some c ->
+      | Some (c, sums) ->
           let path = dir ^ "/" ^ m.name in
           Netsim.Vfs.write fs ~path c;
-          Hashtbl.replace t.adlers path (c, m.adler))
+          Hashtbl.replace t.sums path (c, sums))
     members;
   let names = List.map (fun m -> m.name) members in
   List.iter
@@ -250,7 +325,7 @@ let advance_base t fs target members =
       if not (List.mem n names) then begin
         let path = dir ^ "/" ^ n in
         Netsim.Vfs.remove fs ~path;
-        Hashtbl.remove t.adlers path
+        Hashtbl.remove t.sums path
       end)
     (Option.value (index_names fs dir) ~default:[]);
   Netsim.Vfs.write fs ~path:(dir ^ "/_index") (String.concat "\n" names)
@@ -277,7 +352,8 @@ let handle t payload =
             | [ target ] ->
                 reply 0
                   (List.map
-                     (fun (name, _, ck) -> [ name; Checksum.to_hex ck ])
+                     (fun (name, _, sums) ->
+                       [ name; Checksum.to_hex (Checksum.value sums) ])
                      (Option.value (read_base t fs target) ~default:[]))
             | _ -> reply Moira.Mr_err.args []
           end
@@ -288,13 +364,15 @@ let handle t payload =
             | [ target; blob; cksum ] -> (
                 match resolve t fs target blob with
                 | Error e -> reply Moira.Mr_err.update_checksum [ [ e ] ]
-                | Ok members ->
-                    if archive_cksum members <> cksum then
-                      reply Moira.Mr_err.update_checksum []
+                | Ok entries ->
+                    if
+                      archive_cksum (List.map (fun (n, sums, _) -> (n, sums)) entries)
+                      <> cksum
+                    then reply Moira.Mr_err.update_checksum []
                     else begin
                       Netsim.Vfs.write fs
                         ~path:(target ^ staged_suffix)
-                        (encode_staged members);
+                        (encode_staged entries);
                       Netsim.Host.maybe_crash t.host ~point:"xfer";
                       reply 0 []
                     end)
@@ -329,10 +407,8 @@ let handle t payload =
                 Option.is_none staged
                 && (match (expected, read_base t fs target) with
                    | Some cksum, Some base ->
-                       let kept (name, c, adler) =
-                         { name; adler; len = String.length c; bytes = None }
-                       in
-                       archive_cksum (List.map kept base) = cksum
+                       archive_cksum (List.map (fun (n, _, sums) -> (n, sums)) base)
+                       = cksum
                    | _ -> false)
               in
               if already_installed then reply 0 []
@@ -345,10 +421,15 @@ let handle t payload =
                     let result =
                       let* members =
                         match staged with
-                        | None -> Error ("no staged archive at " ^ path)
-                        | Some data -> decode_staged data
+                        | None ->
+                            Error
+                              (Moira.Mr_err.update_script, "no staged archive at " ^ path)
+                        | Some data -> decode_staged t fs target data
                       in
-                      let* () = script ~staged:{ path; target; members } in
+                      let* () =
+                        script ~staged:{ path; target; members }
+                        |> Result.map_error (fun msg -> (Moira.Mr_err.update_script, msg))
+                      in
                       Ok members
                     in
                     match result with
@@ -359,8 +440,7 @@ let handle t payload =
                         Netsim.Vfs.flush fs;
                         Netsim.Host.maybe_crash t.host ~point:"after_exec";
                         reply 0 []
-                    | Error msg ->
-                        reply Moira.Mr_err.update_script [ [ msg ] ])
+                    | Error (code, msg) -> reply code [ [ msg ] ])
             in
             match args with
             | [ target ] -> run target None
@@ -377,7 +457,7 @@ let serve ?(obs = Obs.default) host =
       host;
       obs;
       scripts = Hashtbl.create 7;
-      adlers = Hashtbl.create 16;
+      sums = Hashtbl.create 16;
       scanned = Obs.Counter.make obs "update.server.scanned_bytes";
     }
   in
@@ -404,8 +484,8 @@ let install_files host ~dir ?(after = fun () -> ()) () ~staged =
       let live = dir ^ "/" ^ m.name in
       let old = Netsim.Vfs.read fs ~path:live in
       let contents =
-        match m.bytes with
-        | Some c -> Some c
+        match m.fresh with
+        | Some (c, _) -> Some c
         | None ->
             Netsim.Vfs.read fs ~path:(base_dir staged.target ^ "/" ^ m.name)
       in

@@ -22,16 +22,22 @@
     Adler-32 checksums of the host's durable base,
     [target^".last.d/"]; a first push, or the fallback after a checksum
     mismatch, is simply a DELTA whose entries are all [F].  The server
-    resolves each entry once — a kept member takes the base's known
-    checksum, a new member is scanned once — verifies the whole-archive
-    checksum, and stages a self-contained file: every member's checksum
-    and length, plus the full bytes of every member not kept from the
-    base.  Execution decodes that file once and hands it to the install
-    script and the base advance; nothing after staging looks at a patch
-    again, and section 5.9's atomicity analysis is unchanged.  Any
-    disagreement (missing base, stale patch base, checksum mismatch)
-    makes the server answer MR_UPDATE_CHECKSUM and the DCM resends every
-    member in full within the same push. *)
+    keeps each base member's checksum as segment checksums
+    ({!Checksum.t}) and resolves each entry once — a kept member takes
+    the base's segments, a full member is scanned once, a patch scans
+    only its middle and the base bytes out to the nearest segment
+    boundaries — verifies the whole-archive checksum, and stages a
+    file listing every member's checksum and length, with the bytes of
+    each full member and the patch itself for each patched one.
+    Execution decodes that file once: each patch must still fit its
+    base (the base checksum, and the spliced checksum against the
+    staged one), is applied once, and the result goes to the install
+    script and the base advance; section 5.9's atomicity analysis is
+    unchanged.  Any disagreement (missing base, stale patch base,
+    checksum mismatch) makes the server answer MR_UPDATE_CHECKSUM: at
+    DELTA the DCM resends every member in full within the same push; at
+    EXEC nothing is installed, and the next push sees the changed base
+    in the manifest. *)
 
 (** {1 Server side} *)
 
@@ -51,8 +57,8 @@ type server
 
 type staged
 (** The staged file as the execution phase read and decoded it: its
-    path, and every member's name, checksum and length with the bytes
-    of each member not kept from the base. *)
+    path, and every member's name with the bytes (patches applied) of
+    each member not kept from the base. *)
 
 type script = staged:staged -> (unit, string) result
 (** An installation instruction sequence: receives the staged file;

@@ -325,6 +325,28 @@ let test_nfs_per_host_files () =
         (Netsim.Vfs.exists fs ~path:"/var/moira/u1_lockers.quotas"))
     tb.Testbed.built.Population.nfs_machines
 
+(* NFS files are keyed by machine name: renaming an NFS server must
+   regenerate them under the new name, not report MR_NO_CHANGE. *)
+let test_nfs_machine_rename () =
+  let tb = Testbed.create () in
+  ignore (Dcm.Manager.run tb.Testbed.dcm);
+  Sim.Engine.advance tb.Testbed.engine 60_000;
+  let old_name = tb.Testbed.built.Population.nfs_machines.(0) in
+  (match
+     Moira.Glue.query tb.Testbed.glue ~name:"update_machine"
+       [ old_name; old_name ^ "X"; "VAX" ]
+   with
+  | Ok _ -> ()
+  | Error c -> Alcotest.failf "update_machine: %s" (Comerr.Com_err.error_message c));
+  Sim.Engine.advance tb.Testbed.engine (13 * 3600 * 1000);
+  ignore (Dcm.Manager.run tb.Testbed.dcm);
+  let last = Option.get (Dcm.Manager.last_output tb.Testbed.dcm ~service:"NFS") in
+  let fresh = Dcm.Gen_nfs.generator.Dcm.Gen.generate tb.Testbed.glue in
+  Alcotest.(check bool) "renamed host keyed by its new name" true
+    (List.mem_assoc (old_name ^ "X") fresh.Dcm.Gen.per_host);
+  Alcotest.(check bool) "last output = full extraction" true
+    (outputs_equal last fresh)
+
 let test_nfs_lockers_created () =
   let tb = Testbed.create () in
   Testbed.run_hours tb 13;
@@ -399,6 +421,71 @@ let test_dcm_restart_resumes_from_spool () =
   match hesiod.Dcm.Manager.hosts with
   | [ (_, Dcm.Manager.Updated _) ] -> ()
   | _ -> Alcotest.fail "restarted DCM did not resume the push"
+
+(* The spool holds each member as its doc's chunks: a restarted DCM
+   reads the output back byte for byte, and after a generation whose
+   docs have fewer chunks the spool holds exactly the chunk files its
+   index names.  HESIOD's output is cut into [piece]-byte chunks, so
+   every member spans several. *)
+let test_spool_chunks_round_trip () =
+  let tb = Testbed.create () in
+  let piece = ref 100 in
+  let rechunk d =
+    let s = Dcm.Sink.to_string d in
+    Dcm.Sink.concat
+      (List.init
+         ((String.length s + !piece - 1) / !piece)
+         (fun i ->
+           Dcm.Sink.of_string
+             (String.sub s (i * !piece) (min !piece (String.length s - (i * !piece))))))
+  in
+  let hesiod =
+    {
+      Dcm.Gen_hesiod.generator with
+      Dcm.Gen.generate =
+        (fun glue ->
+          let out = Dcm.Gen_hesiod.generator.Dcm.Gen.generate glue in
+          { out with Dcm.Gen.common = List.map (fun (n, d) -> (n, rechunk d)) out.Dcm.Gen.common });
+      parts = [];
+    }
+  in
+  let dcm () =
+    Dcm.Manager.create ~net:tb.Testbed.net
+      ~moira_host:tb.Testbed.built.Population.moira_machine
+      ~glue:tb.Testbed.glue ~generators:[ hesiod ] ()
+  in
+  let dcm1 = dcm () in
+  ignore (Dcm.Manager.run dcm1);
+  Sim.Engine.advance tb.Testbed.engine 60_000;
+  ignore
+    (Moira.Glue.query tb.Testbed.glue ~name:"update_user_shell"
+       [ tb.Testbed.built.Population.logins.(0); "/bin/spooled" ]);
+  Sim.Engine.advance tb.Testbed.engine (7 * 3600 * 1000);
+  piece := 1000;
+  ignore (Dcm.Manager.run dcm1);
+  let before = Option.get (Dcm.Manager.last_output dcm1 ~service:"HESIOD") in
+  let after = Option.get (Dcm.Manager.last_output (dcm ()) ~service:"HESIOD") in
+  Alcotest.(check bool) "read back from the spool" true (outputs_equal before after);
+  let fs = Netsim.Host.fs (Testbed.host tb tb.Testbed.built.Population.moira_machine) in
+  let dir = "/u1/sms/dcm/HESIOD.d/" in
+  let index =
+    Option.get (Netsim.Vfs.read fs ~path:(dir ^ "_index"))
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> Scanf.sscanf l "%d %s" (fun c n -> (n, c)))
+  in
+  Alcotest.(check bool) "members span several chunks" true
+    (List.exists (fun (_, c) -> c > 1) index);
+  let expected =
+    (dir ^ "_index")
+    :: List.concat_map
+         (fun (n, c) -> List.init c (fun k -> Printf.sprintf "%s%s/%d" dir n k))
+         index
+  in
+  Alcotest.(check (list string)) "spool files = the index's chunks"
+    (List.sort compare expected)
+    (List.sort compare
+       (List.filter (String.starts_with ~prefix:dir) (Netsim.Vfs.list fs)))
 
 (* File-grain MR_NO_CHANGE: one user's shell change must rebuild only
    the HESIOD parts that watch the users relation, splice the rest from
@@ -622,6 +709,8 @@ let suite =
     Alcotest.test_case "Trigger_DCM RPC" `Quick test_trigger_dcm_via_rpc;
     Alcotest.test_case "NFS per-host files" `Quick test_nfs_per_host_files;
     Alcotest.test_case "NFS lockers created" `Quick test_nfs_lockers_created;
+    Alcotest.test_case "NFS files follow a machine rename" `Quick
+      test_nfs_machine_rename;
     Alcotest.test_case "mail aliases on hub" `Quick test_mail_aliases_on_hub;
     Alcotest.test_case "zephyr ACLs installed" `Quick
       test_zephyr_acls_installed;
@@ -632,6 +721,8 @@ let suite =
     Alcotest.test_case "cron schedule" `Quick test_cron_schedule_drives_dcm;
     Alcotest.test_case "DCM restart resumes from spool" `Quick
       test_dcm_restart_resumes_from_spool;
+    Alcotest.test_case "spool holds each member's chunks" `Quick
+      test_spool_chunks_round_trip;
     Alcotest.test_case "locked service skipped" `Quick
       test_locked_service_skipped;
   ]

@@ -26,10 +26,56 @@ let prop_doc_matches_string =
          || Dcm.Sink.sub d 1 (String.length s - 2)
             = String.sub s 1 (String.length s - 2)))
 
+(* Two piece lists over one pool of strings, so the docs built from
+   them share heap chunks, as a spliced doc shares the unchanged chunks
+   of its base.  [b] is either more picks from the pool, or [a]'s bytes
+   cut again at other places (so long equal runs meet at every
+   alignment) with one byte perhaps changed, or [a]'s own chunks behind
+   a copy of its first chunk's head or ahead of a copy of its last
+   chunk's tail (so one shared chunk is met at two different offsets).
+   Pieces run past 8 bytes so the word-wise compares run. *)
+let gen_shared_pieces =
+  QCheck.Gen.(
+    let piece n = string_size ~gen:(char_range 'a' 'd') (int_range 0 n) in
+    list_size (int_range 1 6) (piece 40) >>= fun pool ->
+    let pool = Array.of_list pool in
+    let pick =
+      frequency
+        [ (3, map (fun i -> pool.(i)) (int_bound (Array.length pool - 1))); (1, piece 20) ]
+    in
+    list_size (int_range 1 8) pick >>= fun pa ->
+    let a = String.concat "" pa in
+    let recut =
+      list_size (int_range 0 6) (int_bound (String.length a)) >>= fun cuts ->
+      int_bound (String.length a) >>= fun at ->
+      bool >|= fun edit ->
+      let a = if edit && a <> "" then String.mapi (fun i c -> if i = at mod String.length a then 'z' else c) a else a in
+      let cuts = List.sort_uniq compare (0 :: String.length a :: cuts) in
+      let rec pieces = function
+        | x :: (y :: _ as rest) -> String.sub a x (y - x) :: pieces rest
+        | _ -> []
+      in
+      pieces cuts
+    in
+    let first = List.hd pa and last = List.nth pa (List.length pa - 1) in
+    let shifted =
+      int_bound (String.length first) >>= fun k ->
+      int_bound (String.length last) >|= fun j ->
+      [ String.sub first 0 k ]
+      @ pa
+      @ [ String.sub last (String.length last - j) j ]
+    in
+    frequency
+      [ (2, list_size (int_range 0 8) pick); (2, recut); (1, shifted) ]
+    >|= fun pb -> (pa, pb))
+
 let prop_prefix_suffix =
   QCheck.Test.make ~name:"sink: common prefix/suffix match naive string scan"
-    ~count:300
-    QCheck.(pair gen_pieces gen_pieces)
+    ~count:600
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list string) (list string))
+       QCheck.Gen.(
+         oneof [ pair (QCheck.gen gen_pieces) (QCheck.gen gen_pieces); gen_shared_pieces ]))
     (fun (pa, pb) ->
       let a = String.concat "" pa and b = String.concat "" pb in
       let da = chunky pa and db = chunky pb in

@@ -519,9 +519,21 @@ let test_reply_loss_exec_runs_script_once () =
   Alcotest.(check (option string)) "file installed" (Some "alpha\n")
     (Netsim.Vfs.read (Netsim.Host.fs srv) ~path:"/etc/data/a.db")
 
+(* The bytes a prefix/suffix patch from [a] to [b] replaces: [b]
+   without the longest common prefix and the longest common suffix
+   that does not overlap it. *)
+let middle_len a b =
+  let la = String.length a and lb = String.length b in
+  let p = ref 0 in
+  while !p < min la lb && a.[!p] = b.[!p] do incr p done;
+  let s = ref 0 in
+  while !s < min la lb - !p && a.[la - 1 - !s] = b.[lb - 1 - !s] do incr s done;
+  lb - !p - !s
+
 (* Each entry is resolved once: the server checksums a new member's
-   bytes exactly once and never re-scans kept or patched-against base
-   members. *)
+   bytes exactly once, never re-scans kept or patched-against base
+   members, and for a patched member scans at most the middle plus one
+   segment of base bytes on each side of it. *)
 let test_scanned_bytes () =
   let engine = Sim.Engine.create () in
   let net = Netsim.Net.create engine in
@@ -544,19 +556,203 @@ let test_scanned_bytes () =
     | Error _ -> Alcotest.fail "push failed");
     scanned () - before
   in
+  let within_bound label ~base ~next =
+    let bound = middle_len base next + (2 * Dcm.Checksum.segment_size) in
+    fun got ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: scanned %d <= middle + two segments = %d" label got bound)
+        true (got <= bound)
+  in
   let v1 = big_files ~version:"v1" in
   let total = List.fold_left (fun n (_, c) -> n + String.length c) 0 v1 in
   Alcotest.(check int) "first push scans every member once" total
     (push_scan v1);
   let m03 = List.assoc "m03.db" v1 ^ "edit\n" in
   let v2 = List.map (fun (n, c) -> (n, if n = "m03.db" then m03 else c)) v1 in
-  Alcotest.(check int) "patched push scans the new member once"
-    (String.length m03)
+  within_bound "patched push" ~base:(List.assoc "m03.db" v1) ~next:m03
     (push_scan ~base:(docs v1) v2);
   Alcotest.(check int) "identical push scans nothing" 0
     (push_scan ~base:(docs v2) v2);
   Alcotest.(check (option string)) "patched member installed" (Some m03)
-    (Netsim.Vfs.read (Netsim.Host.fs srv) ~path:"/etc/data/m03.db")
+    (Netsim.Vfs.read (Netsim.Host.fs srv) ~path:"/etc/data/m03.db");
+  (* a one-line edit in the middle of a 3 MB member *)
+  let line i = Printf.sprintf "user%07d.passwd HS UNSPECA \"user%07d:*:%d:101::/bin/sh\"\n" i i i in
+  let big = String.concat "" (List.init 50_000 line) in
+  Alcotest.(check bool) "member is 3 MB" true (String.length big >= 3_000_000);
+  let mid = String.length big / 2 in
+  let edited =
+    let at = String.index_from big mid '\n' + 1 in
+    let stop = String.index_from big at '\n' in
+    String.sub big 0 at ^ "edited.passwd HS UNSPECA \"edited:*:1:101::/bin/zsh\""
+    ^ String.sub big stop (String.length big - stop)
+  in
+  ignore (push_scan ~base:(docs v2) (("big.db", big) :: v2));
+  within_bound "one-line edit of a 3 MB member" ~base:big ~next:edited
+    (push_scan ~base:(docs (("big.db", big) :: v2)) (("big.db", edited) :: v2));
+  Alcotest.(check bool) "edited 3 MB member installed" true
+    (Netsim.Vfs.read (Netsim.Host.fs srv) ~path:"/etc/data/big.db" = Some edited)
+
+(* The server's segment checksums against the definition: a chain of
+   patches, each one's checksum derived as the server derives it (the
+   region scanned, encoded into the staged file and decoded, spliced
+   into the base's segments), always equals the Adler-32 of the
+   materialised member; the segment count stays below
+   [2 * length / segment_size + 1]; and each patch scans at most its
+   middle plus one segment on each side. *)
+let prop_segment_checksums =
+  let seg = Dcm.Checksum.segment_size in
+  let gen_patch =
+    QCheck.Gen.(
+      quad (float_bound_inclusive 1.) (float_bound_inclusive 1.)
+        (frequency
+           [
+             (3, int_range 1 40);
+             (2, oneofl [ seg - 1; seg; seg + 1 ]);
+             (1, int_range seg (3 * seg));
+           ])
+        (int_bound 5))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (string_size ~gen:char (frequency [ (1, int_range 0 50); (3, int_range 0 (5 * seg)) ]))
+        (list_size (int_range 1 20) gen_patch))
+  in
+  QCheck.Test.make ~name:"checksum: spliced segment checksums = adler32 of the member"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (b, ps) -> Printf.sprintf "base %d bytes, %d patches" (String.length b) (List.length ps))
+       gen)
+    (fun (base, patches) ->
+      let ok cur sums =
+        let len = String.length cur in
+        Dcm.Checksum.value sums = Dcm.Checksum.adler32 cur
+        && Dcm.Checksum.length sums = len
+        && Dcm.Checksum.count sums * seg < (2 * len) + seg
+      in
+      let step (cur, sums, good) (fp, fs, mlen, mode) =
+        let len = String.length cur in
+        (* mode 0: prefix 0; 1: suffix 0; 2: whole-member replacement;
+           3: empty middle; otherwise both edges random *)
+        let prefix = if mode = 0 || mode = 2 then 0 else int_of_float (fp *. float len) in
+        let suffix =
+          if mode = 1 || mode = 2 then 0 else int_of_float (fs *. float (len - prefix))
+        in
+        let mlen = if mode = 3 then 0 else mlen in
+        let middle = String.init mlen (fun i -> Char.chr ((i * 31 + len) land 255)) in
+        let region =
+          Dcm.Checksum.region sums ~base:cur ~prefix ~suffix (middle, 0, mlen)
+        in
+        let next =
+          String.sub cur 0 prefix ^ middle ^ String.sub cur (len - suffix) suffix
+        in
+        let staged = Dcm.Checksum.decode (Dcm.Checksum.encode region) in
+        match staged with
+        | None -> (next, sums, false)
+        | Some region' ->
+            let sums' = Dcm.Checksum.splice sums ~prefix ~suffix region' in
+            ( next,
+              sums',
+              good && ok next sums'
+              && Dcm.Checksum.length region <= mlen + (2 * seg) - 2 )
+      in
+      let sums = Dcm.Checksum.scan [ (base, 0, String.length base) ] in
+      let _, _, good = List.fold_left step (base, sums, ok base sums) patches in
+      good)
+
+(* A patched member is staged as its patch; a crash before EXEC leaves
+   that staged file flushed.  Returns the net, the host and the pushed
+   files, with the host rebooted. *)
+let staged_patch_then_crash () =
+  let _, net, srv, _ = setup () in
+  let v1 = big_files ~version:"v1" in
+  ignore (push ~files:v1 net);
+  let v2 =
+    List.map (fun (n, c) -> (n, if n = "m03.db" then "head\n" ^ c ^ "tail\n" else c)) v1
+  in
+  Netsim.Host.arm_crash srv ~point:"before_exec";
+  (match
+     Dcm.Update.push net ~src:"MOIRA" ~dst:"SRV" ~base:(docs v1)
+       ~target:"/tmp/out" ~files:(docs v2) ~script:"install.sh" ()
+   with
+  | Error (Dcm.Update.Soft _) -> ()
+  | _ -> Alcotest.fail "crash before exec not soft");
+  Netsim.Host.boot srv;
+  let staged =
+    Option.get (Netsim.Vfs.read (Netsim.Host.fs srv) ~path:"/tmp/out.moira_update")
+  in
+  (match Dcm.Tarlike.unpack staged with
+  | Ok (("", index) :: _) ->
+      Alcotest.(check bool) "m03 staged as a patch" true
+        (List.exists
+           (fun l -> String.starts_with ~prefix:"P " l && Filename.check_suffix l " m03.db")
+           (String.split_on_char '\n' index))
+  | _ -> Alcotest.fail "staged file unreadable");
+  (net, srv, v1, v2)
+
+(* EXEC re-sent by hand, as the DCM's retry of the same push would. *)
+let exec net files =
+  let payload =
+    Gdb.Wire.encode_request
+      {
+        Gdb.Wire.version = Gdb.Wire.protocol_version;
+        conn = 0;
+        op = Dcm.Update.op_exec;
+        args =
+          [ "krb"; "/tmp/out"; Dcm.Checksum.to_hex (Dcm.Tarlike.checksum files) ];
+        ctx = "";
+      }
+  in
+  match Netsim.Net.call net ~src:"MOIRA" ~dst:"SRV" ~service:"moira_update" payload with
+  | Ok raw -> (
+      match Gdb.Wire.decode_reply raw with
+      | Ok r -> r.Gdb.Wire.code
+      | Error e -> Alcotest.fail e)
+  | Error _ -> Alcotest.fail "exec call failed"
+
+let installed srv files =
+  let fs = Netsim.Host.fs srv in
+  List.for_all
+    (fun (n, c) -> Netsim.Vfs.read fs ~path:("/etc/data/" ^ n) = Some c)
+    files
+
+let test_crash_before_exec_patch_staged () =
+  let net, srv, _, v2 = staged_patch_then_crash () in
+  Alcotest.(check int) "retried exec succeeds" 0 (exec net v2);
+  Alcotest.(check bool) "patched bytes installed" true (installed srv v2);
+  Alcotest.(check (option string)) "base advanced to the patched member"
+    (List.assoc_opt "m03.db" v2)
+    (Netsim.Vfs.read (Netsim.Host.fs srv) ~path:"/tmp/out.last.d/m03.db")
+
+(* A patch that shares no prefix or suffix with its base rewrites the
+   whole member: its staged region covers all of it. *)
+let test_whole_member_patch () =
+  let _, net, srv, _ = setup () in
+  let v1 = [ ("a.db", String.make 5000 'x'); ("b.db", "b\n") ] in
+  let v2 = [ ("a.db", String.make 9000 'y'); ("b.db", "b\n") ] in
+  ignore (push ~files:v1 net);
+  (match
+     Dcm.Update.push net ~src:"MOIRA" ~dst:"SRV" ~base:(docs v1)
+       ~target:"/tmp/out" ~files:(docs v2) ~script:"install.sh" ()
+   with
+  | Ok s -> Alcotest.(check int) "sent as a patch" 1 s.Dcm.Update.members_patched
+  | Error _ -> Alcotest.fail "push failed");
+  Alcotest.(check bool) "replaced member installed" true (installed srv v2)
+
+let test_exec_refuses_changed_base () =
+  let net, srv, v1, v2 = staged_patch_then_crash () in
+  let fs = Netsim.Host.fs srv in
+  Netsim.Vfs.write fs ~path:"/tmp/out.last.d/m03.db" "tampered base\n";
+  Alcotest.(check int) "exec answers a checksum error" Moira.Mr_err.update_checksum
+    (exec net v2);
+  Alcotest.(check bool) "nothing installed" true (installed srv v1);
+  (match
+     Dcm.Update.push net ~src:"MOIRA" ~dst:"SRV" ~base:(docs v1)
+       ~target:"/tmp/out" ~files:(docs v2) ~script:"install.sh" ()
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "next push failed");
+  Alcotest.(check bool) "next push installs the pushed bytes" true (installed srv v2)
 
 let prop_tarlike_roundtrip =
   QCheck.Test.make ~name:"tarlike: pack/unpack roundtrip" ~count:200
@@ -602,6 +798,13 @@ let suite =
       test_reply_loss_exec_runs_script_once;
     Alcotest.test_case "scanned bytes: one pass per entry" `Quick
       test_scanned_bytes;
+    QCheck_alcotest.to_alcotest prop_segment_checksums;
+    Alcotest.test_case "crash before exec, patch staged" `Quick
+      test_crash_before_exec_patch_staged;
+    Alcotest.test_case "exec refuses a changed base" `Quick
+      test_exec_refuses_changed_base;
+    Alcotest.test_case "patch replacing a whole member" `Quick
+      test_whole_member_patch;
     Alcotest.test_case "tarlike roundtrip" `Quick test_tarlike_roundtrip;
     Alcotest.test_case "checksum function" `Quick test_checksum_function;
     QCheck_alcotest.to_alcotest prop_checksum_block_kernel;
