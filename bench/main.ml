@@ -5,7 +5,7 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table1  -- one experiment (table1, dcm,
                                             connect, glue, noop, backup,
-                                            robust, access, dispatch)   *)
+                                            access, dispatch)           *)
 
 open Workload
 
@@ -383,94 +383,6 @@ let bench_backup () =
     (Relation.Table.cardinal (Moira.Mdb.table mdb2 "users"));
   Printf.printf "journal entries available for replay: %d\n"
     (Relation.Journal.length (Moira.Mdb.journal mdb))
-
-(* ------------------------------------------------------------------ *)
-(* E7: update-protocol robustness sweep (section 5.9).                 *)
-
-let hesiod_outcomes report =
-  (List.find
-     (fun s -> s.Dcm.Manager.service = "HESIOD")
-     report.Dcm.Manager.services)
-    .Dcm.Manager.hosts
-
-let bench_robust () =
-  header
-    "E7 (section 5.9): automatic recovery from crashes at every window\n\
-     of the update protocol";
-  Printf.printf "%-16s %-34s %s\n" "crash point" "first attempt"
-    "after reboot+retry";
-  let failures = ref [] in
-  List.iter
-    (fun point ->
-      let tb = Testbed.create () in
-      let hes_machine, _ = Testbed.first_hesiod tb in
-      let host = Testbed.host tb hes_machine in
-      Netsim.Host.arm_crash host ~point;
-      Sim.Engine.advance tb.Testbed.engine (7 * 3600 * 1000);
-      let report = Dcm.Manager.run tb.Testbed.dcm in
-      let outcome1 =
-        match hesiod_outcomes report with
-        | [ (_, Dcm.Manager.Updated _) ] -> "updated"
-        | [ (_, Dcm.Manager.Soft_failed m) ] -> "soft failure: " ^ m
-        | [ (_, Dcm.Manager.Hard_failed m) ] -> "HARD failure: " ^ m
-        | _ -> "?"
-      in
-      if not (Netsim.Host.is_up host) then Netsim.Host.boot host;
-      Sim.Engine.advance tb.Testbed.engine (7 * 3600 * 1000);
-      let report = Dcm.Manager.run tb.Testbed.dcm in
-      let outcome2 =
-        match hesiod_outcomes report with
-        | [ (_, Dcm.Manager.Updated _) ] -> "recovered"
-        | [ (_, Dcm.Manager.Up_to_date) ] -> "already consistent"
-        | _ -> "NOT recovered"
-      in
-      let trunc s n = if String.length s > n then String.sub s 0 n else s in
-      Printf.printf "%-16s %-34s %s\n" point (trunc outcome1 34) outcome2;
-      if
-        String.starts_with ~prefix:"HARD" outcome1
-        || outcome2 = "NOT recovered"
-      then failures := (point ^ ": " ^ outcome1 ^ ", " ^ outcome2) :: !failures)
-    [ "xfer"; "before_exec"; "mid_install"; "before_restart"; "after_exec" ];
-  Printf.printf
-    "\nlossy network, 26 simulated hours (propagations vs soft failures):\n";
-  Printf.printf "%-10s %14s %14s\n" "drop rate" "propagations" "soft fails";
-  List.iter
-    (fun rate ->
-      let tb = Testbed.create () in
-      Chaos.inject tb { Chaos.calm with drop = rate };
-      Testbed.run_hours tb 26;
-      let reports = Dcm.Manager.reports tb.Testbed.dcm in
-      let props =
-        List.fold_left (fun a r -> a + Dcm.Manager.propagations r) 0 reports
-      in
-      let softs =
-        List.fold_left
-          (fun a r ->
-            a
-            + List.fold_left
-                (fun a s ->
-                  a
-                  + List.length
-                      (List.filter
-                         (fun (_, h) ->
-                           match h with
-                           | Dcm.Manager.Soft_failed _ -> true
-                           | _ -> false)
-                         s.Dcm.Manager.hosts))
-                0 r.Dcm.Manager.services)
-          0 reports
-      in
-      Printf.printf "%-10.2f %14d %14d\n" rate props softs)
-    [ 0.0; 0.05; 0.2 ];
-  Printf.printf
-    "(soft failures are retried on later DCM passes; every host still\n\
-    \ converges -- \"completely automatic update for normal cases and\n\
-    \ expected kinds of failures\")\n";
-  match List.rev !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "ROBUST FAILURE: %s\n" f) fs;
-      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* E8: the Access-then-Query double check (section 5.5).               *)
@@ -1225,7 +1137,6 @@ let experiments =
     ("glue", bench_glue);
     ("noop", bench_noop);
     ("backup", bench_backup);
-    ("robust", bench_robust);
     ("access", bench_access);
     ("dispatch", bench_dispatch);
     ("clusterdb", bench_clusterdb);

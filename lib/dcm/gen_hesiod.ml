@@ -69,28 +69,25 @@ let group_files mdb =
   ( ("group.db", sorted_lines !group),
     ("gid.db", sorted_lines !gid) )
 
-(* grplist.db: colon-separated (group, gid) pairs per active user.
-   [grplist_iter] runs in login order, which is also line order
-   (every key is login ^ ".grplist"), so the file assembles in one
+(* grplist.db: colon-separated (group, gid) pairs per active user in
+   some group.  [group_iter] runs in login order, which is also line
+   order (every key is login ^ ".grplist"), so the file assembles in one
    pass with no final sort. *)
 let grplist_file mdb =
   let doc =
     emit ~hint:262144 (fun w ->
-        grplist_iter mdb (fun ~login ~own ~frags ->
-            (* [u (login ^ ".grplist") rendered] assembled piecewise *)
-            Sink.add_string w login;
-            Sink.add_string w ".grplist HS UNSPECA \"";
-            let first = ref true in
-            if own <> "" then begin
-              Sink.add_string w own;
-              first := false
-            end;
-            List.iter
-              (fun frag ->
-                if !first then first := false else Sink.add_char w ':';
-                Sink.add_string w frag)
-              frags;
-            Sink.add_string w "\"\n"))
+        group_iter mdb (fun ~login ~users_id:_ ~uid:_ groups ->
+            if groups <> [] then begin
+              (* [u (login ^ ".grplist") rendered] assembled piecewise *)
+              Sink.add_string w login;
+              Sink.add_string w ".grplist HS UNSPECA \"";
+              List.iteri
+                (fun i (frag, _) ->
+                  if i > 0 then Sink.add_char w ':';
+                  Sink.add_string w frag)
+                groups;
+              Sink.add_string w "\"\n"
+            end))
   in
   ("grplist.db", doc)
 
@@ -389,9 +386,12 @@ let grplist_spec =
         Table.iter utbl (fun rowid row ->
             if Value.int (status row) = 1 then
               Hashtbl.replace rid (Value.str (login row)) rowid);
-        grplist_iter mdb (fun ~login ~own ~frags ->
-            emit ~rowid:(Hashtbl.find rid login) 0 login
-              (grplist_render ~login ~own ~frags)));
+        group_iter mdb (fun ~login ~users_id:_ ~uid:_ groups ->
+            (* the pass already puts the own group first *)
+            if groups <> [] then
+              emit ~rowid:(Hashtbl.find rid login) 0 login
+                (grplist_render ~login ~own:""
+                   ~frags:(List.map fst groups))));
     sk_row =
       (fun mdb ~rowid ->
         let utbl = users_table mdb in

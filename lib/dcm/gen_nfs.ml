@@ -9,16 +9,13 @@ let partition_base dir =
   in
   String.map (fun c -> if c = '/' then '_' else c) trimmed
 
-(* credentials for one host: all active users, or just the members of the
-   list named in value3. *)
-let credentials_file mdb ~value3 =
-  let utbl = users_table mdb in
-  let login = col utbl "login" in
-  let uid = col utbl "uid" in
-  let users_id = col utbl "users_id" in
-  let g = groups mdb in
-  let lines = ref [] in
-  let include_user =
+(* Every credentials file of one generation, by [value3], from one
+   group pass: lines [login:uid[:gid...]], the own group's gid first.
+   An empty value3 names the all-active-users file; a list name, the
+   file of that list's (recursive) members. *)
+let credentials_files mdb value3s =
+  let closure = Moira.Closure.get mdb in
+  let admits value3 =
     if value3 = "" then fun _ -> true
     else
       match Moira.Lookup.list_id mdb value3 with
@@ -26,25 +23,22 @@ let credentials_file mdb ~value3 =
           let allowed = Hashtbl.create 64 in
           List.iter
             (fun u -> Hashtbl.replace allowed u ())
-            (Moira.Closure.user_ids_of_list (Moira.Closure.get mdb) ~list_id);
-          fun users_id -> Hashtbl.mem allowed users_id
+            (Moira.Closure.user_ids_of_list closure ~list_id);
+          Hashtbl.mem allowed
       | None -> fun _ -> false
   in
-  active_users utbl (fun row ->
-      let users_id = Value.int (users_id row) in
-      if include_user users_id then begin
-        let login = Value.str (login row) in
-        let gids =
-          List.map
-            (fun (_, gd) -> string_of_int gd)
-            (group_pairs g ~users_id ~login)
-        in
-        lines :=
-          String.concat ":"
-            ((login :: [ string_of_int (Value.int (uid row)) ]) @ gids)
-          :: !lines
-      end);
-  ("credentials", sorted_lines !lines)
+  let files = List.map (fun v -> (v, admits v, ref [])) value3s in
+  group_iter mdb (fun ~login ~users_id ~uid groups ->
+      let line =
+        String.concat ":"
+          (login :: string_of_int uid
+          :: List.map (fun (_, gid) -> string_of_int gid) groups)
+      in
+      List.iter
+        (fun (_, admits, lines) ->
+          if admits users_id then lines := line :: !lines)
+        files);
+  List.map (fun (v, _, lines) -> (v, sorted_lines !lines)) files
 
 let quotas_and_dirs mdb ~nfsphys_id ~dir =
   let base = partition_base dir in
@@ -101,46 +95,51 @@ let quotas_and_dirs mdb ~nfsphys_id ~dir =
     (base ^ ".dirs", sorted_lines !dir_lines);
   ]
 
-(* Both parts fan out per enabled NFS serverhost; [pick] selects which of
-   the host's files the part produces.  The files are keyed by machine
-   name, so both parts watch [machine]: a rename must rekey them. *)
-let per_nfs_host mdb pick =
+(* Both parts fan out per enabled NFS serverhost, as (machine, [pick]
+   of its row) pairs.  The files are keyed by machine name, so both
+   parts watch [machine]: a rename must rekey them. *)
+let nfs_hosts mdb pick =
   let shosts = Moira.Mdb.table mdb "serverhosts" in
   let sh_mach_id = col shosts "mach_id" in
-  let per_host =
-    Table.select shosts
-      (Pred.conj [ Pred.eq_str "service" "NFS"; Pred.eq_bool "enable" true ])
-    |> List.filter_map (fun (_, sh) ->
-           let mach_id = Value.int (sh_mach_id sh) in
-           match Moira.Lookup.machine_name mdb mach_id with
-           | None -> None
-           | Some machine -> Some (machine, pick ~sh ~mach_id))
-  in
-  { Gen.common = []; per_host }
+  Table.select shosts
+    (Pred.conj [ Pred.eq_str "service" "NFS"; Pred.eq_bool "enable" true ])
+  |> List.filter_map (fun (_, sh) ->
+         let mach_id = Value.int (sh_mach_id sh) in
+         match Moira.Lookup.machine_name mdb mach_id with
+         | None -> None
+         | Some machine -> Some (machine, pick ~sh ~mach_id))
 
+(* Hosts with the same value3 (most have none) share one file. *)
 let credentials_part glue =
   let mdb = Moira.Glue.mdb glue in
-  let shosts = Moira.Mdb.table mdb "serverhosts" in
-  let sh_value3 = col shosts "value3" in
-  (* Hosts with an empty value3 all get the identical all-active-users
-     file; build it once per generation and share it (it dominated the
-     full DCM pass at 4x scale when built per host). *)
-  let shared = lazy (credentials_file mdb ~value3:"") in
-  per_nfs_host mdb (fun ~sh ~mach_id:_ ->
-      match Value.str (sh_value3 sh) with
-      | "" -> [ Lazy.force shared ]
-      | value3 -> [ credentials_file mdb ~value3 ])
+  let sh_value3 = col (Moira.Mdb.table mdb "serverhosts") "value3" in
+  let hosts =
+    nfs_hosts mdb (fun ~sh ~mach_id:_ -> Value.str (sh_value3 sh))
+  in
+  let files =
+    credentials_files mdb (List.sort_uniq String.compare (List.map snd hosts))
+  in
+  let per_host =
+    List.map
+      (fun (machine, value3) ->
+        (machine, [ ("credentials", List.assoc value3 files) ]))
+      hosts
+  in
+  { Gen.common = []; per_host }
 
 let partitions_part glue =
   let mdb = Moira.Glue.mdb glue in
   let nfsphys = Moira.Mdb.table mdb "nfsphys" in
   let p_id = col nfsphys "nfsphys_id" in
   let p_dir = col nfsphys "dir" in
-  per_nfs_host mdb (fun ~sh:_ ~mach_id ->
-      Table.select nfsphys (Pred.eq_int "mach_id" mach_id)
-      |> List.concat_map (fun (_, p) ->
-             quotas_and_dirs mdb ~nfsphys_id:(Value.int (p_id p))
-               ~dir:(Value.str (p_dir p))))
+  let per_host =
+    nfs_hosts mdb (fun ~sh:_ ~mach_id ->
+        Table.select nfsphys (Pred.eq_int "mach_id" mach_id)
+        |> List.concat_map (fun (_, p) ->
+               quotas_and_dirs mdb ~nfsphys_id:(Value.int (p_id p))
+                 ~dir:(Value.str (p_dir p))))
+  in
+  { Gen.common = []; per_host }
 
 let parts =
   [

@@ -88,27 +88,30 @@ let id_name_map tbl ~id ~name =
 let name_of a i =
   if i >= 0 && i < Array.length a && a.(i) <> "" then Some a.(i) else None
 
-(* The active users as a (login, users_id) array sorted by login, the
-   spine of every login-ordered file.  Keyed on the three columns it
+(* The active users as a (login, users_id, uid) array sorted by login,
+   the spine of every login-ordered file.  Keyed on the four columns it
    reads: an edit to any other user field (shell, finger, pobox...)
    leaves the projection warm, so only genuinely structural changes pay
    the scan-and-sort. *)
-let actives_memo : (int, memo_key * (string * int) array) Hashtbl.t =
+let actives_memo : (int, memo_key * (string * int * int) array) Hashtbl.t =
   Hashtbl.create 8
 
 let sorted_active_users mdb =
   let tbl = users_table mdb in
-  let key = memo_key tbl [ "login"; "users_id"; "status" ] in
+  let key = memo_key tbl [ "login"; "users_id"; "uid"; "status" ] in
   let uid = Table.uid tbl in
   match Hashtbl.find_opt actives_memo uid with
   | Some (k, a) when k = key -> a
   | _ ->
-      let loginc = col tbl "login" and uidc = col tbl "users_id" in
+      let loginc = col tbl "login" and idc = col tbl "users_id" in
+      let uidc = col tbl "uid" in
       let acc = ref [] in
       active_users tbl (fun row ->
-          acc := (Value.str (loginc row), Value.int (uidc row)) :: !acc);
+          acc :=
+            (Value.str (loginc row), Value.int (idc row), Value.int (uidc row))
+            :: !acc);
       let a = Array.of_list !acc in
-      Array.sort (fun (a, _) (b, _) -> String.compare a b) a;
+      Array.sort (fun (a, _, _) (b, _, _) -> String.compare a b) a;
       Hashtbl.replace actives_memo uid (key, a);
       a
 
@@ -183,91 +186,64 @@ let grouplists mdb =
 let active_grouplists mdb = (grouplists mdb).gl_sorted
 let grouplists_version mdb = (grouplists mdb).gl_version
 
-(* Group resolution for grplist/credentials lines.  One closure (shared
-   via the memo in [Closure.get]) answers every user's containing lists;
-   the (name, gid) projection per list is memoized for the generation. *)
-type groups = {
-  closure : Moira.Closure.t;
-  lists_tbl : Table.t;
-  l_name : Value.t array -> Value.t;
-  l_gid : Value.t array -> Value.t;
-  l_grouplist : Value.t array -> Value.t;
-  l_active : Value.t array -> Value.t;
-  mdb : Moira.Mdb.t;
-  info : (int, (string * int) option) Hashtbl.t;
-}
-
-let groups mdb =
-  let lists_tbl = Moira.Mdb.table mdb "list" in
-  {
-    closure = Moira.Closure.get mdb;
-    lists_tbl;
-    l_name = col lists_tbl "name";
-    l_gid = col lists_tbl "gid";
-    l_grouplist = col lists_tbl "grouplist";
-    l_active = col lists_tbl "active";
-    mdb;
-    info = Hashtbl.create 256;
-  }
-
-let group_info g list_id =
-  match Hashtbl.find_opt g.info list_id with
-  | Some cached -> cached
-  | None ->
-      let v =
-        match Moira.Lookup.list_row g.mdb list_id with
-        | Some row when Value.bool (g.l_grouplist row)
-                        && Value.bool (g.l_active row) ->
-            Some (Value.str (g.l_name row), Value.int (g.l_gid row))
-        | _ -> None
-      in
-      Hashtbl.replace g.info list_id v;
-      v
-
-let order_pairs ~login all =
-  let own, rest = List.partition (fun (name, _) -> name = login) all in
-  own @ List.sort (fun (_, a) (_, b) -> Int.compare a b) rest
-
-let group_pairs g ~users_id ~login =
-  Moira.Closure.containing_lists g.closure ~mtype:"USER" ~mid:users_id
-  |> List.filter_map (group_info g)
-  |> order_pairs ~login
-
-(* Bulk form of [group_pairs], inverted: instead of asking the closure
-   for each user's containing lists and projecting them, walk the active
-   group lists once in (gid, list_id) order — the order [order_pairs]'s
-   stable gid sort produces from [containing_lists]'s ascending ids —
-   and append each group's rendered "name:gid" fragment to every active
-   member's accumulator.  One pass over the membership pairs replaces
-   users x (set materialization + projection + sort). *)
-let grplist_iter mdb emit =
+(* The one group pass behind grplist.db and the NFS credentials files.
+   Instead of asking the closure for each user's containing lists, walk
+   the active group lists in (gid, list_id) order and record each
+   membership as the group's index under the member's slot; the first
+   group named after the login is the user's own and goes first.  The
+   memberships sit in two int arrays (an offset per user, a group index
+   per membership), not in per-user lists: the pass spans a whole
+   render, so what it holds is promoted, and a full render would pay
+   for it in major-GC work on the cycles that follow. *)
+let group_iter mdb f =
   let closure = Moira.Closure.get mdb in
   let entries = sorted_active_users mdb in
   let n = Array.length entries in
-  let max_uid = Array.fold_left (fun m (_, uid) -> max m uid) 0 entries in
-  (* users_id values are dense, so per-user state lives in arrays indexed
-     by a uid -> slot map rather than a hashtable keyed on uid. *)
-  let slot = Array.make (max_uid + 1) (-1) in
-  let owns = Array.make (max n 1) "" in
-  let frags = Array.make (max n 1) [] in
-  Array.iteri (fun i (_, uid) -> slot.(uid) <- i) entries;
-  List.iter
-    (fun (gid, list_id, name) ->
-      let frag = name ^ ":" ^ string_of_int gid in
-      Moira.Closure.iter_users closure ~list_id (fun uid ->
-          if uid >= 0 && uid <= max_uid then
-            let i = slot.(uid) in
-            if i >= 0 then
-              if name = fst entries.(i) && owns.(i) = "" then owns.(i) <- frag
-              else frags.(i) <- frag :: frags.(i)))
-    (active_grouplists mdb);
+  let max_id = Array.fold_left (fun m (_, id, _) -> max m id) 0 entries in
+  (* users_id values are dense, so a users_id -> slot array beats a
+     hashtable keyed on users_id *)
+  let slot = Array.make (max_id + 1) (-1) in
+  Array.iteri (fun i (_, id, _) -> slot.(id) <- i) entries;
+  let groups = Array.of_list (active_grouplists mdb) in
+  let pairs =
+    Array.map (fun (gid, _, name) -> (name ^ ":" ^ string_of_int gid, gid)) groups
+  in
+  let name k = let _, _, name = groups.(k) in name in
+  let members k visit =
+    let _, list_id, _ = groups.(k) in
+    Moira.Closure.iter_users closure ~list_id (fun id ->
+        if id >= 0 && id <= max_id && slot.(id) >= 0 then visit slot.(id))
+  in
+  (* count each user's groups, turn the counts into end offsets, then
+     fill from the last group back: user i's groups, ascending, end up
+     at index.(start.(i)) .. index.(start.(i + 1) - 1) *)
+  let start = Array.make (n + 1) 0 in
+  Array.iteri (fun k _ -> members k (fun i -> start.(i) <- start.(i) + 1)) groups;
+  for i = 1 to n do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let index = Array.make start.(n) 0 in
+  for k = Array.length groups - 1 downto 0 do
+    members k (fun i ->
+        start.(i) <- start.(i) - 1;
+        index.(start.(i)) <- k)
+  done;
   Array.iteri
-    (fun i (login, _) ->
-      if owns.(i) <> "" || frags.(i) <> [] then
-        emit ~login ~own:owns.(i) ~frags:(List.rev frags.(i)))
+    (fun i (login, users_id, uid) ->
+      let lo = start.(i) and hi = start.(i + 1) in
+      let own = ref lo in
+      while !own < hi && name index.(!own) <> login do
+        incr own
+      done;
+      let rest = ref [] in
+      for j = hi - 1 downto lo do
+        if j <> !own then rest := pairs.(index.(j)) :: !rest
+      done;
+      f ~login ~users_id ~uid
+        (if !own < hi then pairs.(index.(!own)) :: !rest else !rest))
     entries
 
-(* One user's grplist own/frags, replicating [grplist_iter]'s order and
+(* One user's grplist own/frags, replicating [group_iter]'s order and
    tie-breaking EXACTLY (the keyed splicer patches single lines into a
    bulk-built file, so "almost the same order" is not enough):
    containing lists arrive in ascending list_id, the stable gid sort
@@ -301,7 +277,9 @@ let group_fragments mdb ~users_id ~login =
   (!own, List.rev !frags)
 
 (* Reference implementation (pre-closure): one BFS with one select per
-   list, per user.  Benchmarks measure the speedup against it. *)
+   list, per user, then the own group (named after the login) first and
+   the rest in gid order.  Tests hold {!group_iter} to it; benchmarks
+   measure the speedup against it. *)
 let group_pairs_naive mdb ~users_id ~login =
   let lists_tbl = Moira.Mdb.table mdb "list" in
   let group_info list_id =
@@ -314,9 +292,12 @@ let group_pairs_naive mdb ~users_id ~login =
             Value.int (Table.field lists_tbl row "gid") )
     | _ -> None
   in
-  Moira.Acl.containing_lists_naive mdb ~mtype:"USER" ~mid:users_id
-  |> List.filter_map group_info
-  |> order_pairs ~login
+  let own, rest =
+    Moira.Acl.containing_lists_naive mdb ~mtype:"USER" ~mid:users_id
+    |> List.filter_map group_info
+    |> List.partition (fun (name, _) -> name = login)
+  in
+  own @ List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) rest
 
 (* Run a builder against a fresh sink and take the finished document —
    the streaming replacement for "build a Buffer, take its contents".

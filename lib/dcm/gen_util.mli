@@ -31,39 +31,30 @@ val grouplists_version : Moira.Mdb.t -> int
     (a list turning into or out of an active group list, or an active
     group list's gid or name changing), not on membership stamps. *)
 
-type groups
-(** Per-generation group-resolution context: the memoized membership
-    closure plus a cache of each list's (name, gid) projection. *)
-
-val groups : Moira.Mdb.t -> groups
-
-val group_pairs : groups -> users_id:int -> login:string ->
-  (string * int) list
-(** The (group name, gid) pairs for a user's grplist/credentials entry:
-    the user's own group (the active group list named after the login)
-    first, then every other active unix group reachable from the user's
-    memberships, sorted by gid. *)
+val group_iter :
+  Moira.Mdb.t ->
+  (login:string -> users_id:int -> uid:int -> (string * int) list -> unit) ->
+  unit
+(** The one bulk group pass, serving both grplist.db and the NFS
+    credentials files: visit every active user in login order with
+    their unix uid and unix groups as (["name:gid"] fragment, gid)
+    pairs — the own
+    group (the first active group list named after the login) first,
+    the rest in (gid, list_id) order; [[]] for a user in no group —
+    computed in one pass over the active group lists.  Generators emit
+    straight into their output from the callback. *)
 
 val group_pairs_naive : Moira.Mdb.t -> users_id:int -> login:string ->
   (string * int) list
-(** Reference implementation of {!group_pairs} using the naive ACL walk;
-    kept for property tests and benchmarks. *)
-
-val grplist_iter :
-  Moira.Mdb.t ->
-  (login:string -> own:string -> frags:string list -> unit) ->
-  unit
-(** Bulk {!group_pairs}: visit every active user with at least one
-    group, in login order, with their rendered "name:gid" fragments —
-    the own group (named after the login) apart, the rest in gid order —
-    computed in one pass over the active group lists.  Generators emit
-    straight into their output buffer from the callback. *)
+(** One user's (group name, gid) pairs, in {!group_iter}'s order, by the
+    naive ACL walk: the reference the tests and benchmarks hold the bulk
+    pass to. *)
 
 val group_fragments :
   Moira.Mdb.t -> users_id:int -> login:string -> string * string list
 (** One user's [(own, frags)] rendered "name:gid" fragments, guaranteed
-    identical — order and tie-breaking included — to what
-    {!grplist_iter} emits for that user.  The keyed incremental grplist
+    identical — order and tie-breaking included — to the fragments
+    {!group_iter} yields for that user.  The keyed incremental grplist
     builder renders single-user lines with this. *)
 
 val id_name_map :

@@ -532,12 +532,11 @@ type push_stats = {
   members_kept : int;
   delta : bool;
   op_retries : int;
-  wasted_bytes : int;
 }
 
 let push net ~src ~dst ?(token = token) ?(base = []) ?(attempts = 1)
     ?parent_ctx ~target ~files ~script () =
-  let wire = ref 0 and retries = ref 0 and wasted = ref 0 in
+  let wire = ref 0 and retries = ref 0 in
   (* Protocol-op accounting on the net's registry.  The invariant the
      chaos tests cross-check: every op sent is accounted exactly once —
      sent = ok + retried + failed.<kind>. *)
@@ -583,7 +582,6 @@ let push net ~src ~dst ?(token = token) ?(base = []) ?(attempts = 1)
       | Error f when attempt < attempts ->
           incr retries;
           Obs.Counter.incr c_retried;
-          wasted := !wasted + String.length payload;
           Obs.span_end obs
             ~attrs:[ ("outcome", "retry:" ^ Netsim.Net.failure_slug f) ]
             sp;
@@ -707,5 +705,4 @@ let push net ~src ~dst ?(token = token) ?(base = []) ?(attempts = 1)
       members_kept = kept;
       delta = kept + patched > 0;
       op_retries = !retries;
-      wasted_bytes = !wasted;
     }

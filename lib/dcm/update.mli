@@ -116,8 +116,6 @@ type push_stats = {
       (** Whether any member was kept or patched against the host's
           base ([false] for an all-[F] transfer). *)
   op_retries : int;  (** Transport-level retries spent during the push. *)
-  wasted_bytes : int;
-      (** Request bytes of attempts that timed out and were re-sent. *)
 }
 
 val push :

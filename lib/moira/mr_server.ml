@@ -269,7 +269,7 @@ let replica_mdb r = r.rep_mdb
 let replica_handle r = r.rep_handle
 
 let create_replica ?backend ?access_cache ?obs ?trace_obs ?(poll_ms = 1_000)
-    ?boot_from_snapshot ~net ~host ~primary ~kdc () =
+    ~net ~host ~primary ~kdc () =
   let engine = Netsim.Net.engine net in
   (* Applying a journal entry pins the database clock to the entry's
      commit time, so modtime/modwith stamps written during replay equal
@@ -332,8 +332,7 @@ let create_replica ?backend ?access_cache ?obs ?trace_obs ?(poll_ms = 1_000)
     Relation.Backup.restore (Mdb.db mdb) files
   in
   let handle =
-    Relation.Replicate.replica ?boot_from_snapshot ~net ~self ~primary
-      ~apply ~install_snapshot ()
+    Relation.Replicate.replica ~net ~self ~primary ~apply ~install_snapshot ()
   in
   server.seq_of <- (fun () -> Relation.Replicate.applied_seq handle);
   Relation.Replicate.start handle engine ~every_ms:poll_ms;

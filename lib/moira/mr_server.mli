@@ -85,7 +85,6 @@ val create_replica :
   ?obs:Obs.t ->
   ?trace_obs:Obs.t ->
   ?poll_ms:int ->
-  ?boot_from_snapshot:bool ->
   net:Netsim.Net.t ->
   host:Netsim.Host.t ->
   primary:string ->

@@ -653,18 +653,22 @@ let dump t =
 
 (* ---- glob ---- *)
 
+(* Two-pointer match that backtracks only to the last '*', as
+   [Relation.Glob.matches] does, so time stays linear in practice
+   however many stars a pattern holds: the stats queries take their
+   patterns from any client. *)
 let glob_match pat s =
   let np = String.length pat and ns = String.length s in
-  let rec go p i =
-    if p = np then i = ns
-    else
-      match pat.[p] with
-      | '*' ->
-          let rec try_from j = if go (p + 1) j then true else if j < ns then try_from (j + 1) else false in
-          try_from i
-      | c -> i < ns && s.[i] = c && go (p + 1) (i + 1)
+  let rec go p i star_p star_i =
+    if i >= ns then
+      let rec only_stars p = p >= np || (pat.[p] = '*' && only_stars (p + 1)) in
+      only_stars p
+    else if p < np && pat.[p] = '*' then go (p + 1) i (p + 1) i
+    else if p < np && pat.[p] = s.[i] then go (p + 1) (i + 1) star_p star_i
+    else if star_p >= 0 then go star_p (star_i + 1) star_p (star_i + 1)
+    else false
   in
-  go 0 0
+  go 0 0 (-1) (-1)
 
 (* ---- data freshness ---- *)
 

@@ -80,7 +80,7 @@ let to_lines t =
    threaded this deep. *)
 let c_torn = Obs.Counter.make Obs.default "journal.torn_tail"
 
-let of_lines ?(strict = false) s =
+let of_lines s =
   let t = create () in
   let torn = ref false in
   List.iteri
@@ -89,21 +89,18 @@ let of_lines ?(strict = false) s =
         match decode_entry line with
         | Ok e -> append t e
         | Error reason ->
-            if strict then failwith ("journal: " ^ reason)
-            else begin
-              (* a crash mid-append corrupts only the tail: keep the
-                 well-formed prefix, warn, and drop the rest *)
-              torn := true;
-              Obs.Counter.incr c_torn;
-              Obs.log Obs.default ~channel:"journal"
-                ~attrs:
-                  [
-                    ("line", string_of_int (i + 1));
-                    ("reason", reason);
-                    ("kept", string_of_int t.count);
-                  ]
-                "torn tail truncated"
-            end)
+            (* a crash mid-append corrupts only the tail: keep the
+               well-formed prefix, warn, and drop the rest *)
+            torn := true;
+            Obs.Counter.incr c_torn;
+            Obs.log Obs.default ~channel:"journal"
+              ~attrs:
+                [
+                  ("line", string_of_int (i + 1));
+                  ("reason", reason);
+                  ("kept", string_of_int t.count);
+                ]
+              "torn tail truncated")
     (String.split_on_char '\n' s);
   t
 

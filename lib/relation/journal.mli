@@ -56,14 +56,13 @@ val to_lines : t -> string
 (** Serialize, one entry per line in the backup escape format:
     [time:who:client:query:ctx:arg1:...:argN]. *)
 
-val of_lines : ?strict:bool -> string -> t
-(** Parse back what {!to_lines} produced.  By default a malformed record
-    (bad timestamp, short line, broken escape — a crash mid-append)
+val of_lines : string -> t
+(** Parse back what {!to_lines} produced.  A malformed record (bad
+    timestamp, short line, broken escape — a crash mid-append)
     truncates the journal to the last well-formed prefix, bumps the
     [journal.torn_tail] counter and logs a warning on the [journal]
     channel of [Obs.default]; everything after the first bad record is
-    dropped.  With [~strict:true] malformed input raises instead.
-    @raise Failure on malformed input when [strict]. *)
+    dropped. *)
 
 val replay : t -> since:int -> f:(entry -> unit) -> int
 (** Apply [f] to every entry at or after [since]; returns how many were

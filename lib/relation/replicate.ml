@@ -151,7 +151,6 @@ type replica = {
   r_primary : string;
   r_apply : Journal.entry -> unit;
   r_install : (string * string) list -> seq:int -> unit;
-  r_boot_from_snapshot : bool;
   mutable r_applied : int;
   mutable r_subscribed : bool;
   r_obs : Obs.t;
@@ -236,7 +235,7 @@ let poll r =
             (* fresh boot against a primary with history: restoring the
                snapshot is O(database), replaying the whole journal is
                O(history) query executions — take the snapshot *)
-            if r.r_applied = 0 && head > 0 && r.r_boot_from_snapshot then
+            if r.r_applied = 0 && head > 0 then
               snapshot_catchup r
         | _ -> ())
   end;
@@ -304,7 +303,7 @@ let poll_and_observe r =
           observe_lag r ~head
       | _ -> ())
 
-let replica ?(boot_from_snapshot = true) ~net ~self ~primary ~apply
+let replica ~net ~self ~primary ~apply
     ~install_snapshot () =
   let obs = Netsim.Net.obs net in
   let key = "repl." ^ String.lowercase_ascii self in
@@ -314,7 +313,6 @@ let replica ?(boot_from_snapshot = true) ~net ~self ~primary ~apply
     r_primary = primary;
     r_apply = apply;
     r_install = install_snapshot;
-    r_boot_from_snapshot = boot_from_snapshot;
     r_applied = 0;
     r_subscribed = false;
     r_obs = obs;

@@ -38,7 +38,6 @@ val serve_primary :
 type replica
 
 val replica :
-  ?boot_from_snapshot:bool ->
   net:Netsim.Net.t ->
   self:string ->
   primary:string ->
@@ -49,10 +48,9 @@ val replica :
 (** A puller bound to hostname [self], streaming from hostname
     [primary].  [apply] replays one committed entry into the replica's
     database; [install_snapshot] replaces the whole database with the
-    dump and records that it reflects the journal through [seq].  With
-    [boot_from_snapshot] (default true) a replica whose applied
-    sequence is 0 against a primary with history restores a snapshot
-    rather than replaying the entire journal. *)
+    dump and records that it reflects the journal through [seq].  A
+    replica whose applied sequence is 0 against a primary with history
+    restores a snapshot rather than replaying the entire journal. *)
 
 val applied_seq : replica -> int
 (** Highest journal sequence number applied locally. *)

@@ -67,9 +67,8 @@ let after t ~delay label action = schedule t ~at:(t.now + delay) label action
 
 let cancel t id = Hashtbl.replace t.cancelled id ()
 
-let every t ~interval ?phase label action =
+let every t ~interval label action =
   if interval <= 0 then invalid_arg "Engine.every: interval must be positive";
-  let phase = Option.value phase ~default:interval in
   let id = t.next_id in
   t.next_id <- id + 1;
   let rec arm at =
@@ -83,7 +82,7 @@ let every t ~interval ?phase label action =
     in
     t.queue <- Queue_map.add (at, t.seq) { id; label; action = fire } t.queue
   in
-  arm (t.now + phase);
+  arm (t.now + interval);
   id
 
 let step t =

@@ -52,9 +52,9 @@ val after : t -> delay:int -> string -> (unit -> unit) -> event_id
 val cancel : t -> event_id -> unit
 (** Cancel a pending event (no-op if it already ran). *)
 
-val every : t -> interval:int -> ?phase:int -> string -> (unit -> unit) -> event_id
-(** A cron-style periodic task first firing at [now + phase] (default
-    [interval]) and then every [interval] seconds until cancelled.
+val every : t -> interval:int -> string -> (unit -> unit) -> event_id
+(** A cron-style periodic task firing at [now + interval] and then every
+    [interval] until cancelled.
     Returns the id of the *series*: {!cancel} stops future firings. *)
 
 val run_until : t -> int -> unit

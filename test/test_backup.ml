@@ -151,13 +151,9 @@ let test_journal_torn_tail () =
   Alcotest.(check int) "torn tail counted" (torn0 + 1)
     (Option.value (Obs.find_counter Obs.default "journal.torn_tail")
        ~default:0);
-  (* strict mode refuses instead of truncating *)
-  (match Journal.of_lines ~strict:true torn with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "strict of_lines accepted a torn journal");
-  (* an entirely well-formed journal is untouched either way *)
-  Alcotest.(check int) "clean strict parse" 2
-    (Journal.length (Journal.of_lines ~strict:true lines))
+  (* an entirely well-formed journal is untouched *)
+  Alcotest.(check int) "clean parse" 2
+    (Journal.length (Journal.of_lines lines))
 
 let test_journal_garbage_line () =
   let j = Journal.create () in

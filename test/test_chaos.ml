@@ -109,6 +109,38 @@ let test_recovery_sweep_clears_crash_leftovers () =
   | _ -> Alcotest.fail "host not updated after the sweep");
   assert_fleet_converged tb
 
+(* --- a crash at every window of the update protocol (E7) ----------- *)
+
+(* The HESIOD host crashes at one window of the install protocol
+   (section 5.9): the DCM pass records a soft failure, and once the host
+   reboots the next pass installs the files or finds them in place, and
+   the whole fleet holds what it should. *)
+let test_crash_point_recovers point () =
+  let tb = Testbed.create () in
+  let hes_machine = tb.Testbed.built.Population.hesiod_machines.(0) in
+  let host = Testbed.host tb hes_machine in
+  Netsim.Host.arm_crash host ~point;
+  let hesiod_outcome () =
+    Sim.Engine.advance tb.Testbed.engine (7 * 3600 * 1000);
+    let report = Dcm.Manager.run tb.Testbed.dcm in
+    let hes =
+      List.find
+        (fun s -> s.Dcm.Manager.service = "HESIOD")
+        report.Dcm.Manager.services
+    in
+    List.assoc_opt hes_machine hes.Dcm.Manager.hosts
+  in
+  (match hesiod_outcome () with
+  | Some (Dcm.Manager.Soft_failed _) -> ()
+  | _ -> Alcotest.failf "crash at %s: first attempt not a soft failure" point);
+  Alcotest.(check bool) "the crash took the host down" false
+    (Netsim.Host.is_up host);
+  Netsim.Host.boot host;
+  (match hesiod_outcome () with
+  | Some (Dcm.Manager.Updated _ | Dcm.Manager.Up_to_date) -> ()
+  | _ -> Alcotest.failf "crash at %s: not recovered by reboot and retry" point);
+  assert_fleet_converged tb
+
 (* --- quarantine escalation ------------------------------------------ *)
 
 let test_quarantine_one_notification_per_incident () =
@@ -558,6 +590,13 @@ let suite =
   [
     Alcotest.test_case "recovery sweep clears crash leftovers" `Quick
       test_recovery_sweep_clears_crash_leftovers;
+  ]
+  @ List.map
+      (fun point ->
+        Alcotest.test_case ("crash at " ^ point ^ " recovers after reboot")
+          `Quick (test_crash_point_recovers point))
+      [ "xfer"; "before_exec"; "mid_install"; "before_restart"; "after_exec" ]
+  @ [
     Alcotest.test_case "quarantine: one notification per incident" `Quick
       test_quarantine_one_notification_per_incident;
     Alcotest.test_case "notify falls back to mail" `Quick

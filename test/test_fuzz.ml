@@ -316,6 +316,34 @@ let peer_quota () =
       in
       Alcotest.(check int) "flooder holds its quota" 16 held
 
+(* --- the stats queries' pattern matcher --- *)
+
+(* The statistics queries are open to any client and try its pattern
+   against every counter, gauge and histogram name.  64 stars and then a
+   character no name holds must be refused at once: a matcher that
+   backtracks at every star takes time exponential in the stars here,
+   and this case would not finish. *)
+let stats_pattern_is_linear () =
+  let tb = Testbed.create () in
+  let ws = tb.Testbed.built.Population.workstation_machines.(0) in
+  let dst = tb.Testbed.built.Population.moira_machine in
+  let conn = open_conn tb ~src:ws ~dst in
+  let pattern = String.make 64 '*' ^ "#" in
+  List.iter
+    (fun query ->
+      match
+        moira_call tb ~src:ws ~dst
+          (frame ~conn Moira.Protocol.op_query [ query; pattern ])
+      with
+      | Ok reply -> (
+          match Gdb.Wire.decode_reply reply with
+          | Ok r ->
+              Alcotest.(check int) (query ^ " finds no match")
+                Moira.Mr_err.no_match r.Gdb.Wire.code
+          | Error e -> Alcotest.failf "%s: %s" query e)
+      | Error _ -> Alcotest.failf "%s: transport failure" query)
+    [ "_get_server_statistics"; "_get_query_statistics" ]
+
 let suite =
   [
     Alcotest.test_case "moira port survives garbage" `Quick
@@ -332,4 +360,6 @@ let suite =
     Alcotest.test_case "session bound to its peer" `Quick
       session_bound_to_peer;
     Alcotest.test_case "one peer holds at most its quota" `Quick peer_quota;
+    Alcotest.test_case "stats pattern of 64 stars is linear" `Quick
+      stats_pattern_is_linear;
   ]

@@ -338,6 +338,156 @@ let test_generated_files_parse_as_hesiod () =
       ignore db)
     files
 
+(* grplist.db and every NFS credentials file against lines built from
+   [Gen_util.group_pairs_naive], on random membership graphs: nested
+   lists and cycles, inactive and non-group lists, lists named after a
+   user (own groups), shared gids, inactive users and users in no group,
+   and an NFS host restricted to a value3 list. *)
+type world = {
+  w_active : bool array;  (* users u0..u5 *)
+  w_lists : (bool * bool * bool * int) array;
+      (* per list: named after its user, active, group, gid *)
+  w_nested : (int * int) list;  (* list contains list *)
+  w_users : (int * int) list;  (* list contains user: u0..u5, ann, bob *)
+  w_value3 : int;
+}
+
+let n_users = 6
+let n_lists = 8
+let user_name i = if i < n_users then Printf.sprintf "u%d" i else if i = n_users then "ann" else "bob"
+let list_name w i =
+  let named, _, _, _ = w.w_lists.(i) in
+  if named && i < n_users then user_name i else Printf.sprintf "l%d" i
+
+let world_gen =
+  QCheck.Gen.(
+    let* w_active = array_repeat n_users (frequency [ (4, return true); (1, return false) ]) in
+    let* w_lists =
+      array_repeat n_lists
+        (quad bool (frequency [ (4, return true); (1, return false) ])
+           (frequency [ (3, return true); (1, return false) ])
+           (int_range 500 503))
+    in
+    let* w_nested =
+      list_size (int_range 0 10) (pair (int_range 0 (n_lists - 1)) (int_range 0 (n_lists - 1)))
+    in
+    let* w_users =
+      list_size (int_range 0 16) (pair (int_range 0 (n_lists - 1)) (int_range 0 (n_users + 1)))
+    in
+    let* w_value3 = int_range 0 (n_lists - 1) in
+    return { w_active; w_lists; w_nested; w_users; w_value3 })
+
+let print_world w =
+  let b = Buffer.create 256 in
+  Array.iteri (fun i a -> Printf.bprintf b "u%d%s " i (if a then "" else "(inactive)")) w.w_active;
+  Array.iteri
+    (fun i (_, active, group, gid) ->
+      Printf.bprintf b "\n%s active=%b group=%b gid=%d" (list_name w i) active group gid)
+    w.w_lists;
+  List.iter (fun (a, c) -> Printf.bprintf b "\n%s > %s" (list_name w a) (list_name w c)) w.w_nested;
+  List.iter (fun (a, u) -> Printf.bprintf b "\n%s > %s" (list_name w a) (user_name u)) w.w_users;
+  Printf.bprintf b "\nvalue3 %s" (list_name w w.w_value3);
+  Buffer.contents b
+
+let build_world w =
+  let t = Fix.create () in
+  let one v = if v then "1" else "0" in
+  Array.iteri
+    (fun i active ->
+      ignore
+        (Fix.must t "add_user"
+           [ user_name i; string_of_int (3000 + i); "/bin/sh"; "L"; "F"; "";
+             (if active then "1" else "3"); "x"; "1990" ]))
+    w.w_active;
+  Array.iteri
+    (fun i (_, active, group, gid) ->
+      ignore
+        (Fix.must t "add_list"
+           [ list_name w i; one active; "0"; "0"; "0"; one group;
+             (if group then string_of_int gid else "-1"); "NONE"; "NONE"; "d" ]))
+    w.w_lists;
+  (* an edge the query layer refuses (a duplicate) is simply not made *)
+  let add l ty m = ignore (Moira.Glue.query t.Fix.glue ~name:"add_member_to_list" [ l; ty; m ]) in
+  List.iter (fun (a, c) -> add (list_name w a) "LIST" (list_name w c)) w.w_nested;
+  List.iter (fun (a, u) -> add (list_name w a) "USER" (user_name u)) w.w_users;
+  ignore
+    (Fix.must t "add_server_info"
+       [ "NFS"; "720"; "/t"; "nfs.sh"; "UNIQUE"; "1"; "LIST"; "moira-admins" ]);
+  ignore
+    (Fix.must t "add_server_host_info" [ "NFS"; "NFS-1.MIT.EDU"; "1"; "0"; "0"; "" ]);
+  ignore
+    (Fix.must t "add_server_host_info"
+       [ "NFS"; "CHARON.MIT.EDU"; "1"; "0"; "0"; list_name w w.w_value3 ]);
+  t
+
+(* (login, uid, naive pairs) for every active user, in login order *)
+let naive_groups t =
+  let utbl = Moira.Mdb.table t.Fix.mdb "users" in
+  Relation.Table.select utbl (Relation.Pred.eq_int "status" 1)
+  |> List.map (fun (_, row) ->
+         let f c = Relation.Table.field utbl row c in
+         let login = Relation.Value.str (f "login") in
+         ( login,
+           Relation.Value.int (f "uid"),
+           Dcm.Gen_util.group_pairs_naive t.Fix.mdb
+             ~users_id:(Relation.Value.int (f "users_id")) ~login ))
+  |> List.sort compare
+
+let join lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
+let prop_group_files_match_naive =
+  QCheck.Test.make ~name:"grplist.db and credentials match the naive walk" ~count:60
+    (QCheck.make ~print:print_world world_gen)
+    (fun w ->
+      let t = build_world w in
+      let naive = naive_groups t in
+      let grplist =
+        List.filter_map
+          (fun (login, _, pairs) ->
+            if pairs = [] then None
+            else
+              Some
+                (Hesiod.Hes_db.format_unspeca ~key:(login ^ ".grplist")
+                   (String.concat ":"
+                      (List.map (fun (n, g) -> Printf.sprintf "%s:%d" n g) pairs))))
+          naive
+        |> List.sort String.compare |> join
+      in
+      let credentials admitted =
+        List.filter_map
+          (fun (login, uid, pairs) ->
+            if admitted login then
+              Some
+                (String.concat ":"
+                   (login :: string_of_int uid
+                   :: List.map (fun (_, g) -> string_of_int g) pairs))
+            else None)
+          naive
+        |> List.sort String.compare |> join
+      in
+      let members =
+        Moira.Acl.expand_users_naive t.Fix.mdb
+          ~list_id:(Option.get (Moira.Lookup.list_id t.Fix.mdb (list_name w w.w_value3)))
+      in
+      let part =
+        List.find
+          (fun p -> p.Dcm.Gen.pname = "grplist")
+          Dcm.Gen_hesiod.generator.Dcm.Gen.parts
+      in
+      let keyed, _ = (Option.get part.Dcm.Gen.pincr) t.Fix.glue None in
+      let nfs = Dcm.Gen_nfs.generator.Dcm.Gen.generate t.Fix.glue in
+      let creds machine = find_file (List.assoc machine nfs.Dcm.Gen.per_host) "credentials" in
+      let check what want got =
+        want = got || QCheck.Test.fail_reportf "%s:\nwant\n%s\ngot\n%s" what want got
+      in
+      check "grplist.db (full)" grplist
+        (find_file (part.Dcm.Gen.pbuild t.Fix.glue).Dcm.Gen.common "grplist.db")
+      && check "grplist.db (keyed)" grplist (find_file keyed.Dcm.Gen.common "grplist.db")
+      && check "credentials" (credentials (fun _ -> true)) (creds "NFS-1.MIT.EDU")
+      && check "credentials (value3)"
+           (credentials (fun l -> List.mem l members))
+           (creds "CHARON.MIT.EDU"))
+
 let suite =
   [
     Alcotest.test_case "passwd.db format" `Quick test_passwd_db_format;
@@ -361,4 +511,5 @@ let suite =
     Alcotest.test_case "zephyr acl files" `Quick test_zephyr_acl_files;
     Alcotest.test_case "all hesiod lines parse" `Quick
       test_generated_files_parse_as_hesiod;
+    QCheck_alcotest.to_alcotest prop_group_files_match_naive;
   ]

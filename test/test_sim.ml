@@ -70,15 +70,6 @@ let test_engine_every () =
   Sim.Engine.run_until e 200;
   Alcotest.(check int) "no ticks after cancel" 5 !count
 
-let test_engine_every_phase () =
-  let e = Sim.Engine.create () in
-  let times = ref [] in
-  ignore
-    (Sim.Engine.every e ~interval:10 ~phase:3 "tick" (fun () ->
-         times := Sim.Engine.now e :: !times));
-  Sim.Engine.run_until e 30;
-  Alcotest.(check (list int)) "phased" [ 3; 13; 23 ] (List.rev !times)
-
 let test_engine_advance () =
   let e = Sim.Engine.create () in
   Sim.Engine.advance e 2500;
@@ -133,7 +124,6 @@ let suite =
     Alcotest.test_case "engine fifo" `Quick test_engine_fifo_at_same_time;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine every" `Quick test_engine_every;
-    Alcotest.test_case "engine every phase" `Quick test_engine_every_phase;
     Alcotest.test_case "engine advance" `Quick test_engine_advance;
     Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
     Alcotest.test_case "past event clamped" `Quick
