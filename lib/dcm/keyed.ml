@@ -72,8 +72,11 @@ type file_state = {
 }
 
 type state = {
-  spec : spec;
   table_uid : int;
+  file_names : string array;
+      (* with [table_uid] (the table [sk_table] named), which spec built
+         this state: [build] splices only a state whose owner matches
+         the spec it is given *)
   mutable cursor : int;  (* change-log position already folded in *)
   mutable aux_cursor : int;  (* auxiliary delta position folded in *)
   mutable deps_fp : string;
@@ -235,16 +238,16 @@ let full_build spec mdb tbl =
         fs)
       per_file
   in
-  { spec; table_uid = Table.uid tbl; cursor; aux_cursor; deps_fp; by_row;
-    files }
+  { table_uid = Table.uid tbl; file_names = spec.sk_files; cursor;
+    aux_cursor; deps_fp; by_row; files }
 
 (* ---- splice ------------------------------------------------------- *)
 
-let splice st mdb tbl =
-  let fp = st.spec.sk_deps mdb in
+let splice spec st mdb tbl =
+  let fp = spec.sk_deps mdb in
   if fp <> st.deps_fp then raise Fallback;
   let aux_rows =
-    match st.spec.sk_aux with
+    match spec.sk_aux with
     | None -> Some []
     | Some ax -> ax.ax_rows mdb ~cursor:st.aux_cursor
   in
@@ -258,7 +261,7 @@ let splice st mdb tbl =
           let old =
             Option.value (Hashtbl.find_opt st.by_row rowid) ~default:[]
           in
-          let neu = st.spec.sk_row mdb ~rowid in
+          let neu = spec.sk_row mdb ~rowid in
           if old <> neu then begin
             List.iter
               (fun (fi, k, l) ->
@@ -275,7 +278,7 @@ let splice st mdb tbl =
           end)
         rowids;
       st.cursor <- Table.change_cursor tbl;
-      Option.iter (fun ax -> st.aux_cursor <- ax.ax_cursor mdb) st.spec.sk_aux;
+      Option.iter (fun ax -> st.aux_cursor <- ax.ax_cursor mdb) spec.sk_aux;
       Array.iteri (fun i d -> if d then refresh_file st.files.(i)) dirty
 
 (* ---- entry point -------------------------------------------------- *)
@@ -284,7 +287,7 @@ let output_of st =
   {
     Gen.common =
       Array.to_list
-        (Array.mapi (fun i fs -> (st.spec.sk_files.(i), fs.fdoc)) st.files);
+        (Array.mapi (fun i fs -> (st.file_names.(i), fs.fdoc)) st.files);
     per_host = [];
   }
 
@@ -294,9 +297,10 @@ let build spec glue prev =
   let st =
     match prev with
     | Some (Keyed_state st)
-      when st.table_uid = Table.uid tbl && st.spec == spec -> (
+      when st.table_uid = Table.uid tbl && st.file_names = spec.sk_files
+      -> (
         try
-          splice st mdb tbl;
+          splice spec st mdb tbl;
           Obs.Counter.incr c_splice;
           st
         with Fallback ->

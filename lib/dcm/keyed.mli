@@ -67,4 +67,6 @@ val incr : spec -> Moira.Glue.t -> Gen.pstate option -> Gen.output * Gen.pstate
     invariant: the produced files list lines sorted by [(key, line)], so
     the spec's full build must produce the same order (true of
     [sorted_lines]-shaped files keyed by their line, and of login-keyed
-    files emitted in login order). *)
+    files emitted in login order).  A previous state is spliced only when
+    it was built over the same table (by {!Relation.Table.uid}) for the
+    same file names; any other state is replaced by a full build. *)

@@ -461,14 +461,8 @@ let serve ?(obs = Obs.default) host =
       scanned = Obs.Counter.make obs "update.server.scanned_bytes";
     }
   in
-  let register h =
-    Netsim.Host.register h ~service:service_name (fun ~src:_ payload ->
-        handle t payload)
-  in
-  register host;
-  (* survive a crash/reboot cycle: the boot sequence brings the update
-     service back like any other daemon started from rc *)
-  Netsim.Host.on_boot host register;
+  Netsim.Host.serve host ~service:service_name (fun ~src:_ payload ->
+      handle t payload);
   t
 
 let register_script t ~name script = Hashtbl.replace t.scripts name script

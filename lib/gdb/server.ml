@@ -111,7 +111,7 @@ let create ?(max_connections = 64) ?(backend = Per_server 0) ~net ~host
   (match backend with
   | Per_server ms -> Sim.Engine.advance (Netsim.Net.engine net) ms
   | Per_connection _ -> ());
-  Netsim.Host.register host ~service (fun ~src payload ->
+  Netsim.Host.serve host ~service (fun ~src payload ->
       handle t ~src payload);
   t
 

@@ -81,7 +81,7 @@ let start ~dir host =
     }
   in
   load t;
-  Netsim.Host.register host ~service:"hesiod" (fun ~src:_ payload ->
+  Netsim.Host.serve host ~service:"hesiod" (fun ~src:_ payload ->
       match String.index_opt payload ' ' with
       | None -> ""
       | Some i ->

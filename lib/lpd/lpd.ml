@@ -40,7 +40,7 @@ let jobs t ~rp =
 (* wire: "PRINT rp sd user\nbody..." / "QUEUE rp" *)
 let start host =
   let t = { host; queues = Hashtbl.create 7; seq = 0 } in
-  Netsim.Host.register host ~service:"lpd" (fun ~src:_ payload ->
+  Netsim.Host.serve host ~service:"lpd" (fun ~src:_ payload ->
       match String.index_opt payload '\n' with
       | Some i -> (
           let header = String.sub payload 0 i in

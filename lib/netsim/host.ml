@@ -30,6 +30,7 @@ let lookup t ~service = Hashtbl.find_opt t.services service
 
 let crash t =
   t.up <- false;
+  Hashtbl.reset t.services;
   Vfs.crash t.fs
 
 let boot t =
@@ -37,6 +38,10 @@ let boot t =
   List.iter (fun hook -> hook t) (List.rev t.boot_hooks)
 
 let on_boot t hook = t.boot_hooks <- hook :: t.boot_hooks
+
+let serve t ~service h =
+  register t ~service h;
+  on_boot t (fun t -> register t ~service h)
 
 let arm_crash t ~point = Hashtbl.replace t.armed point ()
 

@@ -24,7 +24,8 @@ val is_up : t -> bool
 (** Whether the host is currently up. *)
 
 val register : t -> service:string -> handler -> unit
-(** Install (or replace) the handler for a named service. *)
+(** Install (or replace) the handler for a named service until the next
+    {!crash}. *)
 
 val unregister : t -> service:string -> unit
 (** Remove a service. *)
@@ -33,7 +34,8 @@ val lookup : t -> service:string -> handler option
 (** Find a service handler. *)
 
 val crash : t -> unit
-(** Take the host down now: unflushed filesystem state is lost. *)
+(** Take the host down now: unflushed filesystem state is lost, and so
+    is every registered service. *)
 
 val boot : t -> unit
 (** Bring the host back up and run its boot hooks (e.g. servers reloading
@@ -41,6 +43,11 @@ val boot : t -> unit
 
 val on_boot : t -> (t -> unit) -> unit
 (** Add a hook run on every {!boot}. *)
+
+val serve : t -> service:string -> handler -> unit
+(** Start a daemon: {!register} the handler now and again on every
+    {!boot}, as a service started from the host's rc script comes back
+    after a reboot. *)
 
 val arm_crash : t -> point:string -> unit
 (** Arm the named crash point: the next {!maybe_crash} naming it crashes

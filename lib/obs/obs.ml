@@ -653,10 +653,10 @@ let dump t =
 
 (* ---- glob ---- *)
 
-(* Two-pointer match that backtracks only to the last '*', as
-   [Relation.Glob.matches] does, so time stays linear in practice
-   however many stars a pattern holds: the stats queries take their
-   patterns from any client. *)
+(* Two-pointer match that backtracks only to the last '*', so time
+   stays linear in practice however many stars a pattern holds: the
+   stats queries take their patterns from any client, and
+   [Relation.Glob.matches] is this function. *)
 let glob_match pat s =
   let np = String.length pat and ns = String.length s in
   let rec go p i star_p star_i =
@@ -664,7 +664,8 @@ let glob_match pat s =
       let rec only_stars p = p >= np || (pat.[p] = '*' && only_stars (p + 1)) in
       only_stars p
     else if p < np && pat.[p] = '*' then go (p + 1) i (p + 1) i
-    else if p < np && pat.[p] = s.[i] then go (p + 1) (i + 1) star_p star_i
+    else if p < np && (pat.[p] = '?' || pat.[p] = s.[i]) then
+      go (p + 1) (i + 1) star_p star_i
     else if star_p >= 0 then go star_p (star_i + 1) star_p (star_i + 1)
     else false
   in

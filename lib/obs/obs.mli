@@ -215,8 +215,10 @@ val dump : t -> string
     count=...]). *)
 
 val glob_match : string -> string -> bool
-(** [glob_match pattern name]: [*] matches any run of characters —
-    the filter used by the stats queries. *)
+(** [glob_match pattern name]: [*] matches any run of characters and [?]
+    exactly one, case-sensitively.  The one matcher behind every Moira
+    pattern: the stats queries' filter, SLO metric patterns and
+    [Relation.Glob.matches]. *)
 
 (** {1 Data freshness}
 

@@ -92,7 +92,7 @@ let log t = List.rev t.deliveries
 
 let start ~aliases_path ~po_of_short net host =
   let t = { net; host; aliases_path; po_of_short; deliveries = [] } in
-  Netsim.Host.register host ~service:"smtp" (fun ~src:_ payload ->
+  Netsim.Host.serve host ~service:"smtp" (fun ~src:_ payload ->
       match String.split_on_char '\n' payload with
       | sender :: rcpt :: body_lines ->
           let ds =

@@ -21,7 +21,7 @@ let mailbox t ~user =
    lines. *)
 let start host =
   let t = { host; boxes = Hashtbl.create 64 } in
-  Netsim.Host.register host ~service:"pop-deliver" (fun ~src:_ payload ->
+  Netsim.Host.serve host ~service:"pop-deliver" (fun ~src:_ payload ->
       match String.index_opt payload '\n' with
       | None -> "ERR"
       | Some i -> (
@@ -38,7 +38,7 @@ let start host =
               in
               deliver_local t ~sender ~rcpt body;
               "OK"));
-  Netsim.Host.register host ~service:"pop" (fun ~src:_ user ->
+  Netsim.Host.serve host ~service:"pop" (fun ~src:_ user ->
       let msgs = mailbox t ~user in
       Hashtbl.remove t.boxes user;
       String.concat "\n"

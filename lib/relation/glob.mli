@@ -11,4 +11,5 @@ val matches : pattern:string -> string -> bool
 (** [matches ~pattern s] tests [s] against [pattern].  [*] matches zero or
     more characters, [?] matches exactly one.  Matching is case-sensitive:
     machine names are stored upper-case, so their callers upper-case the
-    pattern. *)
+    pattern.  It is {!Obs.glob_match}, the one matcher the stats queries
+    share. *)

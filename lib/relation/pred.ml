@@ -40,8 +40,8 @@ type shape =
   | S_not of shape
 
 (* Equality constants become parameter slots (numbered left to right);
-   glob patterns stay in the shape because the access path depends on
-   their literal text (prefix, wildcard position). *)
+   glob patterns stay literal in the shape, and the compiled row test
+   embeds them. *)
 let split p =
   let params = ref [] in
   let n = ref 0 in

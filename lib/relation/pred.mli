@@ -45,8 +45,7 @@ val eval : Schema.t -> t -> Value.t array -> bool
     different arguments produce the same shape, so the planner can
     compile a shape once and reuse the plan for every argument vector
     (the plan cache in {!Table}).  Glob patterns stay literal in the
-    shape: the access path chosen at compile time depends on their
-    text. *)
+    shape, so each distinct pattern compiles its own plan. *)
 
 type shape =
   | S_true

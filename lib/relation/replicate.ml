@@ -139,7 +139,7 @@ let serve_primary ?retain ~net ~host ~journal ~snapshot () =
         Obs.Counter.make (Netsim.Net.obs net) "repl.primary.snapshots_served";
     }
   in
-  Netsim.Host.register host ~service:service_name (fun ~src payload ->
+  Netsim.Host.serve host ~service:service_name (fun ~src payload ->
       handle p ~src payload);
   p
 

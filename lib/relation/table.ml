@@ -18,7 +18,6 @@ let empty_bucket = { bset = Int_set.empty; bsize = 0 }
 
 type index = {
   col : int;
-  ctype : Value.ctype;
   buckets : (string, bucket) Hashtbl.t;
   mutable version : int;
       (* bumps on insert/delete and on updates that change this column's
@@ -26,31 +25,16 @@ type index = {
          memoized projections on the versions of exactly the columns
          they read, so e.g. a shell edit leaves a login-sorted user
          projection warm. *)
-  mutable sorted : (string * bucket) array;
-      (* raw bucket keys in [String.compare] order, serving prefix globs;
-         rebuilt lazily *)
-  mutable sorted_version : int;  (* [version] it was built at; -1 = never *)
-  dirty : (string, unit) Hashtbl.t;
-      (* keys whose buckets changed since [sorted] was built; lets the
-         next prefix query splice the delta into the existing array
-         instead of re-sorting all n keys.  Only tracked once a sorted
-         view exists (bulk load pays nothing). *)
-  mutable dirty_overflow : bool;
-      (* too many dirty keys to bother: next view does a full rebuild *)
 }
 
 (* Access paths of a compiled plan; see "Compiled plans" below. *)
 type candidate =
   | C_slot of index * int  (* probe by the rendered slot value *)
-  | C_key of index * string  (* probe by a literal key (non-pattern glob) *)
   | C_union of candidate list  (* OR of probeable atoms *)
 
 type path =
   | P_scan
   | P_probe of candidate list  (* And-reachable; runtime picks smallest *)
-  | P_prefix of index * string * string option
-      (* literal glob prefix on a string column: half-open key range
-         [prefix, successor); [None] = no finite successor (all 0xff) *)
 
 (* A shape compiled against one table. *)
 type compiled = {
@@ -99,13 +83,8 @@ let create ?(indexed = []) ~clock schema =
         let col = Schema.index_of schema cname in
         {
           col;
-          ctype = (Schema.columns schema).(col).Schema.ctype;
           buckets = Hashtbl.create 64;
           version = 0;
-          sorted = [||];
-          sorted_version = -1;
-          dirty = Hashtbl.create 0;
-          dirty_overflow = false;
         })
       indexed
   in
@@ -132,111 +111,22 @@ let row_of t id = if id >= 0 && id < t.next_id then t.rows.(id) else None
 
 let key_of v = Value.to_string v
 
-(* Delta tracking for the sorted view: a small bounded set of keys whose
-   buckets moved since the view was last built.  Past [dirty_limit]
-   distinct keys a merge would approach a rebuild anyway, so we drop the
-   set and flag a full rebuild.  Nothing is tracked before the first
-   build ([sorted_version = -1]): bulk loads pay zero. *)
-let dirty_limit = 4096
-
-let note_dirty ix k =
-  if ix.sorted_version >= 0 && not ix.dirty_overflow
-     && not (Hashtbl.mem ix.dirty k)
-  then
-    if Hashtbl.length ix.dirty >= dirty_limit then begin
-      ix.dirty_overflow <- true;
-      Hashtbl.reset ix.dirty
-    end
-    else Hashtbl.replace ix.dirty k ()
-
 let bucket_add ix k id =
   let b = Option.value (Hashtbl.find_opt ix.buckets k) ~default:empty_bucket in
   let bset = Int_set.add id b.bset in
   (* stdlib sets return the argument physically when unchanged, so the
      tracked size cannot drift even on redundant adds *)
-  if bset != b.bset then begin
-    Hashtbl.replace ix.buckets k { bset; bsize = b.bsize + 1 };
-    note_dirty ix k
-  end
+  if bset != b.bset then
+    Hashtbl.replace ix.buckets k { bset; bsize = b.bsize + 1 }
 
 let bucket_remove ix k id =
   match Hashtbl.find_opt ix.buckets k with
   | None -> ()
   | Some b ->
       let bset = Int_set.remove id b.bset in
-      if bset != b.bset then begin
+      if bset != b.bset then
         if Int_set.is_empty bset then Hashtbl.remove ix.buckets k
-        else Hashtbl.replace ix.buckets k { bset; bsize = b.bsize - 1 };
-        note_dirty ix k
-      end
-
-(* The lazy sorted view, keyed on the index version.  [clear]/restore
-   need no special-casing: they bump [version], which invalidates it. *)
-
-let sorted_rebuilds = Obs.Counter.make Obs.default "table.sorted.rebuild"
-let sorted_merges = Obs.Counter.make Obs.default "table.sorted.merge"
-
-let rebuild_sorted ix =
-  Obs.Counter.incr sorted_rebuilds;
-  let a =
-    Array.of_list (Hashtbl.fold (fun k b l -> (k, b) :: l) ix.buckets [])
-  in
-  Array.sort (fun (u, _) (v, _) -> String.compare u v) a;
-  ix.sorted <- a
-
-(* Splice the dirty keys into the existing key-ordered array:
-   O(n + k log k) instead of the O(n log n) full re-sort.  The old array
-   snapshots immutable bucket records, so entries for untouched keys are
-   still current; every dirty key is refreshed from the live hashtable
-   (absent = the key emptied out and its entry is dropped). *)
-let merge_sorted ix =
-  Obs.Counter.incr sorted_merges;
-  let d =
-    Array.of_list
-      (Hashtbl.fold
-         (fun k () l -> (k, Hashtbl.find_opt ix.buckets k) :: l)
-         ix.dirty [])
-  in
-  Array.sort (fun (u, _) (v, _) -> String.compare u v) d;
-  let old = ix.sorted in
-  let n = Array.length old and k = Array.length d in
-  if n + k = 0 then ix.sorted <- [||]
-  else begin
-    let out = Array.make (n + k) ("", empty_bucket) in
-    let oi = ref 0 and di = ref 0 and w = ref 0 in
-    let put e = out.(!w) <- e; incr w in
-    let put_delta (v, b) = match b with Some b -> put (v, b) | None -> () in
-    while !oi < n || !di < k do
-      if !di >= k then begin put old.(!oi); incr oi end
-      else if !oi >= n then begin put_delta d.(!di); incr di end
-      else begin
-        let ov, _ = old.(!oi) and dv, _ = d.(!di) in
-        let c = String.compare ov dv in
-        if c < 0 then begin put old.(!oi); incr oi end
-        else if c > 0 then begin put_delta d.(!di); incr di end
-        else begin
-          (* dirty key supersedes (or deletes) its stale entry *)
-          put_delta d.(!di);
-          incr oi;
-          incr di
-        end
-      end
-    done;
-    ix.sorted <- (if !w = n + k then out else Array.sub out 0 !w)
-  end
-
-let sorted_view ix =
-  if ix.sorted_version <> ix.version then begin
-    let k = Hashtbl.length ix.dirty in
-    if ix.sorted_version >= 0 && not ix.dirty_overflow
-       && 2 * k <= Array.length ix.sorted
-    then merge_sorted ix
-    else rebuild_sorted ix;
-    ix.sorted_version <- ix.version;
-    Hashtbl.reset ix.dirty;
-    ix.dirty_overflow <- false
-  end;
-  ix.sorted
+        else Hashtbl.replace ix.buckets k { bset; bsize = b.bsize - 1 }
 
 let index_add t id row =
   List.iter
@@ -346,9 +236,6 @@ let rec conjuncts = function
 let atom_candidate t = function
   | Pred.S_eq (c, slot) ->
       Option.map (fun ix -> C_slot (ix, slot)) (find_index t c)
-  | Pred.S_glob (c, lit) when not (Glob.is_pattern lit) ->
-      (* non-pattern glob is exact match on the rendered value *)
-      Option.map (fun ix -> C_key (ix, lit)) (find_index t c)
   | _ -> None
 
 (* An Or-tree whose every leaf is probeable: union of buckets. *)
@@ -359,56 +246,16 @@ let rec union_candidate t = function
       | _ -> None)
   | atom -> Option.map (fun c -> [ c ]) (atom_candidate t atom)
 
-let glob_prefix pat =
-  let n = String.length pat in
-  let rec wild i = if i >= n then n
-    else match pat.[i] with '*' | '?' -> i | _ -> wild (i + 1)
-  in
-  String.sub pat 0 (wild 0)
-
-(* Smallest string greater than every string starting with [prefix]:
-   increment the last non-0xff byte, dropping the tail. *)
-let prefix_successor prefix =
-  let rec go i =
-    if i < 0 then None
-    else
-      let c = Char.code prefix.[i] in
-      if c < 0xff then
-        Some (String.sub prefix 0 i ^ String.make 1 (Char.chr (c + 1)))
-      else go (i - 1)
-  in
-  go (String.length prefix - 1)
-
 let choose_path t shape =
-  let cs = conjuncts shape in
   let probes =
     List.filter_map
-      (fun s ->
-        match atom_candidate t s with
-        | Some c -> Some c
-        | None -> (
-            match s with
-            | Pred.S_or _ ->
-                Option.map (fun l -> C_union l) (union_candidate t s)
-            | _ -> None))
-      cs
+      (function
+        | Pred.S_or _ as s ->
+            Option.map (fun l -> C_union l) (union_candidate t s)
+        | s -> atom_candidate t s)
+      (conjuncts shape)
   in
-  if probes <> [] then P_probe probes
-  else
-    let rec prefix_path = function
-      | [] -> P_scan
-      | Pred.S_glob (c, pat) :: rest when Glob.is_pattern pat -> (
-          match find_index t c with
-          (* a string column's bucket keys are its values verbatim, so
-             the glob's literal prefix is a key range of the sorted view *)
-          | Some ix when ix.ctype = Value.TStr ->
-              let p = glob_prefix pat in
-              if p = "" then prefix_path rest
-              else P_prefix (ix, p, prefix_successor p)
-          | _ -> prefix_path rest)
-      | _ :: rest -> prefix_path rest
-    in
-    prefix_path cs
+  if probes <> [] then P_probe probes else P_scan
 
 let compile t shape =
   { ceval = compile_eval t shape; cpath = choose_path t shape }
@@ -417,12 +264,11 @@ let compile t shape =
    handle one shape whatever its arguments, so every table converges on
    a small set of plans and a select costs a shape split, one probe of
    this table's cache, and the plan body.  Plans stay valid for the
-   table's whole lifetime (schemas are immutable, the index structures
-   they capture are updated in place, and the sorted view is rebuilt off
-   the index versions), so no write or [clear] touches the
-   cache.  Glob patterns stay literal in a shape, so client-supplied
-   patterns make new entries: the cache is bounded and resets wholesale
-   when full. *)
+   table's whole lifetime (schemas are immutable and the index
+   structures they capture are updated in place), so no write or [clear]
+   touches the cache.  Glob patterns stay literal in a shape, so
+   client-supplied patterns make new entries: the cache is bounded and
+   resets wholesale when full. *)
 
 let plan_hits = Obs.Counter.make Obs.default "plan.cache.hits"
 let plan_misses = Obs.Counter.make Obs.default "plan.cache.misses"
@@ -446,40 +292,15 @@ let probe ix k = Option.value (Hashtbl.find_opt ix.buckets k) ~default:empty_buc
 
 let rec candidate_size params = function
   | C_slot (ix, slot) -> (probe ix (key_of params.(slot))).bsize
-  | C_key (ix, k) -> (probe ix k).bsize
   | C_union l -> List.fold_left (fun a c -> a + candidate_size params c) 0 l
 
 let rec candidate_ids params = function
   | C_slot (ix, slot) -> (probe ix (key_of params.(slot))).bset
-  | C_key (ix, k) -> (probe ix k).bset
   | C_union l ->
       (* union keeps ascending-rowid iteration and dedupes Or overlap *)
       List.fold_left
         (fun acc c -> Int_set.union acc (candidate_ids params c))
         Int_set.empty l
-
-(* first i in [0, length a) whose key is >= [key], or length a *)
-let lower_bound a key =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let k, _ = a.(mid) in
-    if String.compare k key >= 0 then hi := mid else lo := mid + 1
-  done;
-  !lo
-
-let union_slice a start stop =
-  let acc = ref Int_set.empty in
-  for i = start to stop - 1 do
-    let _, b = a.(i) in
-    acc := Int_set.union !acc b.bset
-  done;
-  !acc
-
-let prefix_ids ix lo hi =
-  let a = sorted_view ix in
-  let stop = match hi with None -> Array.length a | Some h -> lower_bound a h in
-  union_slice a (lower_bound a lo) stop
 
 let best_candidate params = function
   | [] -> assert false
@@ -497,23 +318,12 @@ let best_candidate params = function
    shape actually runs (module-level handles survive registry resets). *)
 let path_scan = Obs.Counter.make Obs.default "plan.path.scan"
 let path_probe = Obs.Counter.make Obs.default "plan.path.probe"
-let path_prefix = Obs.Counter.make Obs.default "plan.path.prefix"
 
 let run t c params =
   let eval = c.ceval in
   (match c.cpath with
   | P_scan -> Obs.Counter.incr path_scan
-  | P_probe _ -> Obs.Counter.incr path_probe
-  | P_prefix _ -> Obs.Counter.incr path_prefix);
-  let from_set set =
-    Int_set.fold
-      (fun id acc ->
-        match row_of t id with
-        | Some row when eval params row -> (id, row) :: acc
-        | _ -> acc)
-      set []
-    |> List.rev
-  in
+  | P_probe _ -> Obs.Counter.incr path_probe);
   match c.cpath with
   | P_scan ->
       (* walk the array backwards so the consed list comes out in
@@ -525,21 +335,26 @@ let run t c params =
         | _ -> ()
       done;
       !acc
-  | P_probe cands -> from_set (candidate_ids params (best_candidate params cands))
-  | P_prefix (ix, lo, hi) -> from_set (prefix_ids ix lo hi)
+  | P_probe cands ->
+      Int_set.fold
+        (fun id acc ->
+          match row_of t id with
+          | Some row when eval params row -> (id, row) :: acc
+          | _ -> acc)
+        (candidate_ids params (best_candidate params cands))
+        []
+      |> List.rev
 
 let explain t pred =
   let c = compile t (fst (Pred.split pred)) in
   let colname ix = (Schema.columns t.schema).(ix.col).Schema.cname in
   let rec cand = function
     | C_slot (ix, _) -> Printf.sprintf "eq(%s)" (colname ix)
-    | C_key (ix, k) -> Printf.sprintf "key(%s=%S)" (colname ix) k
     | C_union l -> "union(" ^ String.concat "|" (List.map cand l) ^ ")"
   in
   match c.cpath with
   | P_scan -> "scan"
   | P_probe cands -> "probe(" ^ String.concat "," (List.map cand cands) ^ ")"
-  | P_prefix (ix, p, _) -> Printf.sprintf "prefix(%s,%S)" (colname ix) p
 
 let matching t pred =
   let shape, params = Pred.split pred in
@@ -666,10 +481,7 @@ let clear t =
   List.iter
     (fun ix ->
       ix.version <- ix.version + 1;
-      Hashtbl.reset ix.buckets;
-      (* wholesale reset bypasses [bucket_remove]'s delta tracking *)
-      ix.dirty_overflow <- true;
-      Hashtbl.reset ix.dirty)
+      Hashtbl.reset ix.buckets)
     t.indexes;
   (* jump the sequence past a full ring so every outstanding cursor
      reads as overflowed: a wholesale clear has no per-row delta *)

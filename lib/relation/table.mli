@@ -119,19 +119,23 @@ val field : t -> Value.t array -> string -> Value.t
     {!select}, {!select_one}, {!count}, {!exists}, {!update},
     {!set_fields} and {!delete} run through a plan built from the
     predicate's {!Pred.shape}: column names resolve to offsets once, and
-    an access path — bucket probe, union of buckets, literal-prefix range
-    over the index's sorted keys, or full scan — is chosen from the
-    shape.  Each table caches its plans by shape, so every call of a
-    named query with any argument values reuses one plan.  The cache needs no invalidation: schemas are
-    immutable and a plan reads the table's live indexes.  It holds a
-    bounded number of plans and resets wholesale when full.  Hits and
-    misses count on [plan.cache.hits] and [plan.cache.misses] in
-    {!Obs.default}, and each plan run on one [plan.path.*] counter. *)
+    one of three access paths is chosen from the shape: a bucket probe
+    for an equality on an indexed column, a union of buckets for an Or
+    of such equalities, or a full scan.  Every path re-checks the whole
+    predicate and yields rows in ascending rowid order, so the path
+    never changes an answer; a glob with a wildcard scans.  Each table
+    caches its plans by shape, so every call of a named query with any
+    argument values reuses one plan.  The cache needs no invalidation:
+    schemas are immutable and a plan reads the table's live indexes.
+    It holds a bounded number of plans and resets wholesale when full.
+    Hits and misses count on [plan.cache.hits] and [plan.cache.misses]
+    in {!Obs.default}, and each plan run on [plan.path.probe] or
+    [plan.path.scan]. *)
 
 val explain : t -> Pred.t -> string
 (** The access path a plan for this predicate takes, for tests and
-    diagnostics, e.g. ["probe(eq(login))"], ["probe(key(name=\"X\"))"],
-    ["prefix(login,\"jis\")"], ["scan"].  Does not touch the cache. *)
+    diagnostics: ["probe(eq(login))"], ["probe(union(eq(a)|eq(b)))"] or
+    ["scan"].  Does not touch the cache. *)
 
 val reset_plans : t -> unit
 (** Drop this table's cached plans, so the next query of each shape

@@ -48,7 +48,7 @@ let spunup t = List.rev t.spun
 let start host =
   let t = { host; packs = []; spun = [] } in
   reload t;
-  Netsim.Host.register host ~service:"rvd" (fun ~src:_ payload ->
+  Netsim.Host.serve host ~service:"rvd" (fun ~src:_ payload ->
       match
         String.split_on_char ' ' payload |> List.filter (fun s -> s <> "")
       with

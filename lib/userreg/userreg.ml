@@ -184,7 +184,7 @@ let handle t payload =
 
 let start ~glue ~kdc host =
   let t = { glue; kdc } in
-  Netsim.Host.register host ~service:"userreg" (fun ~src:_ payload ->
+  Netsim.Host.serve host ~service:"userreg" (fun ~src:_ payload ->
       handle t payload);
   t
 

@@ -84,7 +84,7 @@ let start ?acl_dir host engine =
     }
   in
   reload_acls t;
-  Netsim.Host.register host ~service:"zephyr" (fun ~src:_ payload ->
+  Netsim.Host.serve host ~service:"zephyr" (fun ~src:_ payload ->
       match String.split_on_char ' ' payload with
       | "SEND" :: sender :: cls :: instance :: rest -> (
           let message = String.concat " " rest in

@@ -536,6 +536,56 @@ let test_file_grain_single_user_change () =
     true
     (delta_bytes > 0 && delta_bytes * 10 < full_bytes)
 
+(* A keyed state splices only under a spec with its table and file
+   names, compared by value: an equal spec made afresh splices, and a
+   spec for other files over the same table builds in full. *)
+let test_keyed_state_owner () =
+  let tb = Testbed.create () in
+  let counter name =
+    Option.value (Obs.find_counter Obs.default name) ~default:0
+  in
+  let users () = Moira.Mdb.table tb.Testbed.mdb "users" in
+  let line row =
+    Relation.Value.str (Relation.Table.field (users ()) row "login")
+  in
+  let spec files =
+    {
+      Dcm.Keyed.sk_table = "users";
+      sk_files = files;
+      sk_full =
+        (fun _ ~emit ->
+          Relation.Table.iter (users ()) (fun rowid row ->
+              let l = line row in
+              emit ~rowid 0 l (l ^ "\n")));
+      sk_row =
+        (fun _ ~rowid ->
+          match Relation.Table.get (users ()) rowid with
+          | Some row ->
+              let l = line row in
+              [ (0, l, l ^ "\n") ]
+          | None -> []);
+      sk_deps = (fun _ -> "");
+      sk_aux = None;
+    }
+  in
+  let _, st = Dcm.Keyed.incr (spec [| "logins" |]) tb.Testbed.glue None in
+  let full0 = counter "dcm.keyed.full" in
+  let splice0 = counter "dcm.keyed.splice" in
+  let out, _ =
+    Dcm.Keyed.incr (spec [| "logins" |]) tb.Testbed.glue (Some st)
+  in
+  Alcotest.(check int) "equal spec splices" 1
+    (counter "dcm.keyed.splice" - splice0);
+  Alcotest.(check (list string)) "its file" [ "logins" ]
+    (List.map fst out.Dcm.Gen.common);
+  let out, _ =
+    Dcm.Keyed.incr (spec [| "other" |]) tb.Testbed.glue (Some st)
+  in
+  Alcotest.(check int) "other files build in full" 1
+    (counter "dcm.keyed.full" - full0);
+  Alcotest.(check (list string)) "the new spec's file" [ "other" ]
+    (List.map fst out.Dcm.Gen.common)
+
 (* The keyed incremental builders behind passwd/pobox/group/grplist: a
    varied edit sequence over several DCM cycles must stay byte-identical
    to a fresh full extraction every cycle.  User-row edits and USER
@@ -718,6 +768,8 @@ let suite =
       test_file_grain_single_user_change;
     Alcotest.test_case "keyed incremental cycles" `Quick
       test_keyed_incremental_cycles;
+    Alcotest.test_case "keyed state owned by table and files" `Quick
+      test_keyed_state_owner;
     Alcotest.test_case "cron schedule" `Quick test_cron_schedule_drives_dcm;
     Alcotest.test_case "DCM restart resumes from spool" `Quick
       test_dcm_restart_resumes_from_spool;

@@ -322,7 +322,8 @@ let peer_quota () =
    against every counter, gauge and histogram name.  64 stars and then a
    character no name holds must be refused at once: a matcher that
    backtracks at every star takes time exponential in the stars here,
-   and this case would not finish. *)
+   and this case would not finish.  [?] matches exactly one character,
+   as in every other Moira pattern. *)
 let stats_pattern_is_linear () =
   let tb = Testbed.create () in
   let ws = tb.Testbed.built.Population.workstation_machines.(0) in
@@ -342,7 +343,23 @@ let stats_pattern_is_linear () =
                 Moira.Mr_err.no_match r.Gdb.Wire.code
           | Error e -> Alcotest.failf "%s: %s" query e)
       | Error _ -> Alcotest.failf "%s: transport failure" query)
-    [ "_get_server_statistics"; "_get_query_statistics" ]
+    [ "_get_server_statistics"; "_get_query_statistics" ];
+  let names pattern =
+    match
+      moira_call tb ~src:ws ~dst
+        (frame ~conn Moira.Protocol.op_query
+           [ "_get_server_statistics"; pattern ])
+    with
+    | Ok reply -> (
+        match Gdb.Wire.decode_reply reply with
+        | Ok r -> List.map List.hd r.Gdb.Wire.tuples
+        | Error e -> Alcotest.failf "%s: %s" pattern e)
+    | Error _ -> Alcotest.failf "%s: transport failure" pattern
+  in
+  Alcotest.(check (list string)) "? matches one character"
+    [ "plan.cache.hits" ] (names "plan.cache.hit?");
+  Alcotest.(check (list string)) "? needs a character" []
+    (names "plan.cache.hits?")
 
 let suite =
   [

@@ -95,6 +95,26 @@ let test_host_crash_boot () =
   Alcotest.(check bool) "up" true (Netsim.Host.is_up h);
   Alcotest.(check int) "boot hook ran" 1 !booted
 
+(* A crash takes every daemon down; only those started with [serve]
+   come back on boot. *)
+let test_host_crash_drops_services () =
+  let h = Netsim.Host.create "H" in
+  Netsim.Host.register h ~service:"plain" (fun ~src:_ _ -> "plain");
+  Netsim.Host.serve h ~service:"daemon" (fun ~src:_ _ -> "daemon");
+  let answers service =
+    Option.map (fun f -> f ~src:"me" "x") (Netsim.Host.lookup h ~service)
+  in
+  Alcotest.(check (option string)) "plain before" (Some "plain")
+    (answers "plain");
+  Netsim.Host.crash h;
+  Alcotest.(check (option string)) "daemon down while crashed" None
+    (answers "daemon");
+  Netsim.Host.boot h;
+  Alcotest.(check (option string)) "plain gone after boot" None
+    (answers "plain");
+  Alcotest.(check (option string)) "daemon back after boot" (Some "daemon")
+    (answers "daemon")
+
 let test_host_crash_points () =
   let h = Netsim.Host.create "H" in
   Netsim.Host.maybe_crash h ~point:"p"; (* unarmed: no-op *)
@@ -326,12 +346,7 @@ let test_net_schedule_outage () =
   let e, net = fresh_net () in
   let h = Netsim.Net.add_host net "SRV" in
   ignore (Netsim.Net.add_host net "CLI");
-  (* services re-registered from a boot hook, like Update.serve does *)
-  let install () =
-    Netsim.Host.register h ~service:"s" (fun ~src:_ _ -> "ok")
-  in
-  install ();
-  Netsim.Host.on_boot h (fun _ -> install ());
+  Netsim.Host.serve h ~service:"s" (fun ~src:_ _ -> "ok");
   Netsim.Net.schedule_outage net ~host:"SRV" ~at:1000 ~duration_ms:2000;
   let call () = Netsim.Net.call net ~src:"CLI" ~dst:"SRV" ~service:"s" "x" in
   Alcotest.(check bool) "up before outage" true (call () = Ok "ok");
@@ -390,6 +405,8 @@ let suite =
     Alcotest.test_case "vfs list" `Quick test_vfs_list;
     Alcotest.test_case "host services" `Quick test_host_services;
     Alcotest.test_case "host crash/boot" `Quick test_host_crash_boot;
+    Alcotest.test_case "host crash drops services" `Quick
+      test_host_crash_drops_services;
     Alcotest.test_case "host crash points" `Quick test_host_crash_points;
     Alcotest.test_case "net call roundtrip" `Quick test_net_call_roundtrip;
     Alcotest.test_case "net failures" `Quick test_net_failures;

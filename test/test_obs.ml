@@ -288,21 +288,6 @@ let test_merge_lanes () =
   Alcotest.(check bool) "filter drops other traces" false
     (contains only "\"noise\"")
 
-(* The stats queries' matcher gives the query layer's answers on
-   patterns of literals and [*] (it has no [?]). *)
-let prop_glob_matches_relation_glob =
-  let chars = QCheck.Gen.oneofl [ 'a'; 'b'; '.' ] in
-  QCheck.Test.make ~name:"glob_match = Relation.Glob.matches on * patterns"
-    ~count:2000
-    (QCheck.make
-       ~print:(fun (p, s) -> Printf.sprintf "pattern=%S name=%S" p s)
-       QCheck.Gen.(
-         pair
-           (string_size ~gen:(frequency [ (2, chars); (1, return '*') ])
-              (int_range 0 10))
-           (string_size ~gen:chars (int_range 0 12))))
-    (fun (p, s) -> Obs.glob_match p s = Relation.Glob.matches ~pattern:p s)
-
 let suite =
   [
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
@@ -321,5 +306,4 @@ let suite =
       test_spans_dropped;
     Alcotest.test_case "merged lanes, flow arrows, trace filter" `Quick
       test_merge_lanes;
-    QCheck_alcotest.to_alcotest prop_glob_matches_relation_glob;
   ]

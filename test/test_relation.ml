@@ -53,6 +53,8 @@ let test_glob_basics () =
   Alcotest.(check bool) "infix" true (m "a*f" "abcdef");
   Alcotest.(check bool) "question" true (m "a?c" "abc");
   Alcotest.(check bool) "question exact len" false (m "a?c" "abbc");
+  Alcotest.(check bool) "question after star" true (m "*?c" "abc");
+  Alcotest.(check bool) "question needs a char" false (m "abc?" "abc");
   Alcotest.(check bool) "no match" false (m "abc" "abd");
   Alcotest.(check bool) "multiple stars" true (m "*b*d*" "abcd");
   Alcotest.(check bool) "trailing star backtrack" true (m "a*bc" "axxbybc");
