@@ -2,8 +2,8 @@ let modulus = 65521
 
 (* Adler-32 is a running (a, b) pair, so it streams: feeding chunks in
    order gives the same value as one pass over their concatenation.
-   [Tarlike.checksum] uses this to checksum an archive that is never
-   materialized. *)
+   [Tarlike.checksum_sums] uses this to checksum an archive that is
+   never materialized. *)
 type stream = { mutable a : int; mutable b : int }
 
 let stream_start () = { a = 1; b = 0 }

@@ -19,8 +19,8 @@ val verify : data:string -> checksum:string -> bool
 (** {2 Streaming}
 
     Adler-32 over a sequence of chunks, identical to one pass over their
-    concatenation — so [Tarlike.checksum] can checksum an archive that
-    is never materialized. *)
+    concatenation — so [Tarlike.checksum_sums] can checksum an archive
+    that is never materialized. *)
 
 type stream
 

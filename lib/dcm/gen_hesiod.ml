@@ -6,91 +6,6 @@ let c key target = Hesiod.Hes_db.format_cname ~key target [@@inline]
 
 let common files = { Gen.common = files; per_host = [] }
 
-(* passwd.db, uid.db *)
-let passwd_files mdb =
-  let utbl = users_table mdb in
-  let login = col utbl "login" in
-  let uidc = col utbl "uid" in
-  let fullname = col utbl "fullname" in
-  let shell = col utbl "shell" in
-  let passwd = ref [] and uid = ref [] in
-  active_users utbl (fun row ->
-      let login = Value.str (login row) in
-      let uidv = Value.int (uidc row) in
-      let line =
-        Printf.sprintf "%s:*:%d:101:%s,,,,:/mit/%s:%s" login uidv
-          (Value.str (fullname row))
-          login
-          (Value.str (shell row))
-      in
-      passwd := u (login ^ ".passwd") line :: !passwd;
-      uid :=
-        c (string_of_int uidv ^ ".uid") (login ^ ".passwd") :: !uid);
-  ( ("passwd.db", sorted_lines !passwd),
-    ("uid.db", sorted_lines !uid) )
-
-(* pobox.db: active users with POP boxes *)
-let pobox_file mdb =
-  let utbl = users_table mdb in
-  let login = col utbl "login" in
-  let potype = col utbl "potype" in
-  let pop_id = col utbl "pop_id" in
-  let machines = id_name_map (Moira.Mdb.table mdb "machine") ~id:"mach_id" ~name:"name" in
-  let lines = ref [] in
-  active_users utbl (fun row ->
-      if Value.str (potype row) = "POP" then begin
-        let login = Value.str (login row) in
-        match name_of machines (Value.int (pop_id row)) with
-        | Some machine ->
-            lines :=
-              u (login ^ ".pobox")
-                (Printf.sprintf "POP %s %s" machine login)
-              :: !lines
-        | None -> ()
-      end);
-  ("pobox.db", sorted_lines !lines)
-
-(* group.db, gid.db: active unix groups *)
-let group_files mdb =
-  let tbl = Moira.Mdb.table mdb "list" in
-  let name = col tbl "name" in
-  let gidc = col tbl "gid" in
-  let group = ref [] and gid = ref [] in
-  List.iter
-    (fun (_, row) ->
-      let name = Value.str (name row) in
-      let g = Value.int (gidc row) in
-      group :=
-        u (name ^ ".group") (Printf.sprintf "%s:*:%d:" name g) :: !group;
-      gid := c (string_of_int g ^ ".gid") (name ^ ".group") :: !gid)
-    (Table.select tbl
-       (Pred.conj
-          [ Pred.eq_bool "grouplist" true; Pred.eq_bool "active" true ]));
-  ( ("group.db", sorted_lines !group),
-    ("gid.db", sorted_lines !gid) )
-
-(* grplist.db: colon-separated (group, gid) pairs per active user in
-   some group.  [group_iter] runs in login order, which is also line
-   order (every key is login ^ ".grplist"), so the file assembles in one
-   pass with no final sort. *)
-let grplist_file mdb =
-  let doc =
-    emit ~hint:262144 (fun w ->
-        group_iter mdb (fun ~login ~users_id:_ ~uid:_ groups ->
-            if groups <> [] then begin
-              (* [u (login ^ ".grplist") rendered] assembled piecewise *)
-              Sink.add_string w login;
-              Sink.add_string w ".grplist HS UNSPECA \"";
-              List.iteri
-                (fun i (frag, _) ->
-                  if i > 0 then Sink.add_char w ':';
-                  Sink.add_string w frag)
-                groups;
-              Sink.add_string w "\"\n"
-            end))
-  in
-  ("grplist.db", doc)
-
 (* cluster.db: per-cluster service data plus machine CNAMEs; machines in
    several clusters get a pseudo-cluster holding the union of the data. *)
 let cluster_file mdb =
@@ -252,111 +167,89 @@ let sloc_file mdb =
 
 let with_mdb f glue = f (Moira.Glue.mdb glue)
 
-(* ---- keyed incremental specs for the population-sized files ------- *)
+(* ---- keyed files ------------------------------------------------ *)
 (* passwd/pobox/grplist scale with the user population and group.db with
-   the lists, so they get row-grain incremental builders: the per-row
-   renderers below must byte-match the bulk builds above, line for line.
-   The remaining parts are small (clusters, printers, services) and stay
+   the lists, so they are keyed files (see [Keyed]): one renderer builds
+   them in full and re-renders the rows a generation changed.  The
+   remaining parts are small (clusters, printers, services) and stay
    full-build. *)
 
-let passwd_user_lines ~rowid row ~login ~uidv ~fullname ~shell emit =
-  let pline =
-    u (login ^ ".passwd")
-      (Printf.sprintf "%s:*:%d:101:%s,,,,:/mit/%s:%s" login uidv fullname
-         login shell)
-  in
-  let uline = c (string_of_int uidv ^ ".uid") (login ^ ".passwd") in
-  ignore row;
-  emit ~rowid 0 pline (pline ^ "\n");
-  emit ~rowid 1 uline (uline ^ "\n")
+(* A line keyed by its own text, the order [sorted_lines] gives. *)
+let line fi text = (fi, text, text ^ "\n")
 
+(* passwd.db, uid.db: active users *)
 let passwd_spec =
-  {
-    Keyed.sk_table = "users";
-    sk_files = [| "passwd.db"; "uid.db" |];
-    sk_full =
-      (fun mdb ~emit ->
-        let utbl = users_table mdb in
-        let login = col utbl "login" and uidc = col utbl "uid" in
-        let fullname = col utbl "fullname" and shell = col utbl "shell" in
-        let status = col utbl "status" in
-        Table.iter utbl (fun rowid row ->
-            if Value.int (status row) = 1 then
-              passwd_user_lines ~rowid row
-                ~login:(Value.str (login row))
-                ~uidv:(Value.int (uidc row))
-                ~fullname:(Value.str (fullname row))
-                ~shell:(Value.str (shell row))
-                emit));
-    sk_row =
-      (fun mdb ~rowid ->
-        let utbl = users_table mdb in
-        match Table.get utbl rowid with
-        | None -> []
-        | Some row ->
-            if Value.int (Table.field utbl row "status") <> 1 then []
-            else begin
-              let acc = ref [] in
-              passwd_user_lines ~rowid row
-                ~login:(Value.str (Table.field utbl row "login"))
-                ~uidv:(Value.int (Table.field utbl row "uid"))
-                ~fullname:(Value.str (Table.field utbl row "fullname"))
-                ~shell:(Value.str (Table.field utbl row "shell"))
-                (fun ~rowid:_ fi key line -> acc := (fi, key, line) :: !acc);
-              List.rev !acc
-            end);
-    sk_deps = (fun _ -> "");
-    sk_aux = None;
-  }
+  Keyed.of_rows ~table:"users" ~files:[| "passwd.db"; "uid.db" |]
+    ~deps:(fun _ -> "")
+    (fun mdb ->
+      let utbl = users_table mdb in
+      let status = col utbl "status" and login = col utbl "login" in
+      let uidc = col utbl "uid" and fullname = col utbl "fullname" in
+      let shell = col utbl "shell" in
+      fun row ->
+        if Value.int (status row) <> 1 then []
+        else
+          let login = Value.str (login row) in
+          let uidv = Value.int (uidc row) in
+          [
+            line 0
+              (u (login ^ ".passwd")
+                 (Printf.sprintf "%s:*:%d:101:%s,,,,:/mit/%s:%s" login uidv
+                    (Value.str (fullname row))
+                    login
+                    (Value.str (shell row))));
+            line 1 (c (string_of_int uidv ^ ".uid") (login ^ ".passwd"));
+          ])
 
-let pobox_user_line mdb row ~status ~potype ~login ~pop_id =
-  ignore row;
-  if status <> 1 || potype <> "POP" then []
-  else
-    let machines =
-      id_name_map (Moira.Mdb.table mdb "machine") ~id:"mach_id" ~name:"name"
-    in
-    match name_of machines pop_id with
-    | None -> []
-    | Some machine ->
-        let line =
-          u (login ^ ".pobox") (Printf.sprintf "POP %s %s" machine login)
-        in
-        [ (0, line, line ^ "\n") ]
-
+(* pobox.db: active users with POP boxes *)
 let pobox_spec =
-  {
-    Keyed.sk_table = "users";
-    sk_files = [| "pobox.db" |];
-    sk_full =
-      (fun mdb ~emit ->
-        let utbl = users_table mdb in
-        let login = col utbl "login" and potype = col utbl "potype" in
-        let pop_id = col utbl "pop_id" and status = col utbl "status" in
-        Table.iter utbl (fun rowid row ->
-            List.iter
-              (fun (fi, key, line) -> emit ~rowid fi key line)
-              (pobox_user_line mdb row
-                 ~status:(Value.int (status row))
-                 ~potype:(Value.str (potype row))
-                 ~login:(Value.str (login row))
-                 ~pop_id:(Value.int (pop_id row)))));
-    sk_row =
-      (fun mdb ~rowid ->
-        let utbl = users_table mdb in
-        match Table.get utbl rowid with
-        | None -> []
-        | Some row ->
-            pobox_user_line mdb row
-              ~status:(Value.int (Table.field utbl row "status"))
-              ~potype:(Value.str (Table.field utbl row "potype"))
-              ~login:(Value.str (Table.field utbl row "login"))
-              ~pop_id:(Value.int (Table.field utbl row "pop_id")));
-    sk_deps =
-      (fun mdb -> fingerprint mdb [ ("machine", [ "mach_id"; "name" ]) ]);
-    sk_aux = None;
-  }
+  Keyed.of_rows ~table:"users" ~files:[| "pobox.db" |]
+    ~deps:(fun mdb -> fingerprint mdb [ ("machine", [ "mach_id"; "name" ]) ])
+    (fun mdb ->
+      let utbl = users_table mdb in
+      let status = col utbl "status" and login = col utbl "login" in
+      let potype = col utbl "potype" and pop_id = col utbl "pop_id" in
+      let machines =
+        id_name_map (Moira.Mdb.table mdb "machine") ~id:"mach_id" ~name:"name"
+      in
+      fun row ->
+        if Value.int (status row) <> 1 || Value.str (potype row) <> "POP" then
+          []
+        else
+          match name_of machines (Value.int (pop_id row)) with
+          | None -> []
+          | Some machine ->
+              let login = Value.str (login row) in
+              [
+                line 0
+                  (u (login ^ ".pobox")
+                     (Printf.sprintf "POP %s %s" machine login));
+              ])
 
+(* group.db, gid.db: one line pair per active unix group.  A membership
+   edit stamps its list row, which re-renders to the same two lines and
+   leaves both files physically unchanged. *)
+let group_spec =
+  Keyed.of_rows ~table:"list" ~files:[| "group.db"; "gid.db" |]
+    ~deps:(fun _ -> "")
+    (fun mdb ->
+      let tbl = Moira.Mdb.table mdb "list" in
+      let grouplist = col tbl "grouplist" and active = col tbl "active" in
+      let name = col tbl "name" and gidc = col tbl "gid" in
+      fun row ->
+        if Value.bool (grouplist row) && Value.bool (active row) then
+          let name = Value.str (name row) in
+          let g = Value.int (gidc row) in
+          [
+            line 0 (u (name ^ ".group") (Printf.sprintf "%s:*:%d:" name g));
+            line 1 (c (string_of_int g ^ ".gid") (name ^ ".group"));
+          ]
+        else [])
+
+(* grplist.db: colon-separated (group, gid) pairs per active user in
+   some group, keyed by login.  The full build is the one bulk group
+   pass ([group_iter]); a changed user re-renders from their own
+   fragments ([group_fragments]), which match the pass exactly. *)
 let grplist_render ~login ~own ~frags =
   let b = Buffer.create 128 in
   Buffer.add_string b login;
@@ -393,18 +286,20 @@ let grplist_spec =
                 (grplist_render ~login ~own:""
                    ~frags:(List.map fst groups))));
     sk_row =
-      (fun mdb ~rowid ->
+      (fun mdb ->
         let utbl = users_table mdb in
-        match Table.get utbl rowid with
-        | None -> []
-        | Some row ->
-            if Value.int (Table.field utbl row "status") <> 1 then []
-            else
-              let login = Value.str (Table.field utbl row "login") in
-              let users_id = Value.int (Table.field utbl row "users_id") in
-              let own, frags = group_fragments mdb ~users_id ~login in
+        let status = col utbl "status" and login = col utbl "login" in
+        let users_id = col utbl "users_id" in
+        fun ~rowid ->
+          match Table.get utbl rowid with
+          | Some row when Value.int (status row) = 1 ->
+              let login = Value.str (login row) in
+              let own, frags =
+                group_fragments mdb ~users_id:(Value.int (users_id row)) ~login
+              in
               if own = "" && frags = [] then []
-              else [ (0, login, grplist_render ~login ~own ~frags) ]);
+              else [ (0, login, grplist_render ~login ~own ~frags) ]
+          | _ -> []);
     (* a USER-member edit reaches grplist.db through the closure's
        delta as the users it touched; only a change to the active group
        lists themselves (or a LIST-member edit, which makes the closure
@@ -425,73 +320,27 @@ let grplist_spec =
         };
   }
 
-(* group.db/gid.db, one row-grain line pair per active group list: a
-   membership edit stamps its list row, which re-renders to the same two
-   lines and leaves both files physically unchanged. *)
-let group_row_lines tbl row =
-  if
-    Value.bool (Table.field tbl row "grouplist")
-    && Value.bool (Table.field tbl row "active")
-  then
-    let name = Value.str (Table.field tbl row "name") in
-    let g = Value.int (Table.field tbl row "gid") in
-    let gline = u (name ^ ".group") (Printf.sprintf "%s:*:%d:" name g) in
-    let dline = c (string_of_int g ^ ".gid") (name ^ ".group") in
-    [ (0, gline, gline ^ "\n"); (1, dline, dline ^ "\n") ]
-  else []
-
-let group_spec =
-  {
-    Keyed.sk_table = "list";
-    sk_files = [| "group.db"; "gid.db" |];
-    sk_full =
-      (fun mdb ~emit ->
-        let tbl = Moira.Mdb.table mdb "list" in
-        Table.iter tbl (fun rowid row ->
-            List.iter
-              (fun (fi, key, line) -> emit ~rowid fi key line)
-              (group_row_lines tbl row)));
-    sk_row =
-      (fun mdb ~rowid ->
-        let tbl = Moira.Mdb.table mdb "list" in
-        match Table.get tbl rowid with
-        | None -> []
-        | Some row -> group_row_lines tbl row);
-    sk_deps = (fun _ -> "");
-    sk_aux = None;
-  }
-
 (* One part per independently-watched slice of the eleven files; the
    union of part watches equals the old service-grain watch list, so
    service-level change detection is unchanged. *)
 let parts =
   [
-    Gen.part ~name:"passwd"
+    Keyed.part ~name:"passwd"
       ~watches:[ Gen.watch ~columns:[ "modtime"; "fmodtime" ] "users" ]
-      ~incr:(Keyed.incr passwd_spec)
-      (with_mdb (fun mdb ->
-           let passwd, uid = passwd_files mdb in
-           common [ passwd; uid ]));
-    Gen.part ~name:"pobox"
+      passwd_spec;
+    Keyed.part ~name:"pobox"
       ~watches:
         [
           Gen.watch ~columns:[ "modtime"; "pmodtime" ] "users";
           Gen.watch "machine";
         ]
-      ~incr:(Keyed.incr pobox_spec)
-      (with_mdb (fun mdb -> common [ pobox_file mdb ]));
-    Gen.part ~name:"group"
-      ~watches:[ Gen.watch "list" ]
-      ~incr:(Keyed.incr group_spec)
-      (with_mdb (fun mdb ->
-           let group, gid = group_files mdb in
-           common [ group; gid ]));
+      pobox_spec;
+    Keyed.part ~name:"group" ~watches:[ Gen.watch "list" ] group_spec;
     (* membership edits stamp the containing list row's modtime, so the
        "list" watch covers members-relation changes too *)
-    Gen.part ~name:"grplist"
+    Keyed.part ~name:"grplist"
       ~watches:[ Gen.watch ~columns:[ "modtime" ] "users"; Gen.watch "list" ]
-      ~incr:(Keyed.incr grplist_spec)
-      (with_mdb (fun mdb -> common [ grplist_file mdb ]));
+      grplist_spec;
     Gen.part ~name:"cluster"
       ~watches:[ Gen.watch "machine"; Gen.watch "cluster" ]
       (with_mdb (fun mdb -> common [ cluster_file mdb ]));

@@ -302,8 +302,8 @@ let group_pairs_naive mdb ~users_id ~login =
 (* Run a builder against a fresh sink and take the finished document —
    the streaming replacement for "build a Buffer, take its contents".
    Peak transient memory is one chunk, not the file. *)
-let emit ?hint f =
-  let w = Sink.create ?hint () in
+let emit f =
+  let w = Sink.create () in
   f w;
   Sink.contents w
 

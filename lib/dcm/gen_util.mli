@@ -66,10 +66,10 @@ val id_name_map :
 val name_of : string array -> int -> string option
 (** Bounds-checked probe of an {!id_name_map} projection. *)
 
-val emit : ?hint:int -> (Sink.t -> unit) -> Sink.doc
+val emit : (Sink.t -> unit) -> Sink.doc
 (** [emit f] runs [f] against a fresh sink and returns the document it
     wrote — the streaming replacement for building a [Buffer] and
-    taking its contents.  [hint] sizes the initial buffer. *)
+    taking its contents. *)
 
 val sorted_lines : string list -> Sink.doc
 (** Join sorted lines with newlines, adding a trailing newline (empty

@@ -38,7 +38,8 @@ type spec = {
   sk_row : Moira.Mdb.t -> rowid:int -> (int * string * string) list;
       (* the (file_idx, key, line) lines one row contributes right now
          ([] for deleted/filtered rows), byte-identical to what
-         [sk_full] would emit for it, in the same relative order *)
+         [sk_full] would emit for it, in the same relative order; a
+         splice applies it to [mdb] once, so it may stage its lookups *)
   sk_deps : Moira.Mdb.t -> string;
       (* fingerprint of every input OTHER than the source table's own
          rows and [sk_aux] (auxiliary tables, memo versions); a change
@@ -209,7 +210,6 @@ let refresh_file fs =
 (* ---- full build --------------------------------------------------- *)
 
 let full_build spec mdb tbl =
-  Obs.Counter.incr c_full;
   let cursor = Table.change_cursor tbl in
   let deps_fp = spec.sk_deps mdb in
   let aux_cursor =
@@ -256,12 +256,13 @@ let splice spec st mdb tbl =
   | Some rowids, Some extra ->
       let rowids = List.sort_uniq Int.compare (List.rev_append extra rowids) in
       let dirty = Array.make (Array.length st.files) false in
+      let row_lines = spec.sk_row mdb in
       List.iter
         (fun rowid ->
           let old =
             Option.value (Hashtbl.find_opt st.by_row rowid) ~default:[]
           in
-          let neu = spec.sk_row mdb ~rowid in
+          let neu = row_lines ~rowid in
           if old <> neu then begin
             List.iter
               (fun (fi, k, l) ->
@@ -281,7 +282,7 @@ let splice spec st mdb tbl =
       Option.iter (fun ax -> st.aux_cursor <- ax.ax_cursor mdb) spec.sk_aux;
       Array.iteri (fun i d -> if d then refresh_file st.files.(i)) dirty
 
-(* ---- entry point -------------------------------------------------- *)
+(* ---- entry points ----------------------------------------------- *)
 
 let output_of st =
   {
@@ -291,9 +292,15 @@ let output_of st =
     per_host = [];
   }
 
+(* Only the DCM's builds count: [pbuild] is the reference extraction
+   ([Gen.generate]) and leaves the counters alone. *)
 let build spec glue prev =
   let mdb = Moira.Glue.mdb glue in
   let tbl = Moira.Mdb.table mdb spec.sk_table in
+  let full () =
+    Obs.Counter.incr c_full;
+    full_build spec mdb tbl
+  in
   let st =
     match prev with
     | Some (Keyed_state st)
@@ -305,9 +312,32 @@ let build spec glue prev =
           st
         with Fallback ->
           Obs.Counter.incr c_fallback;
-          full_build spec mdb tbl)
-    | _ -> full_build spec mdb tbl
+          full ())
+    | _ -> full ()
   in
   (output_of st, Keyed_state st)
 
-let incr spec = fun glue prev -> build spec glue prev
+let part ~name ~watches spec =
+  Gen.part ~name ~watches ~incr:(build spec) (fun glue ->
+      let mdb = Moira.Glue.mdb glue in
+      output_of (full_build spec mdb (Moira.Mdb.table mdb spec.sk_table)))
+
+let of_rows ~table ~files ~deps render =
+  {
+    sk_table = table;
+    sk_files = files;
+    sk_full =
+      (fun mdb ~emit ->
+        let lines = render mdb in
+        Table.iter (Moira.Mdb.table mdb table) (fun rowid row ->
+            List.iter (fun (fi, key, line) -> emit ~rowid fi key line)
+              (lines row)));
+    sk_row =
+      (fun mdb ->
+        let tbl = Moira.Mdb.table mdb table in
+        let lines = render mdb in
+        fun ~rowid ->
+          match Table.get tbl rowid with None -> [] | Some row -> lines row);
+    sk_deps = deps;
+    sk_aux = None;
+  }

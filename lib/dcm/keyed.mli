@@ -2,14 +2,15 @@
 
     A keyed file is a sorted run of independent lines, each derived from
     one row of a source relation (the shape of passwd.db, pobox.db,
-    grplist.db).  Given a {!spec} describing the bulk build and the
-    per-row rendering, {!incr} yields a {!Gen.part}-compatible
-    incremental builder: it consumes the source table's change log and
-    re-renders only the changed rows' lines, keeping per-bucket cached
-    docs and checksums so a steady-state generation costs O(changed rows
-    + buckets) instead of O(rows) — and a file whose bytes did not
-    change keeps its previous {!Sink.doc} physically, which the push
-    manifest and the spool writer both exploit.
+    grplist.db).  The entry points are {!part}, which turns a {!spec}
+    into a {!Gen.part}, and {!of_rows}, which makes a spec from one row
+    renderer.  The part's full build is the spec's own; its incremental
+    builder consumes the source table's change log and re-renders only
+    the changed rows' lines, keeping per-bucket cached docs and
+    checksums so a steady-state generation costs O(changed rows +
+    buckets) instead of O(rows) — and a file whose bytes did not change
+    keeps its previous {!Sink.doc} physically, which the push manifest
+    and the spool writer both exploit.
 
     A spec whose lines also depend on an auxiliary relation with its own
     delta names, through {!aux}, the source rows that delta touched;
@@ -38,7 +39,9 @@ type spec = {
           must come out in the same relative order [sk_row] uses. *)
   sk_row : Moira.Mdb.t -> rowid:int -> (int * string * string) list;
       (** The [(file_idx, key, line)] lines one row contributes now; []
-          for deleted or filtered rows.  Must byte-match [sk_full]. *)
+          for deleted or filtered rows.  Must byte-match [sk_full].  A
+          splice applies it to the database once and the result to each
+          changed row, so it may resolve columns before taking [~rowid]. *)
   sk_deps : Moira.Mdb.t -> string;
       (** Fingerprint of every input other than the source table's own
           rows and [sk_aux]; any change forces a full rebuild. *)
@@ -62,11 +65,27 @@ type state
 
 type Gen.pstate += Keyed_state of state
 
-val incr : spec -> Moira.Glue.t -> Gen.pstate option -> Gen.output * Gen.pstate
-(** An incremental builder for {!Gen.part}'s [?incr] slot.  The ordering
-    invariant: the produced files list lines sorted by [(key, line)], so
-    the spec's full build must produce the same order (true of
-    [sorted_lines]-shaped files keyed by their line, and of login-keyed
-    files emitted in login order).  A previous state is spliced only when
-    it was built over the same table (by {!Relation.Table.uid}) for the
-    same file names; any other state is replaced by a full build. *)
+val part : name:string -> watches:Gen.watch list -> spec -> Gen.part
+(** The part that renders a keyed file set.  Its [pbuild] is the spec's
+    full build; its [pincr] splices the changed rows into the previous
+    generation's state.  The ordering invariant: the produced files list
+    lines sorted by [(key, line)], so [pbuild]'s files are in that order
+    too.  A previous state is spliced only when it was built over the
+    same table (by {!Relation.Table.uid}) for the same file names; any
+    other state is replaced by a full build.  Only [pincr]'s builds
+    count on [dcm.keyed.full], [dcm.keyed.splice] and
+    [dcm.keyed.fallback]. *)
+
+val of_rows :
+  table:string ->
+  files:string array ->
+  deps:(Moira.Mdb.t -> string) ->
+  (Moira.Mdb.t -> Relation.Value.t array -> (int * string * string) list) ->
+  spec
+(** [of_rows ~table ~files ~deps render] is the spec of a file set whose
+    lines each come from one row of [table] alone (plus the inputs
+    [deps] fingerprints).  [render mdb] resolves its columns and memos
+    once and returns the renderer of one row: its [(file_idx, key,
+    line)] lines, [line] carrying its newline, [] for a row the files
+    leave out.  The full build applies it to every row, the splice to
+    each changed row.  No {!aux}. *)

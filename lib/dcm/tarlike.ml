@@ -21,22 +21,30 @@ let pack members =
     members;
   Buffer.contents buf
 
-(* The Adler-32 of [pack members], streamed member by member: the
-   multi-megabyte archive string is never allocated.  This is what lets
-   a delta push skip the client-side full pack (the EXEC confirm only
-   needs the checksum). *)
-let checksum members =
+(* The Adler-32 of [pack members] from each member's name, length and
+   Adler-32: the headers are fed and every member's checksum folds in by
+   combination, so the archive is never materialized.  The DCM, over
+   its docs, and the update server, over its segment sums, both check
+   the wire checksum through this one function. *)
+let checksum_sums members =
   let st = Checksum.stream_start () in
   List.iter
-    (fun (name, contents) ->
+    (fun (name, len, adler) ->
       Checksum.stream_feed st (string_of_int (String.length name));
       Checksum.stream_feed st " ";
-      Checksum.stream_feed st (string_of_int (String.length contents));
+      Checksum.stream_feed st (string_of_int len);
       Checksum.stream_feed st "\n";
       Checksum.stream_feed st name;
-      Checksum.stream_feed st contents)
+      Checksum.stream_absorb st adler ~len)
     members;
   Checksum.stream_value st
+
+let checksum members =
+  checksum_sums
+    (List.map
+       (fun (name, contents) ->
+         (name, String.length contents, Checksum.adler32 contents))
+       members)
 
 (* Doc-member variants: the generators hand the DCM (name, Sink.doc)
    file sets, and everything short of the wire streams over the chunks.
@@ -73,22 +81,13 @@ let pack_docs members =
   (* [out] is complete and never escapes as bytes *)
   Bytes.unsafe_to_string out
 
+(* A doc whose checksum is memoized folds in O(1), so re-checksumming
+   an archive where one member changed costs one member scan. *)
 let checksum_docs members =
-  let st = Checksum.stream_start () in
-  List.iter
-    (fun (name, doc) ->
-      Checksum.stream_feed st (string_of_int (String.length name));
-      Checksum.stream_feed st " ";
-      Checksum.stream_feed st (string_of_int (Sink.length doc));
-      Checksum.stream_feed st "\n";
-      Checksum.stream_feed st name;
-      (* absorb, don't feed: a member whose doc already carries a
-         memoized checksum folds in via [Checksum.combine] in O(1), so
-         re-checksumming an archive where one member changed costs one
-         member scan, not the archive *)
-      Checksum.stream_absorb_doc st doc)
-    members;
-  Checksum.stream_value st
+  checksum_sums
+    (List.map
+       (fun (name, doc) -> (name, Sink.length doc, Checksum.adler32_doc doc))
+       members)
 
 (* The members as (name, offset, length) spans of their contents in
    [archive]: a consumer that slices the contents itself pays no copy

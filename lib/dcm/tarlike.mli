@@ -6,11 +6,15 @@
 val pack : (string * string) list -> string
 (** Archive a list of (name, contents) members. *)
 
+val checksum_sums : (string * int * int) list -> int
+(** [checksum_sums [(name, length, adler); ...]] is the Adler-32 of the
+    archive of members with those names, lengths and Adler-32s, computed
+    from them alone — the wire checksum of DELTA and EXEC, which the DCM
+    and the update server both compute with it. *)
+
 val checksum : (string * string) list -> int
-(** [Checksum.adler32 (pack members)], streamed member by member — the
-    archive is never materialized.  Lets {!Update.push} run the whole
-    manifest/delta exchange (and the EXEC confirm, which only carries
-    the checksum) without a client-side full pack. *)
+(** [Checksum.adler32 (pack members)], member by member — the archive is
+    never materialized. *)
 
 val pack_docs : (string * Sink.doc) list -> string
 (** As {!pack} over chunked documents — one materialization, into a
@@ -21,7 +25,8 @@ val packed_size_docs : (string * Sink.doc) list -> int
 
 val checksum_docs : (string * Sink.doc) list -> int
 (** As {!checksum} over chunked documents: neither the members nor the
-    archive are ever materialized. *)
+    archive are ever materialized, and a member whose checksum is
+    memoized costs O(1). *)
 
 val unpack : string -> ((string * string) list, string) result
 (** Recover the members; [Error] describes the corruption. *)

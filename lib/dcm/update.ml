@@ -77,21 +77,15 @@ let patch_encode ~base contents =
   Printf.sprintf "P%d %d %s\n%s" p s (doc_cksum base)
     (Sink.sub contents p (lc - p - s))
 
-(* The adler of the archive [Tarlike.pack] would produce for these
-   members, streamed from the per-member checksums — the wire checksum
-   the DCM sends with DELTA and EXEC, computed in O(members). *)
+(* The wire checksum the DCM sends with DELTA and EXEC, from the
+   per-member checksums in O(members). *)
 let archive_cksum members =
-  let st = Checksum.stream_start () in
-  List.iter
-    (fun (name, sums) ->
-      Checksum.stream_feed st (string_of_int (String.length name));
-      Checksum.stream_feed st " ";
-      Checksum.stream_feed st (string_of_int (Checksum.length sums));
-      Checksum.stream_feed st "\n";
-      Checksum.stream_feed st name;
-      Checksum.stream_absorb st (Checksum.value sums) ~len:(Checksum.length sums))
-    members;
-  Checksum.to_hex (Checksum.stream_value st)
+  Checksum.to_hex
+    (Tarlike.checksum_sums
+       (List.map
+          (fun (name, sums) ->
+            (name, Checksum.length sums, Checksum.value sums))
+          members))
 
 (* A member as DELTA stages it: kept, its full bytes, or the patch as
    it came on the wire (without its tag) with the segments of the

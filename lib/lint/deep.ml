@@ -254,7 +254,7 @@ let column_fns_first = [ "Pred.eq_str"; "Pred.name_match" ]
 
 let column_fns_any =
   [ "Pred.eq_int"; "Pred.eq_bool"; "Table.field"; "Schema.index_of"; "seti";
-    "setb" ]
+    "setb"; "Gen_util.col" ]
 
 let schema_sites n args =
   let literal = function

@@ -34,14 +34,14 @@ let rec eval schema p tuple =
 type shape =
   | S_true
   | S_eq of string * int
-  | S_glob of string * string
+  | S_glob of string * int
   | S_and of shape * shape
   | S_or of shape * shape
   | S_not of shape
 
-(* Equality constants become parameter slots (numbered left to right);
-   glob patterns stay literal in the shape, and the compiled row test
-   embeds them. *)
+(* Equality constants and glob patterns become parameter slots (numbered
+   left to right), so a shape is fixed by the code that built the
+   predicate, whatever its arguments. *)
 let split p =
   let params = ref [] in
   let n = ref 0 in
@@ -54,7 +54,7 @@ let split p =
   let rec go = function
     | True -> S_true
     | Eq (c, v) -> S_eq (c, slot v)
-    | Glob (c, pat) -> S_glob (c, pat)
+    | Glob (c, pat) -> S_glob (c, slot (Value.Str pat))
     | And (a, b) ->
         let a' = go a in
         let b' = go b in
@@ -72,7 +72,7 @@ let fill s params =
   let rec go = function
     | S_true -> True
     | S_eq (c, i) -> Eq (c, params.(i))
-    | S_glob (c, pat) -> Glob (c, pat)
+    | S_glob (c, i) -> Glob (c, Value.to_string params.(i))
     | S_and (a, b) -> And (go a, go b)
     | S_or (a, b) -> Or (go a, go b)
     | S_not a -> Not (go a)

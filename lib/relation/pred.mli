@@ -40,17 +40,17 @@ val eval : Schema.t -> t -> Value.t array -> bool
 
 (** {2 Shapes — prepared-statement skeletons}
 
-    A shape is a predicate with its equality constants replaced by
-    numbered parameter slots.  Two calls of the same named query with
-    different arguments produce the same shape, so the planner can
-    compile a shape once and reuse the plan for every argument vector
-    (the plan cache in {!Table}).  Glob patterns stay literal in the
-    shape, so each distinct pattern compiles its own plan. *)
+    A shape is a predicate with its equality constants and glob patterns
+    replaced by numbered parameter slots.  Two calls of the same named
+    query with different arguments, patterns included, produce the same
+    shape, so the planner can compile a shape once and reuse the plan
+    for every argument vector (the plan cache in {!Table}), and the
+    shapes a table sees are bounded by the code that builds them. *)
 
 type shape =
   | S_true
   | S_eq of string * int  (** Column equals parameter slot. *)
-  | S_glob of string * string
+  | S_glob of string * int  (** Column matches the pattern in a slot. *)
   | S_and of shape * shape
   | S_or of shape * shape
   | S_not of shape

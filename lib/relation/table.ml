@@ -208,9 +208,10 @@ let compile_eval t shape =
     | Pred.S_eq (c, s) ->
         let g = getter c in
         fun p row -> Value.equal (g row) p.(s)
-    | Pred.S_glob (c, pat) ->
+    | Pred.S_glob (c, s) ->
         let g = getter c in
-        fun _ row -> Glob.matches ~pattern:pat (Value.to_string (g row))
+        fun p row ->
+          Glob.matches ~pattern:(Value.to_string p.(s)) (Value.to_string (g row))
     | Pred.S_and (a, b) ->
         let fa = go a and fb = go b in
         fun p row -> fa p row && fb p row
@@ -266,13 +267,12 @@ let compile t shape =
    this table's cache, and the plan body.  Plans stay valid for the
    table's whole lifetime (schemas are immutable and the index
    structures they capture are updated in place), so no write or [clear]
-   touches the cache.  Glob patterns stay literal in a shape, so
-   client-supplied patterns make new entries: the cache is bounded and
-   resets wholesale when full. *)
+   touches the cache.  Glob patterns are parameters too, so the shapes a
+   table sees, and its cache, are bounded by the code that builds
+   predicates. *)
 
 let plan_hits = Obs.Counter.make Obs.default "plan.cache.hits"
 let plan_misses = Obs.Counter.make Obs.default "plan.cache.misses"
-let plan_cap = 256
 
 let prepare t shape =
   match Hashtbl.find_opt t.plans shape with
@@ -282,7 +282,6 @@ let prepare t shape =
   | None ->
       Obs.Counter.incr plan_misses;
       let c = compile t shape in
-      if Hashtbl.length t.plans >= plan_cap then Hashtbl.reset t.plans;
       Hashtbl.replace t.plans shape c;
       c
 

@@ -127,7 +127,8 @@ val field : t -> Value.t array -> string -> Value.t
     caches its plans by shape, so every call of a named query with any
     argument values reuses one plan.  The cache needs no invalidation:
     schemas are immutable and a plan reads the table's live indexes.
-    It holds a bounded number of plans and resets wholesale when full.
+    Glob patterns are shape parameters ({!Pred.split}), so the cache
+    holds one plan per shape the code builds.
     Hits and misses count on [plan.cache.hits] and [plan.cache.misses]
     in {!Obs.default}, and each plan run on [plan.path.probe] or
     [plan.path.scan]. *)

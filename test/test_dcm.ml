@@ -568,23 +568,40 @@ let test_keyed_state_owner () =
       sk_aux = None;
     }
   in
-  let _, st = Dcm.Keyed.incr (spec [| "logins" |]) tb.Testbed.glue None in
+  let pincr files =
+    Option.get (Dcm.Keyed.part ~name:"logins" ~watches:[] (spec files)).Dcm.Gen.pincr
+  in
+  let _, st = pincr [| "logins" |] tb.Testbed.glue None in
   let full0 = counter "dcm.keyed.full" in
   let splice0 = counter "dcm.keyed.splice" in
-  let out, _ =
-    Dcm.Keyed.incr (spec [| "logins" |]) tb.Testbed.glue (Some st)
-  in
+  let out, _ = pincr [| "logins" |] tb.Testbed.glue (Some st) in
   Alcotest.(check int) "equal spec splices" 1
     (counter "dcm.keyed.splice" - splice0);
   Alcotest.(check (list string)) "its file" [ "logins" ]
     (List.map fst out.Dcm.Gen.common);
-  let out, _ =
-    Dcm.Keyed.incr (spec [| "other" |]) tb.Testbed.glue (Some st)
-  in
+  let out, _ = pincr [| "other" |] tb.Testbed.glue (Some st) in
   Alcotest.(check int) "other files build in full" 1
     (counter "dcm.keyed.full" - full0);
   Alcotest.(check (list string)) "the new spec's file" [ "other" ]
     (List.map fst out.Dcm.Gen.common)
+
+(* A keyed part's [pbuild] is its full build, but the reference
+   extraction counts nothing: [dcm.keyed.*] count the DCM's builds
+   alone, so a benchmark's per-cycle figures are not inflated by its own
+   checks. *)
+let test_keyed_generate_uncounted () =
+  let tb = Testbed.create () in
+  let names = [ "dcm.keyed.full"; "dcm.keyed.splice"; "dcm.keyed.fallback" ] in
+  let counts () =
+    List.map
+      (fun name -> Option.value (Obs.find_counter Obs.default name) ~default:0)
+      names
+  in
+  let before = counts () in
+  let out = Dcm.Gen_hesiod.generator.Dcm.Gen.generate tb.Testbed.glue in
+  Alcotest.(check bool) "passwd.db built" true
+    (List.mem_assoc "passwd.db" out.Dcm.Gen.common);
+  Alcotest.(check (list int)) "keyed counters unchanged" before (counts ())
 
 (* The keyed incremental builders behind passwd/pobox/group/grplist: a
    varied edit sequence over several DCM cycles must stay byte-identical
@@ -770,6 +787,8 @@ let suite =
       test_keyed_incremental_cycles;
     Alcotest.test_case "keyed state owned by table and files" `Quick
       test_keyed_state_owner;
+    Alcotest.test_case "generate counts no keyed build" `Quick
+      test_keyed_generate_uncounted;
     Alcotest.test_case "cron schedule" `Quick test_cron_schedule_drives_dcm;
     Alcotest.test_case "DCM restart resumes from spool" `Quick
       test_dcm_restart_resumes_from_spool;

@@ -52,6 +52,27 @@ let test_exception_pattern () =
        (prelude
        ^ "let v = match f () with exception Not_found -> 0 | v -> v\n"))
 
+(* Row renderers read their columns through [Gen_util.col], named or
+   opened: a misspelled column there is a schema-ref finding. *)
+let test_schema_ref_col () =
+  let src =
+    "module Gen_util = struct let col () (_ : string) = () end\n\
+     let utbl = ()\n\
+     let misspelled = Gen_util.col utbl \"fulname\"\n\
+     let known = Gen_util.col utbl \"fullname\"\n\
+     open Gen_util\n\
+     let opened = col utbl \"shel\"\n"
+  in
+  let facts = Deep.create () in
+  Deep.load_source facts ~file:"lib/dcm/fix_col.ml" src;
+  let fs = Deep_moira.findings ~read:(fun _ -> Some src) facts in
+  Alcotest.(check (list string))
+    "both misspellings" [ "schema-ref"; "schema-ref" ] (rules fs);
+  Alcotest.(check (list int)) "at their lines" [ 3; 6 ] (lines fs);
+  Alcotest.(check bool)
+    "names the column" true
+    (has_msg fs "unknown column \"fulname\"")
+
 (* ---- deep-effect ---- *)
 
 let test_effect_chain () =
@@ -515,6 +536,8 @@ let suite =
       test_obj_magic_alias;
     Alcotest.test_case "swallow-exn exception pattern" `Quick
       test_exception_pattern;
+    Alcotest.test_case "schema-ref through Gen_util.col" `Quick
+      test_schema_ref_col;
     Alcotest.test_case "effect chain" `Quick test_effect_chain;
     Alcotest.test_case "effect kinds" `Quick test_effect_kinds;
     Alcotest.test_case "unordered iter + sort discharge" `Quick

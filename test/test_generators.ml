@@ -480,9 +480,7 @@ let prop_group_files_match_naive =
       let check what want got =
         want = got || QCheck.Test.fail_reportf "%s:\nwant\n%s\ngot\n%s" what want got
       in
-      check "grplist.db (full)" grplist
-        (find_file (part.Dcm.Gen.pbuild t.Fix.glue).Dcm.Gen.common "grplist.db")
-      && check "grplist.db (keyed)" grplist (find_file keyed.Dcm.Gen.common "grplist.db")
+      check "grplist.db (keyed)" grplist (find_file keyed.Dcm.Gen.common "grplist.db")
       && check "credentials" (credentials (fun _ -> true)) (creds "NFS-1.MIT.EDU")
       && check "credentials (value3)"
            (credentials (fun l -> List.mem l members))
